@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    NUMERIC_FAILURES,
     AmbiguousBranchError,
     NoConvergenceError,
     PastLifetimeError,
@@ -234,7 +235,7 @@ def s_of(mu: MeasureSpec, t: float, lam: complex, eps: float) -> float:
         p0v = _momenta_values(mu, z0.real, z0.imag, 0.0)[0]
         if math.isfinite(p0v) and t * p0v < 1.0:
             starts.append((z0.real, z0.imag, eps / (1.0 - t * p0v) ** 2))
-    except Exception:
+    except NUMERIC_FAILURES:
         pass
     for k in (4.0, 16.0, 64.0):
         starts.append((lam.real, lam.imag, k * eps))

@@ -235,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--n", type=int, default=500, help="matrix size (simulate)")
     common.add_argument("--reps", type=int, default=1, help="repetitions (simulate)")
     common.add_argument("--dilation", type=float, default=0.05, help="boundary slack (simulate)")
-    common.add_argument("--tol", type=float, default=None, help="quadrature tolerance override")
 
     for name, fn in (
         ("compute", cmd_compute),
@@ -252,8 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
-    if ns.tol is not None:
-        measure.set_default_tolerances(atol=ns.tol, rtol=100.0 * ns.tol)
     try:
         return ns.func(ns)
     except _VALIDATION_ERRORS as exc:

@@ -1,5 +1,7 @@
 """Exception hierarchy for the ibrown package."""
 
+import numpy as np
+
 
 class IBrownError(Exception):
     """Base class for all package-specific errors."""
@@ -63,3 +65,8 @@ class AmbiguousBranchError(IBrownError):
 
 class EigenFailureError(IBrownError):
     """Dense eigensolver failed to converge."""
+
+
+#: failures of one numerical trial that send a multi-start solver to its next
+#: start; anything else (a TypeError, a KeyError) is a bug and propagates
+NUMERIC_FAILURES = (IBrownError, ArithmeticError, np.linalg.LinAlgError)

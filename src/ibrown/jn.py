@@ -7,8 +7,9 @@ follows from
     rho_t(a) = (1/(4 pi)) (1/t + 2 d(Re g)/da),
 
 giving a second, fixed-point route to the same density as the subordination
-pipeline. The boundary of the support region is located by the sign of
-(b/(2t))^2 - (Im g)^2.
+pipeline. d(Re g)/da is the implicit derivative of g - G(a + t*conj(g)) = 0,
+so the density needs one solve per point and no step in a. The boundary of
+the support region is located by the sign of (b/(2t))^2 - (Im g)^2.
 """
 
 from __future__ import annotations
@@ -17,10 +18,24 @@ import math
 
 import numpy as np
 
-from .errors import NoConvergenceError
+from .errors import NUMERIC_FAILURES, DegenerateJacobianError, NoConvergenceError
 from .measure import MeasureSpec, cauchy, cauchy_prime
 from .subordination import lambda_region, v_t
 from .brown import a0_of_a
+
+
+def _fixed_point_jacobian_solve(t: float, gp: complex, rhs: complex) -> complex | None:
+    """Solve J d = rhs for the real 2x2 Jacobian of F(g) = g - G(a + t*conj(g))
+    in (Re g, Im g), with G' = gp at the current point; None when J is singular."""
+    # columns of the real Jacobian as complex numbers
+    col_re = 1.0 - t * gp
+    col_im = 1j * (1.0 + t * gp)
+    det = col_re.real * col_im.imag - col_im.real * col_re.imag
+    if det == 0.0:
+        return None
+    d_re = (rhs.real * col_im.imag - col_im.real * rhs.imag) / det
+    d_im = (col_re.real * rhs.imag - rhs.real * col_re.imag) / det
+    return complex(d_re, d_im)
 
 
 def _fixed_point_newton(mu, t, a, g0, tol, max_iter=80):
@@ -35,7 +50,7 @@ def _fixed_point_newton(mu, t, a, g0, tol, max_iter=80):
 
     try:
         fg = residual(g)
-    except Exception:
+    except NUMERIC_FAILURES:
         return None
     for _ in range(max_iter):
         if abs(fg) <= tol:
@@ -43,24 +58,17 @@ def _fixed_point_newton(mu, t, a, g0, tol, max_iter=80):
         z = a + t * g.conjugate()
         try:
             gp = cauchy_prime(mu, z)
-        except Exception:
+        except NUMERIC_FAILURES:
             return None
-        # columns of the real Jacobian as complex numbers
-        col_re = 1.0 - t * gp
-        col_im = 1j * (1.0 + t * gp)
-        det = col_re.real * col_im.imag - col_im.real * col_re.imag
-        if det == 0.0:
+        step = _fixed_point_jacobian_solve(t, gp, fg)
+        if step is None:
             return None
-        rhs = fg
-        d_re = (rhs.real * col_im.imag - col_im.real * rhs.imag) / det
-        d_im = (col_re.real * rhs.imag - rhs.real * col_re.imag) / det
-        step = complex(d_re, d_im)
         factor = 1.0
         for _ in range(45):
             gn = g - factor * step
             try:
                 fn = residual(gn)
-            except Exception:
+            except NUMERIC_FAILURES:
                 fn = None
             if fn is not None and abs(fn) < abs(fg):
                 g, fg = gn, fn
@@ -94,7 +102,7 @@ def solve_g(
             a0g = a0_of_a(mu, t, a)
             vg = v_t(mu, t, a0g)
             starts.append(complex((a0g - a) / t, max(vg, 1e-8) / t))
-        except Exception:
+        except NUMERIC_FAILURES:
             pass
         # coarse scan over candidate source abscissas
         region = lambda_region(mu, t)
@@ -116,15 +124,18 @@ def solve_g(
     )
 
 
-def jn_density(mu: MeasureSpec, t: float, a: float, step: float | None = None) -> float:
-    """Density (1/(4 pi)) (1/t + 2 d(Re g)/da) via a central difference of Re g."""
-    if step is None:
-        step = 1e-5 * (1.0 + abs(a))
-    g_mid = solve_g(mu, t, a)
-    gp = solve_g(mu, t, a + step, guess=g_mid)
-    gm = solve_g(mu, t, a - step, guess=g_mid)
-    d_re = (gp.real - gm.real) / (2.0 * step)
-    return (1.0 / (4.0 * math.pi)) * (1.0 / t + 2.0 * d_re)
+def jn_density(mu: MeasureSpec, t: float, a: float) -> float:
+    """Density (1/(4 pi)) (1/t + 2 d(Re g)/da) at the solved fixed point.
+
+    With F(g, a) = g - G(a + t*conj(g)), dF/da = -G'(z), so dg/da solves
+    J dg = G'(z) with the Newton Jacobian J of the fixed-point solve.
+    """
+    g = solve_g(mu, t, a)
+    gp = cauchy_prime(mu, a + t * g.conjugate())
+    dg = _fixed_point_jacobian_solve(t, gp, gp)
+    if dg is None:
+        raise DegenerateJacobianError(f"singular fixed-point Jacobian at a = {a}")
+    return (1.0 / (4.0 * math.pi)) * (1.0 / t + 2.0 * dg.real)
 
 
 def jn_boundary_gap(mu: MeasureSpec, t: float, a: float, b: float) -> float:

@@ -16,15 +16,24 @@ All kernels share the denominator ``D = (a0 - x)**2 + v**2``:
 
 ``p0`` with ``v = 0`` returns ``math.inf`` when the integral diverges; callers
 use the sentinel for bracketing.
+
+For a semicircle or piecewise-polynomial law every kernel is a closed form in
+the Cauchy transform G and its derivative G' at ``z = a0 + iv``:
+``p0 = -Im G/v``, ``c1 = Re G``, ``p1 = a0 p0 - c1``, ``q1 = Im G'/(2v)``,
+``q2 = (p0 - Re G')/2`` and ``q0 = (p0 + Re G')/(2v^2)``. The last one cancels
+like ``v^2`` where ``p0(a0, 0)`` is finite; there ``q0`` alone comes from a
+rearranged closed form (semicircle) or adaptive quadrature (pieces). Atomic
+laws sum over their atoms.
 """
 
 from __future__ import annotations
 
+import cmath
 import hashlib
 import json
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -46,25 +55,20 @@ from .numerics import (
     poly_shift,
 )
 
-_DEFAULT_TOLS = {"atol": 1e-12, "rtol": 1e-10}
-
-
-def set_default_tolerances(atol: float | None = None, rtol: float | None = None) -> None:
-    """Override the package-wide quadrature tolerances (CLI --tol hook)."""
-    if atol is not None:
-        _DEFAULT_TOLS["atol"] = float(atol)
-    if rtol is not None:
-        _DEFAULT_TOLS["rtol"] = float(rtol)
-
-
-def _tols(atol, rtol):
-    return (
-        _DEFAULT_TOLS["atol"] if atol is None else atol,
-        _DEFAULT_TOLS["rtol"] if rtol is None else rtol,
-    )
-
 _ATOM_MERGE_REL = 1e-12
 _KERNEL_KEYS = ("p0", "p1", "pa", "c1", "q0", "q1", "q2", "log")
+#: q0 leaves (p0 + Re G')/(2v^2) for _q0_cancelled once that sum falls below
+#: this share of p0, i.e. once more than four digits would cancel
+_Q0_CANCEL = 1e-4
+#: fixed tolerances of the q0 quadrature on polynomial pieces
+_Q0_ATOL = 1e-12
+_Q0_RTOL = 1e-10
+#: a polynomial piece whose center is more than _FAR half-widths from z is
+#: summed as its multipole series, where the closed form would cancel like
+#: |z - center|^(degree + 1); with ratio below 1/_FAR, _MULTIPOLE_TERMS terms
+#: reach 1e-17
+_FAR = 4.0
+_MULTIPOLE_TERMS = 30
 
 
 @dataclass(frozen=True)
@@ -94,6 +98,35 @@ class MeasureSpec:
 
     def digest(self) -> str:
         return hashlib.sha1(to_json(self).encode()).hexdigest()[:10]
+
+    @cached_property
+    def piece_multipoles(self) -> tuple[tuple[float, float, tuple[float, ...]], ...]:
+        """(center c, half-width h, moments int (x - c)^k rho(x) dx for
+        k < _MULTIPOLE_TERMS) of each polynomial piece, built once per spec."""
+        out = []
+        for lo, hi, coeffs in self.pieces:
+            c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            b = poly_shift(coeffs, c)  # rho(c + u) = sum b_j u^j
+            # int_{-h}^{h} u^n du is 2 h^(n+1)/(n+1) for even n and 0 for odd n
+            moments = tuple(
+                sum(
+                    2.0 * bj * h ** (j + k + 1) / (j + k + 1)
+                    for j, bj in enumerate(b)
+                    if (j + k) % 2 == 0
+                )
+                for k in range(_MULTIPOLE_TERMS)
+            )
+            out.append((c, h, moments))
+        return tuple(out)
+
+    @cached_property
+    def atom_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (positions, weights) of an atomic law, built once per spec."""
+        xs = np.array([x for x, _ in self.atoms])
+        ws = np.array([w for _, w in self.atoms])
+        xs.flags.writeable = False
+        ws.flags.writeable = False
+        return xs, ws
 
 
 # ----------------------------------------------------------------------------
@@ -298,33 +331,16 @@ def load_measure(path) -> MeasureSpec:
 # support queries
 
 
-@lru_cache(maxsize=None)
-def _atom_arrays(mu: MeasureSpec):
-    xs = np.array([x for x, _ in mu.atoms])
-    ws = np.array([w for _, w in mu.atoms])
-    return xs, ws
-
-
 def on_support(mu: MeasureSpec, x: float, tol: float | None = None) -> bool:
     """True when x lies on the closed support within tolerance."""
     if tol is None:
         tol = 1e-12 * (1.0 + abs(x))
     if mu.kind == "atomic":
-        xs, _ = _atom_arrays(mu)
+        xs, _ = mu.atom_arrays
         return bool(np.min(np.abs(xs - x)) <= tol)
     if mu.kind == "semicircle":
         return abs(x) <= mu.support.hi + tol
     return any(lo - tol <= x <= hi + tol for lo, hi, _ in mu.pieces)
-
-
-def support_gap(mu: MeasureSpec, x: float) -> float:
-    """Distance from x to the closed support (0 when on it)."""
-    if mu.kind == "atomic":
-        xs, _ = _atom_arrays(mu)
-        return float(np.min(np.abs(xs - x)))
-    if mu.kind == "semicircle":
-        return max(0.0, abs(x) - mu.support.hi)
-    return min(max(lo - x, 0.0, x - hi) for lo, hi, _ in mu.pieces)
 
 
 # ----------------------------------------------------------------------------
@@ -362,77 +378,144 @@ def _kernel_rows(x: np.ndarray, a0: float, v2: float, keys) -> np.ndarray:
     return out
 
 
-def _semicircle_theta_breaks(r: float, a0: float, scale: float) -> list[float]:
-    xs = ladder_points(-r, r, min(max(a0, -r), r), scale)
-    th = np.arcsin(np.clip(np.asarray(xs) / r, -1.0, 1.0))
-    th = np.unique(np.concatenate(([-np.pi / 2], th, [np.pi / 2])))
-    return list(th)
+def _cauchy_pair(mu: MeasureSpec, z: complex) -> tuple[complex, complex]:
+    """G(z) and G'(z) off the real line for a semicircle or piecewise law."""
+    if mu.kind == "semicircle":
+        return _semicircle_g(mu.variance, z), _semicircle_gprime(mu.variance, z)
+    g = gp = 0j
+    for (lo, hi, coeffs), pole in zip(mu.pieces, mu.piece_multipoles):
+        n = _multipole_terms(pole, z)
+        gk, gpk = _multipole_pair(pole, z, n) if n else _piece_cauchy_pair(coeffs, lo, hi, z)
+        g += gk
+        gp += gpk
+    return g, gp
 
 
-def transforms(
-    mu: MeasureSpec,
-    a0: float,
-    v2: float,
-    keys: Sequence[str],
-    atol: float | None = None,
-    rtol: float | None = None,
-) -> dict[str, float]:
+def _multipole_terms(pole, z: complex) -> int:
+    """Terms of a piece's multipole series that reach 1e-17 at z; 0 when z
+    is too near the piece for the series."""
+    center, half, _ = pole
+    dist = abs(z - center)
+    if dist <= _FAR * half:
+        return 0
+    return min(_MULTIPOLE_TERMS, int(17.0 * math.log(10.0) / math.log(dist / half)) + 1)
+
+
+def _multipole_pair(pole, z: complex, n: int) -> tuple[complex, complex]:
+    # G = sum M_k / zeta^(k+1), G' = -sum (k+1) M_k / zeta^(k+2), zeta = z - center
+    center, _, moments = pole
+    inv = 1.0 / (z - center)
+    g = gp = 0j
+    power = inv
+    for k in range(n):
+        g += moments[k] * power
+        power *= inv
+        gp -= (k + 1) * moments[k] * power
+    return g, gp
+
+
+def _piece_cauchy_pair(coeffs, lo: float, hi: float, z: complex) -> tuple[complex, complex]:
+    # with u = x - z and rho = sum b_k u^k: G = -sum b_k int u^(k-1) du and
+    # G' = -sum b_k int u^(k-2) du over [lo - z, hi - z]; the segment keeps a
+    # constant nonzero Im u, so the principal log of u1/u0 is the continuous one
+    u0, u1 = lo - z, hi - z
+    if u0 == 0.0 or u1 == 0.0:
+        raise OnSupportError(f"{z} is an end of the piece [{lo}, {hi}]")
+    b = poly_shift(coeffs, z)
+    log_ratio = cmath.log(u1 / u0)
+    g = -b[0] * log_ratio
+    gp = -b[0] * (1.0 / u0 - 1.0 / u1)
+    if len(b) > 1:
+        gp -= b[1] * log_ratio
+    w0 = w1 = 1.0  # u0**(k-1), u1**(k-1)
+    for k in range(1, len(b)):
+        if k >= 2:
+            gp -= b[k] * (w1 - w0) / (k - 1)
+        w0, w1 = w0 * u0, w1 * u1
+        g -= b[k] * (w1 - w0) / k
+    return g, gp
+
+
+def _q0_cancelled(mu: MeasureSpec, a0: float, v2: float) -> float:
+    """q0 of a semicircle or piecewise law where p0 + Re G' cancels.
+
+    For the semicircle, with R = sqrt(z^2 - 4s), expanding the divided
+    difference of G twice gives
+    q0 = (a0 (4s + 2v^2 - Im(R)^2) - v Re(R) Im(R)) / (4s Re(R)^3 |R|^2),
+    exact off the imaginary axis and free of cancellation where p0(a0, 0) is
+    finite. Polynomial pieces are integrated by adaptive quadrature.
+    """
+    v = math.sqrt(v2)
+    if mu.kind == "semicircle":
+        s = mu.variance
+        root = _semicircle_root(s, complex(a0, v))
+        num = a0 * (4.0 * s + 2.0 * v2 - root.imag**2) - v * root.real * root.imag
+        return num / (4.0 * s * root.real**3 * abs(root) ** 2)
+    total = 0.0
+    for lo, hi, coeffs in mu.pieces:
+
+        def f(x, _c=coeffs):
+            d = (a0 - x) ** 2 + v2
+            return poly_eval(_c, x) / (d * d)
+
+        breaks = ladder_points(lo, hi, a0, v)
+        total += float(integrate_adaptive(f, breaks, _Q0_ATOL, _Q0_RTOL)[0])
+    return total
+
+
+def transforms(mu: MeasureSpec, a0: float, v2: float, keys: Sequence[str]) -> dict[str, float]:
     """Evaluate a bundle of kernel integrals sharing v2 > 0 in one pass."""
     if v2 <= 0.0:
         raise ValueError("transforms requires v2 > 0; use the v = 0 entry points")
-    atol, rtol = _tols(atol, rtol)
     keys = tuple(keys)
     if mu.kind == "atomic":
-        xs, ws = _atom_arrays(mu)
+        xs, ws = mu.atom_arrays
         vals = _kernel_rows(xs, a0, v2, keys) @ ws
         return dict(zip(keys, vals.tolist()))
-    scale = math.sqrt(v2)
-    acc = np.zeros(len(keys))
-    if mu.kind == "semicircle":
-        r = mu.support.hi
-
-        def f(th):
-            x = r * np.sin(th)
-            w = (2.0 / np.pi) * np.cos(th) ** 2
-            return _kernel_rows(x, a0, v2, keys) * w
-
-        acc = integrate_adaptive(f, _semicircle_theta_breaks(r, a0, scale), atol, rtol)
-    else:
-        for lo, hi, coeffs in mu.pieces:
-
-            def f(x, _c=coeffs):
-                return _kernel_rows(x, a0, v2, keys) * poly_eval(_c, x)
-
-            acc = acc + integrate_adaptive(
-                f, ladder_points(lo, hi, a0, scale), atol, rtol
-            )
-    return dict(zip(keys, acc.tolist()))
+    v = math.sqrt(v2)
+    g, gp = _cauchy_pair(mu, complex(a0, v))
+    p0v = -g.imag / v
+    out = {}
+    for k in keys:
+        if k == "p0":
+            out[k] = p0v
+        elif k == "p1":
+            out[k] = a0 * p0v - g.real
+        elif k == "pa":
+            out[k] = 2.0 * g.real
+        elif k == "c1":
+            out[k] = g.real
+        elif k == "q0":
+            s = p0v + gp.real  # = 2 v^2 q0
+            out[k] = s / (2.0 * v2) if s >= _Q0_CANCEL * p0v else _q0_cancelled(mu, a0, v2)
+        elif k == "q1":
+            out[k] = gp.imag / (2.0 * v)
+        elif k == "q2":
+            out[k] = 0.5 * (p0v - gp.real)
+        elif k == "log":
+            out[k] = _log_energy(mu, a0, v2)
+        else:
+            raise KeyError(k)
+    return out
 
 
 # ----------------------------------------------------------------------------
 # Poisson-type integrals
 
 
-def p0(mu: MeasureSpec, a0: float, v: float, atol=None, rtol=None) -> float:
+def p0(mu: MeasureSpec, a0: float, v: float) -> float:
     """int dmu / ((a0-x)^2 + v^2); +inf sentinel when v = 0 and it diverges."""
     if v < 0.0:
         raise ValueError("v must be nonnegative")
     if v == 0.0:
         return p0_zero(mu, a0)
-    return transforms(mu, a0, v * v, ("p0",), atol, rtol)["p0"]
-
-
-def _piece_r0_r1_tolerances(coeffs) -> tuple[float, float]:
-    # just above the rounding noise of poly_shift so genuine double zeros of
-    # the density pass while any real divergence classifies as +inf
-    md = 1.0 + max(abs(c) for c in coeffs)
-    return 1e-11 * md, 1e-11 * md
+    return transforms(mu, a0, v * v, ("p0",))["p0"]
 
 
 def p0_zero(mu: MeasureSpec, a0: float) -> float:
     """The v = 0 Poisson integral int dmu/(a0-x)^2, evaluated in closed form."""
     if mu.kind == "atomic":
-        xs, ws = _atom_arrays(mu)
+        xs, ws = mu.atom_arrays
         d = a0 - xs
         if np.min(np.abs(d)) <= 1e-13 * (1.0 + abs(a0)):
             return math.inf
@@ -446,8 +529,10 @@ def p0_zero(mu: MeasureSpec, a0: float) -> float:
         b = poly_shift(coeffs, a0)  # density in powers of (x - a0)
         edge = 1e-12 * (1.0 + abs(a0))
         if lo - edge <= a0 <= hi + edge:
-            t0, t1 = _piece_r0_r1_tolerances(coeffs)
-            if abs(b[0]) > t0 or (len(b) > 1 and abs(b[1]) > t1):
+            # just above the rounding noise of poly_shift so genuine double
+            # zeros of the density pass while any real divergence reads +inf
+            noise = 1e-11 * (1.0 + max(abs(c) for c in coeffs))
+            if abs(b[0]) > noise or (len(b) > 1 and abs(b[1]) > noise):
                 return math.inf
             total += poly_definite(b[2:] or [0.0], lo - a0, hi - a0)
         else:
@@ -460,20 +545,18 @@ def p0_zero(mu: MeasureSpec, a0: float) -> float:
     return total
 
 
-def p1(mu: MeasureSpec, a0: float, v: float, atol=None, rtol=None) -> float:
+def p1(mu: MeasureSpec, a0: float, v: float) -> float:
     """int x dmu / ((a0-x)^2 + v^2) for v > 0."""
     if v <= 0.0:
         raise ValueError("p1 requires v > 0")
-    return transforms(mu, a0, v * v, ("p1",), atol, rtol)["p1"]
+    return transforms(mu, a0, v * v, ("p1",))["p1"]
 
 
-def q_integrals(
-    mu: MeasureSpec, a0: float, v: float, atol=None, rtol=None
-) -> tuple[float, float, float]:
+def q_integrals(mu: MeasureSpec, a0: float, v: float) -> tuple[float, float, float]:
     """Squared-kernel integrals (q0, q1, q2) for v > 0."""
     if v <= 0.0:
         raise ValueError("q_integrals requires v > 0")
-    out = transforms(mu, a0, v * v, ("q0", "q1", "q2"), atol, rtol)
+    out = transforms(mu, a0, v * v, ("q0", "q1", "q2"))
     return out["q0"], out["q1"], out["q2"]
 
 
@@ -481,14 +564,24 @@ def q_integrals(
 # Cauchy transform
 
 
+def _semicircle_root(s: float, z: complex) -> complex:
+    # sqrt(z^2 - 4s) on the branch ~ z at infinity, cut along the support;
+    # Im root has the sign of Im z, so z + root never cancels
+    r = 2.0 * math.sqrt(s)
+    return cmath.sqrt(z - r) * cmath.sqrt(z + r)
+
+
 def _semicircle_g(s: float, z: complex) -> complex:
-    # branch with G(z) ~ 1/z at infinity: sqrt(z^2-4s) := z*sqrt(1-4s/z^2)
-    return (z - z * np.sqrt(1.0 - 4.0 * s / (z * z))) / (2.0 * s)
+    # (z - root)/(2s), written without its cancellation at large |z|
+    return 2.0 / (z + _semicircle_root(s, z))
 
 
 def _semicircle_gprime(s: float, z: complex) -> complex:
-    root = z * np.sqrt(1.0 - 4.0 * s / (z * z))
-    return (1.0 - z / root) / (2.0 * s)
+    # G' = (1 - z/root)/(2s) = -G/root
+    root = _semicircle_root(s, z)
+    if root == 0.0:
+        raise OnSupportError(f"{z} is an end of the semicircle support")
+    return -2.0 / ((z + root) * root)
 
 
 def _piece_cauchy_real(coeffs, lo: float, hi: float, a0: float) -> float:
@@ -516,7 +609,7 @@ def real_cauchy(mu: MeasureSpec, a0: float, density_tol: float = 1e-9) -> float:
     when the integral genuinely diverges.
     """
     if mu.kind == "atomic":
-        xs, ws = _atom_arrays(mu)
+        xs, ws = mu.atom_arrays
         d = a0 - xs
         if np.min(np.abs(d)) <= 1e-13 * (1.0 + abs(a0)):
             raise OnSupportError(f"atom at {a0}")
@@ -536,32 +629,27 @@ def real_cauchy(mu: MeasureSpec, a0: float, density_tol: float = 1e-9) -> float:
     return total
 
 
-def cauchy(
-    mu: MeasureSpec, z: complex, tol: float | None = None, atol=None, rtol=None
-) -> complex:
+def cauchy(mu: MeasureSpec, z: complex, tol: float | None = None) -> complex:
     """G(z) = int dmu(x)/(z - x); Im G < 0 on the upper half-plane."""
     z = complex(z)
     if z.imag == 0.0:
         if on_support(mu, z.real, tol):
             raise OnSupportError(f"{z.real} lies on the support")
         if mu.kind == "atomic":
-            xs, ws = _atom_arrays(mu)
+            xs, ws = mu.atom_arrays
             return complex(np.sum(ws / (z.real - xs)))
         if mu.kind == "semicircle":
             return complex(_semicircle_g(mu.variance, z).real)
         return complex(sum(_piece_cauchy_real(c, lo, hi, z.real) for lo, hi, c in mu.pieces))
     if mu.kind == "atomic":
-        xs, ws = _atom_arrays(mu)
+        xs, ws = mu.atom_arrays
         return complex(np.sum(ws / (z - xs)))
     if mu.kind == "semicircle":
-        return complex(_semicircle_g(mu.variance, z))
-    out = transforms(mu, z.real, z.imag * z.imag, ("p0", "c1"), atol, rtol)
-    return complex(out["c1"] - 1j * z.imag * out["p0"])
+        return _semicircle_g(mu.variance, z)
+    return _cauchy_pair(mu, z)[0]
 
 
-def cauchy_prime(
-    mu: MeasureSpec, z: complex, tol: float | None = None, atol=None, rtol=None
-) -> complex:
+def cauchy_prime(mu: MeasureSpec, z: complex, tol: float | None = None) -> complex:
     """G'(z) = -int dmu(x)/(z - x)^2."""
     z = complex(z)
     if z.imag == 0.0:
@@ -571,28 +659,23 @@ def cauchy_prime(
             return complex(_semicircle_gprime(mu.variance, z).real)
         return complex(-p0_zero(mu, z.real))
     if mu.kind == "atomic":
-        xs, ws = _atom_arrays(mu)
+        xs, ws = mu.atom_arrays
         return complex(-np.sum(ws / (z - xs) ** 2))
     if mu.kind == "semicircle":
-        return complex(_semicircle_gprime(mu.variance, z))
-    out = transforms(mu, z.real, z.imag * z.imag, ("q0", "q1", "q2"), atol, rtol)
-    b = z.imag
-    return complex(-(out["q2"] - b * b * out["q0"]) + 2j * b * out["q1"])
+        return _semicircle_gprime(mu.variance, z)
+    return _cauchy_pair(mu, z)[1]
 
 
 # ----------------------------------------------------------------------------
 # logarithmic energy
 
 
-def log_potential(
-    mu: MeasureSpec, a0: float, c: float, atol=None, rtol=None
-) -> float:
+def log_potential(mu: MeasureSpec, a0: float, c: float) -> float:
     """int log((x-a0)^2 + c) dmu(x) for c >= 0."""
-    atol, rtol = _tols(atol, rtol)
     if c < 0.0:
         raise ValueError("c must be nonnegative")
     if mu.kind == "atomic":
-        xs, ws = _atom_arrays(mu)
+        xs, ws = mu.atom_arrays
         d2 = (xs - a0) ** 2 + c
         if np.min(d2) <= 0.0 or (c == 0.0 and np.min(np.abs(xs - a0)) <= 1e-300):
             raise DivergentLogError(f"atom at {a0} with zero regularization")
@@ -604,29 +687,41 @@ def log_potential(
             for k, bk in enumerate(b):
                 total += 2.0 * bk * _uk_log_integral(k, lo - a0, hi - a0)
         return total
+    return _log_energy(mu, a0, c)
+
+
+def _log_energy(mu: MeasureSpec, a0: float, c: float) -> float:
+    """2 Re int log(x - z) dmu(x) at z = a0 + i sqrt(c), c > 0 for a
+    piecewise law and c >= 0 for a semicircle."""
+    z = complex(a0, math.sqrt(c))
     if mu.kind == "semicircle":
-        r = mu.support.hi
-
-        def f(th):
-            x = r * np.sin(th)
-            w = (2.0 / np.pi) * np.cos(th) ** 2
-            return np.log((x - a0) ** 2 + c) * w
-
-        val = integrate_adaptive(
-            f, _semicircle_theta_breaks(r, a0, math.sqrt(c)), atol, rtol
-        )
-        return float(val[0])
-    # piecewise with c > 0
-    total = 0.0
-    for lo, hi, coeffs in mu.pieces:
-
-        def f(x, _c=coeffs):
-            return np.log((x - a0) ** 2 + c) * poly_eval(_c, x)
-
-        total += float(
-            integrate_adaptive(f, ladder_points(lo, hi, a0, math.sqrt(c)), atol, rtol)[0]
-        )
-    return total
+        # int log(z - x) dmu = z G/2 + log((z + root)/2) - 1/2, root = sqrt(z^2 - 4s)
+        root = _semicircle_root(mu.variance, z)
+        f = z / (z + root) + cmath.log(0.5 * (z + root)) - 0.5
+        return 2.0 * f.real
+    total = 0j
+    for (lo, hi, coeffs), pole in zip(mu.pieces, mu.piece_multipoles):
+        n = _multipole_terms(pole, z)
+        if n:
+            # log(z - x) = log zeta - sum_k (u/zeta)^k / k, u = x - center:
+            # the same real part as log(x - z)
+            center, _, moments = pole
+            inv = 1.0 / (z - center)
+            total += moments[0] * cmath.log(z - center)
+            power = 1.0
+            for k in range(1, n):
+                power *= inv
+                total -= moments[k] * power / k
+            continue
+        # int u^k log u du = u^(k+1) (log u/(k+1) - 1/(k+1)^2), u = x - z
+        u0, u1 = lo - z, hi - z
+        l0, l1 = cmath.log(u0), cmath.log(u1)
+        w0, w1 = u0, u1  # u**(k+1)
+        for k, bk in enumerate(poly_shift(coeffs, z)):
+            m = k + 1.0
+            total += bk * (w1 * (l1 / m - 1.0 / (m * m)) - w0 * (l0 / m - 1.0 / (m * m)))
+            w0, w1 = w0 * u0, w1 * u1
+    return 2.0 * total.real
 
 
 def _uk_log_integral(k: int, u0: float, u1: float) -> float:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import (
+    NUMERIC_FAILURES,
     DegenerateJacobianError,
     NoConvergenceError,
     OutsideLambdaError,
@@ -225,14 +226,14 @@ def _newton_jt(mu, t, target, z0, tol, max_iter=80):
     z = complex(z0)
     try:
         fz = j_t(mu, t, z) - target
-    except Exception:
+    except NUMERIC_FAILURES:
         return None
     for _ in range(max_iter):
         if abs(fz) <= tol:
             return z
         try:
             d = 1.0 - t * cauchy_prime(mu, z)
-        except Exception:
+        except NUMERIC_FAILURES:
             return None
         if d == 0.0:
             d = 1e-30
@@ -242,7 +243,7 @@ def _newton_jt(mu, t, target, z0, tol, max_iter=80):
             zn = z - factor * step
             try:
                 fn = j_t(mu, t, zn) - target
-            except Exception:
+            except NUMERIC_FAILURES:
                 fn = None
             if fn is not None and abs(fn) < abs(fz):
                 z, fz = zn, fn

@@ -141,6 +141,22 @@ def test_jn_subcommand(tmp_path):
     assert rep["max_abs_diff"] < 1e-5
 
 
+@pytest.mark.parametrize("preset,t", [("uniform:-1,1", "0.1"), ("semicircle:1", "1")])
+def test_jn_default_grid(tmp_path, preset, t):
+    # the README example: the default --grid 1024 samples the second
+    # Chebyshev node, about 1e-5 from the region's edge
+    code = run(["jn", "--preset", preset, "--t", t, "--out", str(tmp_path)])
+    assert code == 0
+    rep = json.loads((tmp_path / "jn.json").read_text())
+    assert rep["max_abs_diff"] < 1e-8
+
+
+def test_tol_flag_is_gone():
+    with pytest.raises(SystemExit) as exc:
+        run(["compute", "--preset", "semicircle:1", "--t", "1", "--tol", "1e-8"])
+    assert exc.value.code == 2
+
+
 def test_characteristics_subcommand(tmp_path):
     code = run(
         [

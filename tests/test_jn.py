@@ -93,3 +93,20 @@ def test_random_atomic_equivalence():
         for i in sel:
             a = float(prof.grid[i])
             assert J.jn_density(mu, t, a) == pytest.approx(prof.density[i], abs=1e-5)
+
+
+def test_density_next_to_region_edge(un_profile, un):
+    # the nodes next to the region's edges (1.5e-4 from them), where Re g
+    # bends fastest: a central difference of step 1e-5 is off by 6e-8 there
+    for i in (1, un_profile.grid.size - 2):
+        a = float(un_profile.grid[i])
+        assert J.jn_density(un, 0.1, a) == pytest.approx(un_profile.density[i], abs=1e-8)
+
+
+def test_programming_error_is_not_swallowed(sc, monkeypatch):
+    def broken(mu, z, tol=None):
+        raise TypeError("bug")
+
+    monkeypatch.setattr(J, "cauchy", broken)
+    with pytest.raises(TypeError):
+        J.solve_g(sc, 1.0, 0.3, guess=0.1 + 0.4j)

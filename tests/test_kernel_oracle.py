@@ -1,0 +1,320 @@
+"""The closed-form kernel layer against a 50-digit mpmath oracle.
+
+The oracle computes G and G' of a polynomial piece by partial fractions in
+the monomial basis (the library shifts the polynomial to z instead), of a
+semicircle from its algebraic form at 50 digits, and the log-energy of a
+piece by parts; every kernel then follows from the exact identities
+p0 = -Im G/v, q0 = (p0 + Re G')/(2v^2) and so on, which at 50 digits lose
+nothing to cancellation. Direct mpmath quadratures of each kernel integral
+check those identities and the semicircle's log-energy.
+
+Errors are relative. For the signed kernels, whose reference can vanish by
+symmetry, the denominator is the magnitude of the transform they come from:
+|G| for c1 and pa, |G'|/(2v) for q1, max|x|*p0 for p1. The log-energy is
+an O(1) number and is compared absolutely.
+"""
+
+import math
+
+import mpmath as mp
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import ibrown.measure as M
+from ibrown.characteristics import _momenta_values
+from ibrown.subordination import lambda_region
+
+KEYS = ("p0", "p1", "pa", "c1", "q0", "q1", "q2", "log")
+TOL = 1e-10
+mp.mp.dps = 50
+
+
+def two_piece():
+    """A law shaped like the benchmark's: a linear piece, then a quadratic
+    bump on a positive floor."""
+    lo, hi, mid = -0.9, 1.1, 0.2
+    f0, f1, k, floor = 0.5, 0.8, 1.0, 0.4
+    left = [f0 - (f1 - f0) / (mid - lo) * lo, (f1 - f0) / (mid - lo)]
+    right = [floor - k * mid * hi, k * (mid + hi), -k]
+    return M.piecewise_poly([(lo, mid, left), (mid, hi, right)])
+
+
+
+
+def _bernstein_piece(lo, hi, beta):
+    """Monomial coefficients of sum_k beta_k B_k((x - lo)/(hi - lo)): a
+    polynomial positive on [lo, hi] when every beta_k is."""
+    n = len(beta) - 1
+    t = np.polynomial.Polynomial([-lo / (hi - lo), 1.0 / (hi - lo)])
+    p = sum(b * math.comb(n, k) * t**k * (1 - t) ** (n - k) for k, b in enumerate(beta))
+    return tuple(p.coef)
+
+
+LAWS = {
+    "semicircle": (M.semicircle(0.6), 1.4),
+    "uniform": (M.uniform(-1.0, 1.0), 0.1),
+    "two_piece": (two_piece(), 1.0),
+    "double_zero": (M.piecewise_poly([(0.0, 1.0, (0.0, 0.0, 3.0))]), 0.3),
+    # narrow cubic and quadratic pieces with a gap: the closed form cancels
+    # like |z - center|^(degree+1) away from them
+    "narrow_cubic": (
+        M.piecewise_poly(
+            [
+                (1.0, 1.2, _bernstein_piece(1.0, 1.2, [0.3, 2.0, 0.1, 1.5])),
+                (1.5, 2.0, _bernstein_piece(1.5, 2.0, [1.0, 0.2, 1.0])),
+            ]
+        ),
+        0.5,
+    ),
+}
+
+
+def _mp_pieces(mu):
+    return [(mp.mpf(lo), mp.mpf(hi), [mp.mpf(c) for c in cs]) for lo, hi, cs in mu.pieces]
+
+
+def oracle_g(mu, z):
+    """(G(z), G'(z)) at 50 digits."""
+    if mu.kind == "semicircle":
+        r = mp.mpf(mu.support.hi)  # the float radius the law carries
+        s = r * r / 4
+        root = mp.sqrt(z - r) * mp.sqrt(z + r)
+        return (z - root) / (2 * s), (1 - z / root) / (2 * s)
+    g = gp = mp.mpc(0)
+    for lo, hi, cs in _mp_pieces(mu):
+        # log(hi - z) - log(lo - z) along the segment, where Im(x - z) is
+        # fixed; as one log it keeps the arg difference at tiny Im z
+        big_l = mp.log((hi - z) / (lo - z))
+        for j, c in enumerate(cs):
+            # x^j/(z-x) = z^j/(z-x) - sum_{i<j} z^(j-1-i) x^i, then d/dz
+            m = [(hi ** (i + 1) - lo ** (i + 1)) / (i + 1) for i in range(j)]
+            g += c * (-(z**j) * big_l - sum(z ** (j - 1 - i) * m[i] for i in range(j)))
+            gp += c * (
+                -(j * z ** (j - 1) if j else 0) * big_l
+                - z**j * (1 / (lo - z) - 1 / (hi - z))
+                - sum((j - 1 - i) * z ** (j - 2 - i) * m[i] for i in range(j - 1))
+            )
+    return g, gp
+
+
+def _density_parts(mu):
+    if mu.kind == "semicircle":
+        r = mp.mpf(mu.support.hi)
+        return [(-r, r, lambda x: 2 / (mp.pi * r * r) * mp.sqrt(max(r * r - x * x, 0)))]
+    return [
+        (lo, hi, (lambda cs: lambda x: sum(c * x**j for j, c in enumerate(cs)))(cs))
+        for lo, hi, cs in _mp_pieces(mu)
+    ]
+
+
+def direct(mu, a0, v, kernel, dps=30):
+    """int kernel(x, a0 - x, (a0-x)^2 + v^2) dmu(x) by mpmath quadrature,
+    split on a geometric ladder around a0."""
+    with mp.workdps(dps):
+        a0, v = mp.mpf(a0), mp.mpf(v)
+        total = 0
+        for lo, hi, rho in _density_parts(mu):
+            pts = {lo, hi}
+            if lo < a0 < hi:
+                pts.add(a0)
+            for k in range(40):
+                for p in (a0 - v * 4**k, a0 + v * 4**k):
+                    if lo < p < hi:
+                        pts.add(p)
+
+            def integrand(x, rho=rho):
+                return rho(x) * kernel(x, a0 - x, (a0 - x) ** 2 + v * v)
+
+            total += mp.quad(integrand, sorted(pts))
+        return total
+
+
+def oracle_log(mu, a0, v):
+    """int log((x-a0)^2 + v^2) dmu at 50 digits (by parts for pieces)."""
+    if mu.kind == "semicircle":
+        return direct(mu, a0, v, lambda x, u, d: mp.log(d), dps=20)
+    z = mp.mpc(a0, v)
+    total = mp.mpc(0)
+    for lo, hi, cs in _mp_pieces(mu):
+        for j, c in enumerate(cs):
+            n = j + 1
+            # int x^j log(x-z) = x^n log(x-z)/n - (1/n) int x^n/(x-z)
+            rest = z**n * (mp.log(hi - z) - mp.log(lo - z)) + sum(
+                z ** (n - 1 - i) * (hi ** (i + 1) - lo ** (i + 1)) / (i + 1) for i in range(n)
+            )
+            ends = hi**n * mp.log(hi - z) / n - lo**n * mp.log(lo - z) / n
+            total += c * (ends - rest / n)
+    return 2 * total.real
+
+
+def oracle_bundle(mu, a0, v):
+    a0, v = mp.mpf(a0), mp.mpf(v)
+    g, gp = oracle_g(mu, mp.mpc(a0, v))
+    p0 = -g.imag / v
+    ref = {
+        "p0": p0,
+        "p1": a0 * p0 - g.real,
+        "pa": 2 * g.real,
+        "c1": g.real,
+        "q0": (p0 + gp.real) / (2 * v * v),
+        "q1": gp.imag / (2 * v),
+        "q2": (p0 - gp.real) / 2,
+    }
+    span = max(abs(mu.support.lo), abs(mu.support.hi))
+    scale = {"c1": abs(g), "pa": 2 * abs(g), "q1": abs(gp) / (2 * v), "p1": span * p0}
+    return ref, scale, g, gp
+
+
+def rel_err(got, ref, scale=0):
+    return float(abs(mp.mpf(got) - ref) / max(abs(ref), scale))
+
+
+def grid(mu, t):
+    """(a0, v): v from 1e-6 to sqrt(t); a0 within 1e-7 of each Lambda_t edge,
+    on the support's ends, inside and outside."""
+    edges = [e for iv in lambda_region(mu, t).intervals for e in iv]
+    a0s = [e + d for e in edges for d in (-1e-7, 1e-7)]
+    lo, hi = mu.support.lo, mu.support.hi
+    a0s += [lo, hi, 0.5 * (lo + hi) + 0.1234 * (hi - lo), hi + 0.7, lo - 3.0]
+    vs = [1e-6, 1e-4, 1e-2, 0.3 * math.sqrt(t), math.sqrt(t)]
+    return [(a0, v) for a0 in a0s for v in vs]
+
+
+@pytest.mark.parametrize("name", sorted(LAWS))
+def test_kernel_bundle_matches_oracle(name):
+    mu, t = LAWS[name]
+    for a0, v in grid(mu, t):
+        got = M.transforms(mu, a0, v * v, KEYS)
+        ref, scale, _, _ = oracle_bundle(mu, a0, v)
+        for k in KEYS[:-1]:
+            assert rel_err(got[k], ref[k], scale.get(k, 0)) <= TOL, (name, k, a0, v)
+        if v >= 1e-4 or mu.kind != "semicircle":  # the semicircle's log oracle is a quadrature
+            assert abs(got["log"] - oracle_log(mu, a0, v)) <= TOL, (name, "log", a0, v)
+
+
+def cauchy_points(mu, t):
+    """Every third grid point and its mirror below the axis, then a ring of
+    points out to 1e3 from the support (J_t inversion starts tens of units
+    above it)."""
+    pts = [(a0, b) for a0, v in grid(mu, t)[::3] for b in (v, -v)]
+    center = 0.5 * (mu.support.lo + mu.support.hi)
+    for dist in (0.7, 2.0, 5.0, 20.0, 1e3):
+        for ang in (0.05, 1.0, 2.0, 3.1):
+            pts.append((center + dist * math.cos(ang), dist * math.sin(ang)))
+    return pts
+
+
+@pytest.mark.parametrize("name", sorted(LAWS))
+def test_cauchy_and_log_potential_match_oracle(name):
+    mu, t = LAWS[name]
+    for a0, b in cauchy_points(mu, t):
+        g, gp = oracle_g(mu, mp.mpc(a0, b))
+        assert rel_err(abs(M.cauchy(mu, complex(a0, b)) - g), 0, abs(g)) <= TOL
+        assert rel_err(abs(M.cauchy_prime(mu, complex(a0, b)) - gp), 0, abs(gp)) <= TOL
+        if b > 0.0:
+            assert abs(M.log_potential(mu, a0, b * b) - oracle_log(mu, a0, b)) <= TOL
+
+
+@pytest.mark.parametrize("name", sorted(LAWS))
+def test_oracle_identities_match_direct_quadrature(name):
+    mu, t = LAWS[name]
+    kernels = {
+        "p0": lambda x, u, d: 1 / d,
+        "p1": lambda x, u, d: x / d,
+        "c1": lambda x, u, d: u / d,
+        "q0": lambda x, u, d: 1 / d**2,
+        "q1": lambda x, u, d: u / d**2,
+        "q2": lambda x, u, d: u * u / d**2,
+    }
+    edge = lambda_region(mu, t).intervals[0][0]
+    for a0, v in ((edge + 1e-7, 1e-4), (0.5 * (mu.support.lo + mu.support.hi) + 0.1, 0.3)):
+        ref, scale, _, _ = oracle_bundle(mu, a0, v)
+        for k, kern in kernels.items():
+            assert rel_err(direct(mu, a0, v, kern, dps=25), ref[k], scale.get(k, 0)) <= 1e-18
+    if mu.kind == "semicircle":
+        # F(z) = z G/2 + log((z + sqrt(z^2 - 4s))/2) - 1/2 at 50 digits
+        z = mp.mpc(edge - 0.3, 0.2)
+        g, _ = oracle_g(mu, z)
+        r = mp.mpf(mu.support.hi)
+        f = z * g / 2 + mp.log((z + mp.sqrt(z - r) * mp.sqrt(z + r)) / 2) - mp.mpf(1) / 2
+        ref = direct(mu, z.real, z.imag, lambda x, u, d: mp.log(d), dps=25)
+        assert abs(2 * f.real - ref) <= 1e-20
+
+
+@st.composite
+def random_laws(draw):
+    if draw(st.booleans()):
+        return M.semicircle(draw(st.floats(0.05, 4.0)))
+    pieces, x = [], draw(st.floats(-2.0, 1.0))
+    for _ in range(draw(st.integers(1, 3))):
+        x += draw(st.sampled_from([0.0, 0.0, 0.3]))  # contiguous or with a gap
+        w = draw(st.floats(0.2, 1.5))
+        beta = draw(st.lists(st.floats(0.05, 2.0), min_size=1, max_size=4))
+        pieces.append((x, x + w, _bernstein_piece(x, x + w, beta)))
+        x += w
+    return M.piecewise_poly(pieces)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(mu=random_laws(), s=st.floats(-0.5, 1.5), log_v=st.floats(-6.0, 0.0))
+def test_random_laws_match_oracle(mu, s, log_v):
+    # a0 from just left of the support to just right of it, in hull units
+    a0 = mu.support.lo + s * (mu.support.hi - mu.support.lo)
+    v = 10.0**log_v
+    got = M.transforms(mu, a0, v * v, KEYS[:-1])
+    ref, scale, _, _ = oracle_bundle(mu, a0, v)
+    for k in KEYS[:-1]:
+        assert rel_err(got[k], ref[k], scale.get(k, 0)) <= TOL, k
+
+
+def _q0_cancel_ratio(mu, a0, v):
+    g, gp = M._cauchy_pair(mu, complex(a0, v))
+    p0v = -g.imag / v
+    return (p0v + gp.real) / p0v
+
+
+@pytest.mark.parametrize("name", ["semicircle", "double_zero"])
+def test_q0_switch_over(name, monkeypatch):
+    # off the support, p0 + Re G' cancels like v^2: find where it is
+    # 1e-4 * p0 and check both sides of the switch against the oracle
+    mu, _ = LAWS[name]
+    a0 = mu.support.hi + 0.05
+    lo, hi = 1e-8, 1.0
+    for _ in range(200):
+        mid = math.sqrt(lo * hi)
+        if _q0_cancel_ratio(mu, a0, mid) < M._Q0_CANCEL:
+            lo = mid
+        else:
+            hi = mid
+    calls = []
+    cancelled = M._q0_cancelled
+    monkeypatch.setattr(M, "_q0_cancelled", lambda *args: calls.append(args) or cancelled(*args))
+    for v, switched in ((lo * (1 - 1e-9), True), (hi * (1 + 1e-9), False)):
+        calls.clear()
+        got = M.transforms(mu, a0, v * v, ("q0",))["q0"]
+        assert bool(calls) == switched
+        ref, _, _, _ = oracle_bundle(mu, a0, v)
+        assert rel_err(got, ref["q0"]) <= TOL
+
+
+def test_momenta_at_tiny_regularization_on_a_piece_law():
+    # b0 = 0, eps0 = 0 off the divergence set evaluates the kernels at v^2 = 1e-300
+    mu, _ = LAWS["two_piece"]
+    for a0 in (-1.4, 1.5):
+        p0v, p1v, pav, pbv = _momenta_values(mu, a0, 0.0, 0.0)
+        ref, scale, _, _ = oracle_bundle(mu, a0, mp.sqrt(mp.mpf("1e-300")))
+        assert rel_err(p0v, ref["p0"]) <= TOL
+        assert rel_err(p1v, ref["p1"], scale["p1"]) <= TOL
+        assert rel_err(pav, ref["pa"], scale["pa"]) <= TOL
+        assert pbv == 0.0
+        assert p0v == pytest.approx(M.p0_zero(mu, a0), rel=1e-12)
+
+
+def test_closed_forms_raise_on_support_at_edges():
+    # a typed error, not cmath's ValueError from log(0) or a ZeroDivisionError
+    with pytest.raises(M.OnSupportError):
+        M._piece_cauchy_pair((0.5,), -1.0, 1.0, complex(1.0, 0.0))
+    with pytest.raises(M.OnSupportError):
+        M._semicircle_gprime(1.0, complex(2.0, 0.0))

@@ -259,3 +259,14 @@ def test_log_potential_atoms_and_divergence():
     assert M.log_potential(mu, 0.0, 0.0) == pytest.approx(0.0, abs=1e-15)
     with pytest.raises(DivergentLogError):
         M.log_potential(mu, 1.0, 0.0)
+
+
+def test_atom_arrays_cached_on_the_spec():
+    mu = M.atomic([(-1.0, 0.25), (2.0, 0.75)])
+    twin = M.atomic([(-1.0, 0.25), (2.0, 0.75)])
+    xs, ws = mu.atom_arrays
+    assert mu.atom_arrays[0] is xs  # built once
+    assert list(xs) == [-1.0, 2.0] and list(ws) == [0.25, 0.75]
+    assert not xs.flags.writeable and not ws.flags.writeable
+    # the cache is no field: equality and hashing see only the law
+    assert mu == twin and hash(mu) == hash(twin)
