@@ -22,8 +22,6 @@ from .errors import OutsideOmegaError, OutsideOnlyError
 from .measure import MeasureSpec, cauchy, log_potential
 from .numerics import bracket_newton
 from .subordination import (
-    DEFAULT_SCAN,
-    LambdaRegion,
     a_t,
     at_with_slope,
     j_t_inverse,
@@ -92,35 +90,70 @@ class BrownProfile:
 
 
 @lru_cache(maxsize=512)
-def _omega_intervals_cached(mu: MeasureSpec, t: float, n_scan: int):
-    region = lambda_region(mu, t, n_scan)
+def _omega_intervals_cached(mu: MeasureSpec, t: float):
+    region = lambda_region(mu, t)
     out = []
     for lo, hi in region.intervals:
         out.append((a_t(mu, t, lo), a_t(mu, t, hi)))
     return tuple(out), region
 
 
-def omega_intervals(
-    mu: MeasureSpec, t: float, region: LambdaRegion | None = None, n_scan: int = DEFAULT_SCAN
-) -> tuple[tuple[float, float], ...]:
+def omega_intervals(mu: MeasureSpec, t: float) -> tuple[tuple[float, float], ...]:
     """Images of the source intervals under the boundary map (the region's real section)."""
-    if region is not None:
-        return tuple((a_t(mu, t, lo), a_t(mu, t, hi)) for lo, hi in region.intervals)
-    return _omega_intervals_cached(mu, float(t), n_scan)[0]
+    return _omega_intervals_cached(mu, float(t))[0]
 
 
-def _intervals(mu, t, n_scan):
-    return _omega_intervals_cached(mu, float(t), n_scan)
+def _intervals(mu, t):
+    return _omega_intervals_cached(mu, float(t))
+
+
+def _a0_solve(mu, t, a, lam_iv, omega_iv, state):
+    """Invert a_t on one source interval: (a0, slope, v) with a_t(a0) = a.
+
+    Bracketed Newton on the fixed bracket lam_iv = [l, r], where f = a_t - a
+    is known at both ends from omega_iv = (a_t(l), a_t(r)). ``state`` holds
+    the last evaluation (a0, a_t, slope, v) across calls: it seeds the first
+    iterate with one Newton step and v_t's solve with a hint, and the slope
+    and v returned are the ones evaluated at the root, not a second solve.
+    """
+    (l, r), (al, ar) = lam_iv, omega_iv
+
+    def fdf(a0):
+        at, slope, v = at_with_slope(mu, t, a0, v_hint=state.get("v"))
+        state.update(a0=a0, at=at, slope=slope, v=v)
+        return at - a, slope
+
+    x0 = l + (r - l) * (a - al) / (ar - al)
+    if state:
+        step = state["a0"] + (a - state["at"]) / state["slope"]
+        if l < step < r:
+            x0 = step
+    root = bracket_newton(
+        fdf,
+        l,
+        r,
+        flo=al - a,
+        fhi=ar - a,
+        x0=x0,
+        xtol=1e-15 * (1.0 + abs(l) + abs(r)),
+        # b_t grows like sqrt(a - al) at an end, so next to one the residual
+        # must shrink with the distance for b_t to keep ten digits, down to
+        # a few ulps of a, where a_t's rounding would only stall the solve
+        ftol=(1.0 + abs(a)) * max(min(1e-12, 1e-10 * min(a - al, ar - a)), 1e-15),
+    )
+    if state.get("a0") != root:
+        fdf(root)
+    return root, state["slope"], state["v"]
 
 
 # ----------------------------------------------------------------------------
 # pointwise operations
 
 
-def a0_of_a(mu: MeasureSpec, t: float, a: float, n_scan: int = DEFAULT_SCAN) -> float:
+def a0_of_a(mu: MeasureSpec, t: float, a: float) -> float:
     """Unique source abscissa with v_t > 0 and a_t(a0) = a, by a bracketed
     Newton solve on the matching source interval (a_t is strictly increasing)."""
-    omega, region = _intervals(mu, t, n_scan)
+    omega, region = _intervals(mu, t)
     tol = 1e-12 * (1.0 + abs(a))
     for (al, ar), (l, r) in zip(omega, region.intervals):
         if a < al - tol or a > ar + tol:
@@ -129,67 +162,43 @@ def a0_of_a(mu: MeasureSpec, t: float, a: float, n_scan: int = DEFAULT_SCAN) -> 
             return l
         if a >= ar - tol:
             return r
-        state: dict = {"v": None}
-
-        def fdf(a0):
-            at, slope, v = at_with_slope(mu, t, a0, v_hint=state["v"])
-            state["v"] = v
-            return at - a, slope
-
-        frac = (a - al) / (ar - al)
-        return bracket_newton(
-            fdf,
-            l,
-            r,
-            flo=al - a,
-            fhi=ar - a,
-            x0=l + (r - l) * frac,
-            xtol=1e-15 * (1.0 + abs(l) + abs(r)),
-            ftol=tol,
-        )
+        return _a0_solve(mu, t, a, (l, r), (al, ar), {})[0]
     raise OutsideOmegaError(f"{a} is outside the region's real section")
 
 
-def b_t(mu: MeasureSpec, t: float, a: float, n_scan: int = DEFAULT_SCAN) -> float:
+def b_t(mu: MeasureSpec, t: float, a: float) -> float:
     """Height of the region over a; 0 when a + i0 is not in the closed region."""
     try:
-        a0 = a0_of_a(mu, t, a, n_scan)
+        a0 = a0_of_a(mu, t, a)
     except OutsideOmegaError:
         return 0.0
     return 2.0 * v_t(mu, t, a0)
 
 
-def w_t(mu: MeasureSpec, t: float, a: float, n_scan: int = DEFAULT_SCAN) -> float:
+def w_t(mu: MeasureSpec, t: float, a: float) -> float:
     """Density at a + ib for any |b| < b_t(a); requires a strictly inside."""
-    omega, region = _intervals(mu, t, n_scan)
+    omega, region = _intervals(mu, t)
     tol = 1e-12 * (1.0 + abs(a))
-    for (al, ar), _ in zip(omega, region.intervals):
+    for (al, ar), lam_iv in zip(omega, region.intervals):
         if al + tol < a < ar - tol:
-            a0 = a0_of_a(mu, t, a, n_scan)
-            slope = at_with_slope(mu, t, a0)[1]
+            slope = _a0_solve(mu, t, a, lam_iv, (al, ar), {})[1]
             return (1.0 / (2.0 * math.pi * t)) * (1.0 / slope - 0.5)
     raise OutsideOmegaError(f"{a} is not strictly inside the region's real section")
 
 
-def classify(
-    mu: MeasureSpec,
-    t: float,
-    lam: complex,
-    tol: float | None = None,
-    n_scan: int = DEFAULT_SCAN,
-) -> RegionVerdict:
+def classify(mu: MeasureSpec, t: float, lam: complex, tol: float | None = None) -> RegionVerdict:
     """Compare |Im lam| against the height over Re lam with a boundary band."""
     lam = complex(lam)
     if tol is None:
         tol = 1e-9 * (1.0 + abs(lam))
     a, b = lam.real, abs(lam.imag)
-    omega, _ = _intervals(mu, t, n_scan)
+    omega, _ = _intervals(mu, t)
     if not omega:
         return RegionVerdict("outside", math.inf)
     gap = min(max(al - a, 0.0, a - ar) for al, ar in omega)
     if gap > tol:
         return RegionVerdict("outside", max(b, gap))
-    height = b_t(mu, t, min(max(a, omega[0][0]), omega[-1][1]), n_scan)
+    height = b_t(mu, t, min(max(a, omega[0][0]), omega[-1][1]))
     margin = b - height
     if margin < -tol:
         return RegionVerdict("inside", margin)
@@ -198,14 +207,14 @@ def classify(
     return RegionVerdict("outside", margin)
 
 
-def s_outside(mu: MeasureSpec, t: float, lam: complex, n_scan: int = DEFAULT_SCAN) -> float:
+def s_outside(mu: MeasureSpec, t: float, lam: complex) -> float:
     """Log-potential outside the closed region:
 
     s_t(lam) = int log|z0 - x|^2 dmu(x) - t Re[G(z0)^2],  z0 = J_t^{-1}(lam).
 
     Harmonic there; tested through a 5-point stencil Laplacian.
     """
-    verdict = classify(mu, t, lam, n_scan=n_scan)
+    verdict = classify(mu, t, lam)
     if verdict.tag != "outside":
         raise OutsideOnlyError(f"{lam} is not outside the closed region")
     return _s_outside_unchecked(mu, t, lam)
@@ -221,6 +230,9 @@ def _s_outside_unchecked(mu, t, lam):
 # ----------------------------------------------------------------------------
 # profile assembly
 
+#: Chebyshev angles per source interval of the mass integral and the sweep
+MASS_NODES = 768
+
 
 def _chebyshev_nodes(al: float, ar: float, n: int) -> np.ndarray:
     k = np.arange(n)
@@ -228,7 +240,7 @@ def _chebyshev_nodes(al: float, ar: float, n: int) -> np.ndarray:
     return 0.5 * (al + ar) - 0.5 * (ar - al) * np.cos(np.pi * (2 * k + 1) / (2 * n))
 
 
-def lambda_sweep(mu: MeasureSpec, t: float, interval: tuple[float, float], n: int = 768):
+def lambda_sweep(mu: MeasureSpec, t: float, interval: tuple[float, float], n: int = MASS_NODES):
     """Sample v_t, a_t and the slope along one source interval at Chebyshev
     angles theta_j = j*pi/n (endpoints carry v = 0 and zero marginal weight).
 
@@ -259,14 +271,14 @@ def _simpson(y: np.ndarray, h: float) -> float:
     return (h / 3.0) * float(y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum())
 
 
-def interval_mass(mu: MeasureSpec, t: float, interval: tuple[float, float], n: int = 768) -> float:
+def interval_mass(mu: MeasureSpec, t: float, interval: tuple[float, float]) -> float:
     """Planar-law mass over one region interval.
 
     Integrates 2 b_t w_t da back in the source variable, where the integrand
     (2/(pi t)) v_t (1 - slope/2) is bounded, under the Chebyshev substitution
     that makes the square-root edges smooth.
     """
-    sw = lambda_sweep(mu, t, interval, n)
+    sw = lambda_sweep(mu, t, interval, MASS_NODES)
     g = np.zeros_like(sw["v"])
     inner = slice(1, -1)
     g[inner] = (2.0 / (math.pi * t)) * sw["v"][inner] * (1.0 - 0.5 * sw["slope"][inner])
@@ -274,52 +286,28 @@ def interval_mass(mu: MeasureSpec, t: float, interval: tuple[float, float], n: i
     return _simpson(h, math.pi / (h.size - 1))
 
 
-def profile(
-    mu: MeasureSpec,
-    t: float,
-    n_grid: int = 1024,
-    n_scan: int = DEFAULT_SCAN,
-    n_mass: int = 768,
-) -> BrownProfile:
+def profile(mu: MeasureSpec, t: float, n_grid: int = 1024) -> BrownProfile:
     """Assemble the sampled region: Chebyshev grid per interval, source
     abscissas, heights, densities, and the total mass."""
     if n_grid < 16:
         raise ValueError("n_grid must be at least 16")
     if t <= 0.0:
         raise ValueError("t must be positive")
-    omega, region = _intervals(mu, t, n_scan)
+    omega, region = _intervals(mu, t)
     grids, a0s, heights, densities, flags = [], [], [], [], []
     edges = [0]
     mass = 0.0
-    for (al, ar), (l, r) in zip(omega, region.intervals):
-        nodes = _chebyshev_nodes(al, ar, n_grid)
-        state = {"v": None, "a0": l}
-        for k, a in enumerate(nodes):
-            def fdf(a0):
-                at, slope, v = at_with_slope(mu, t, a0, v_hint=state["v"])
-                state["v"] = v
-                return at - a, slope
-
-            frac = (a - al) / (ar - al)
-            root = bracket_newton(
-                fdf,
-                state["a0"],
-                r,
-                flo=(a_t(mu, t, state["a0"]) - a) if k == 0 else None,
-                fhi=ar - a,
-                x0=max(state["a0"], l + (r - l) * frac),
-                xtol=1e-15 * (1.0 + abs(l) + abs(r)),
-                ftol=1e-12 * (1.0 + abs(a)),
-            )
-            at, slope, v = at_with_slope(mu, t, root, v_hint=state["v"])
-            state["a0"] = root
+    for omega_iv, lam_iv in zip(omega, region.intervals):
+        state: dict = {}
+        for k, a in enumerate(_chebyshev_nodes(*omega_iv, n_grid)):
+            root, slope, v = _a0_solve(mu, t, a, lam_iv, omega_iv, state)
             grids.append(a)
             a0s.append(root)
             heights.append(2.0 * v)
             densities.append((1.0 / (2.0 * math.pi * t)) * (1.0 / slope - 0.5))
             flags.append("near_boundary" if k in (0, n_grid - 1) else "ok")
         edges.append(len(grids))
-        mass += interval_mass(mu, t, (l, r), n_mass)
+        mass += interval_mass(mu, t, lam_iv)
 
     arrays = [np.asarray(v) for v in (grids, a0s, heights, densities)]
     for arr in arrays:

@@ -36,8 +36,8 @@ def _interior_points(profile, per_interval=24):
     return pts
 
 
-def check_subordination(mu, t, n_scan=subordination.DEFAULT_SCAN) -> list[CheckResult]:
-    region = subordination.lambda_region(mu, t, n_scan)
+def check_subordination(mu, t) -> list[CheckResult]:
+    region = subordination.lambda_region(mu, t)
     rows = []
     root_t = math.sqrt(t)
     vmax_violation = 0.0

@@ -15,14 +15,19 @@ from io import StringIO
 
 import numpy as np
 
-from .brown import _intervals, a0_of_a, classify, lambda_sweep
+from .brown import _a0_solve, _intervals, a0_of_a, classify, lambda_sweep
 from .errors import OutsideLambdaError, OutsideOmegaError
 from .measure import MeasureSpec
 from .numerics import integrate_adaptive
-from .subordination import DEFAULT_SCAN, a_t, at_with_slope, v_t
+from .subordination import a_t, at_with_slope, v_t
+
+#: cuts of each region interval along Re, giving the rectangles of pushforward_check
+N_RECT = 4
+#: absolute tolerance of each rectangle mass integral in pushforward_check
+RECT_ATOL = 1e-9
 
 
-def u_t(mu: MeasureSpec, t: float, lam0: complex, n_scan: int = DEFAULT_SCAN) -> complex:
+def u_t(mu: MeasureSpec, t: float, lam0: complex) -> complex:
     """a_t(a0) + 2i b0 for a0 + i b0 in the closed source region."""
     lam0 = complex(lam0)
     a0, b0 = lam0.real, lam0.imag
@@ -34,25 +39,23 @@ def u_t(mu: MeasureSpec, t: float, lam0: complex, n_scan: int = DEFAULT_SCAN) ->
     return complex(at, 2.0 * b0)
 
 
-def u_t_inverse(mu: MeasureSpec, t: float, lam: complex, n_scan: int = DEFAULT_SCAN) -> complex:
+def u_t_inverse(mu: MeasureSpec, t: float, lam: complex) -> complex:
     """a0(Re lam) + i Im(lam)/2 for lam in the closed support region."""
     lam = complex(lam)
-    if classify(mu, t, lam, n_scan=n_scan).tag == "outside":
+    if classify(mu, t, lam).tag == "outside":
         raise OutsideOmegaError(f"{lam} is outside the closed region")
-    return complex(a0_of_a(mu, t, lam.real, n_scan), 0.5 * lam.imag)
+    return complex(a0_of_a(mu, t, lam.real), 0.5 * lam.imag)
 
 
-def q_t(mu: MeasureSpec, t: float, lam: complex, n_scan: int = DEFAULT_SCAN) -> float:
+def q_t(mu: MeasureSpec, t: float, lam: complex) -> float:
     """2 a0(Re lam) - Re lam; constant along vertical segments."""
     lam = complex(lam)
-    if classify(mu, t, lam, n_scan=n_scan).tag == "outside":
+    if classify(mu, t, lam).tag == "outside":
         raise OutsideOmegaError(f"{lam} is outside the closed region")
-    return 2.0 * a0_of_a(mu, t, lam.real, n_scan) - lam.real
+    return 2.0 * a0_of_a(mu, t, lam.real) - lam.real
 
 
-def circular_density(
-    mu: MeasureSpec, t: float, lam0: complex, n_scan: int = DEFAULT_SCAN
-) -> float:
+def circular_density(mu: MeasureSpec, t: float, lam0: complex) -> float:
     """Planar density of the rotation-invariant model at an interior source point:
     (1/(pi t)) (1 - (da_t/da0)/2), constant in Im."""
     lam0 = complex(lam0)
@@ -96,23 +99,15 @@ class AdditiveLaw:
             buf.write("%.17g,%.17g\n" % (self.u[i], self.f[i]))
         return buf.getvalue()
 
-    def resample(self, n: int):
-        """Optional uniform-u resampling by monotone interpolation; the
-        parametric arrays remain the primary representation."""
-        grid = np.linspace(self.u[0], self.u[-1], n)
-        return grid, np.interp(grid, self.u, self.f), np.interp(grid, self.u, self.cdf)
 
-
-def law_additive(
-    mu: MeasureSpec, t: float, n_grid: int = 1024, n_scan: int = DEFAULT_SCAN
-) -> AdditiveLaw:
+def law_additive(mu: MeasureSpec, t: float, n_grid: int = 1024) -> AdditiveLaw:
     """Q_t-pushforward of the planar law: pairs (u, f) with u = 2 a0 - a_t(a0)
     and f = b_t/(2 pi t) = v_t/(pi t), plus the cumulative mass.
 
     u equals the boundary value of the conjugate map H_t, strictly increasing
     across the whole sweep, so the arrays are globally sorted.
     """
-    omega, region = _intervals(mu, t, n_scan)
+    _, region = _intervals(mu, t)
     us, fs, aas, cdfs = [], [], [], []
     acc = 0.0
     for interval in region.intervals:
@@ -210,36 +205,7 @@ def _v_crossings(mu, t, lam_iv, levels, n_probe=65):
     return hits
 
 
-def _warm_inverter(mu, t, lam_iv):
-    """Newton inversion of a_t with a safeguard bracket and warm starts."""
-    l, r = lam_iv
-    state = {"a0": 0.5 * (l + r), "v": None}
-
-    def invert(a):
-        lo, hi = l, r
-        a0 = min(max(state["a0"], l + 1e-15 * (1 + abs(l))), r - 1e-15 * (1 + abs(r)))
-        at = slope = v = None
-        for _ in range(80):
-            at, slope, v = at_with_slope(mu, t, a0, v_hint=state["v"])
-            state["v"] = v
-            f = at - a
-            if abs(f) <= 1e-12 * (1.0 + abs(a)):
-                break
-            if f > 0.0:
-                hi = a0
-            else:
-                lo = a0
-            step = a0 - f / slope
-            a0 = step if lo < step < hi else 0.5 * (lo + hi)
-            if hi - lo <= 1e-17 * (1.0 + abs(lo) + abs(hi)):
-                break
-        state["a0"] = a0
-        return a0, slope, v
-
-    return invert
-
-
-def _source_rect_mass(mu, t, lam_iv, a0_lo, a0_hi, b_lo, b_hi, kinks, atol):
+def _source_rect_mass(mu, t, lam_iv, a0_lo, a0_hi, b_lo, b_hi, kinks):
     """Mass of rho_t over {a0 in [a0_lo, a0_hi]} x {b0 in [b_lo, b_hi]}."""
     l, r = max(lam_iv[0], a0_lo), min(lam_iv[1], a0_hi)
     if r <= l:
@@ -260,21 +226,21 @@ def _source_rect_mass(mu, t, lam_iv, a0_lo, a0_hi, b_lo, b_hi, kinks, atol):
         return out[None, :]
 
     breaks = sorted(set(_edge_ladder(l, r, lam_iv)) | {k for k in kinks if l < k < r})
-    return float(integrate_adaptive(f, breaks, atol, 1e-9, max_depth=26)[0])
+    return float(integrate_adaptive(f, breaks, RECT_ATOL, 1e-9, max_depth=26)[0])
 
 
-def _target_rect_mass(mu, t, omega_iv, lam_iv, a_lo, a_hi, b_lo, b_hi, kinks, atol):
+def _target_rect_mass(mu, t, omega_iv, lam_iv, a_lo, a_hi, b_lo, b_hi, kinks):
     """Mass of the planar law over [a_lo, a_hi] x [b_lo, b_hi], via inversion."""
     al, ar = max(omega_iv[0], a_lo), min(omega_iv[1], a_hi)
     if ar <= al:
         return 0.0
-    invert = _warm_inverter(mu, t, lam_iv)
+    state: dict = {}
 
     def f(avals):
         out = np.zeros_like(avals)
         for i, a in enumerate(avals):
             try:
-                _, slope, v = invert(a)
+                _, slope, v = _a0_solve(mu, t, a, lam_iv, omega_iv, state)
             except OutsideLambdaError:
                 continue
             bt = 2.0 * v
@@ -284,16 +250,10 @@ def _target_rect_mass(mu, t, omega_iv, lam_iv, a_lo, a_hi, b_lo, b_hi, kinks, at
         return out[None, :]
 
     breaks = sorted(set(_edge_ladder(al, ar, omega_iv)) | {k for k in kinks if al < k < ar})
-    return float(integrate_adaptive(f, breaks, atol, 1e-9, max_depth=26)[0])
+    return float(integrate_adaptive(f, breaks, RECT_ATOL, 1e-9, max_depth=26)[0])
 
 
-def pushforward_check(
-    mu: MeasureSpec,
-    t: float,
-    n_rect: int = 4,
-    n_scan: int = DEFAULT_SCAN,
-    atol: float = 1e-9,
-) -> PushforwardReport:
+def pushforward_check(mu: MeasureSpec, t: float) -> PushforwardReport:
     """Verify that U_t pushes the source-region law onto the planar law.
 
     For a family of axis-aligned rectangles R, the mass of rho_t over
@@ -302,33 +262,29 @@ def pushforward_check(
     Integrands are pre-split at the clip heights (where the rectangle top
     crosses the boundary graph) and at the square-root edges.
     """
-    omega, region = _intervals(mu, t, n_scan)
+    omega, region = _intervals(mu, t)
     rects, src, tgt = [], [], []
     for omega_iv, lam_iv in zip(omega, region.intervals):
         al, ar = omega_iv
         theta = np.linspace(0.0, np.pi, 33)
         probes = 0.5 * (lam_iv[0] + lam_iv[1]) - 0.5 * (lam_iv[1] - lam_iv[0]) * np.cos(theta)
         bmax = 2.0 * max(v_t(mu, t, x) for x in probes)
-        cuts = np.linspace(al, ar, n_rect + 1)
+        cuts = np.linspace(al, ar, N_RECT + 1)
         bands = [(-2.0 * bmax, 2.0 * bmax), (0.0, 0.45 * bmax), (-0.45 * bmax, 0.0)]
         for b_lo, b_hi in bands:
             level = 0.5 * max(abs(b_lo), abs(b_hi))
             kinks_a0 = [] if level >= 0.5 * bmax else _v_crossings(mu, t, lam_iv, [level])
             kinks_a = [at_with_slope(mu, t, k)[0] for k in kinks_a0]
-            for i in range(n_rect):
+            for i in range(N_RECT):
                 a_lo, a_hi = float(cuts[i]), float(cuts[i + 1])
-                a0_lo = a0_of_a(mu, t, min(max(a_lo, al), ar), n_scan)
-                a0_hi = a0_of_a(mu, t, min(max(a_hi, al), ar), n_scan)
+                a0_lo = a0_of_a(mu, t, min(max(a_lo, al), ar))
+                a0_hi = a0_of_a(mu, t, min(max(a_hi, al), ar))
                 rects.append((a_lo, a_hi, b_lo, b_hi))
                 src.append(
-                    _source_rect_mass(
-                        mu, t, lam_iv, a0_lo, a0_hi, 0.5 * b_lo, 0.5 * b_hi, kinks_a0, atol
-                    )
+                    _source_rect_mass(mu, t, lam_iv, a0_lo, a0_hi, 0.5 * b_lo, 0.5 * b_hi, kinks_a0)
                 )
                 tgt.append(
-                    _target_rect_mass(
-                        mu, t, omega_iv, lam_iv, a_lo, a_hi, b_lo, b_hi, kinks_a, atol
-                    )
+                    _target_rect_mass(mu, t, omega_iv, lam_iv, a_lo, a_hi, b_lo, b_hi, kinks_a)
                 )
     disc = max(abs(s - g) for s, g in zip(src, tgt)) if rects else 0.0
     return PushforwardReport(

@@ -22,8 +22,8 @@ the Cauchy transform G and its derivative G' at ``z = a0 + iv``:
 ``p0 = -Im G/v``, ``c1 = Re G``, ``p1 = a0 p0 - c1``, ``q1 = Im G'/(2v)``,
 ``q2 = (p0 - Re G')/2`` and ``q0 = (p0 + Re G')/(2v^2)``. The last one cancels
 like ``v^2`` where ``p0(a0, 0)`` is finite; there ``q0`` alone comes from a
-rearranged closed form (semicircle) or adaptive quadrature (pieces). Atomic
-laws sum over their atoms.
+rearranged closed form (semicircle), a term-by-term sum (the piece that holds
+a0) or adaptive quadrature (other pieces). Atomic laws sum over their atoms.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -436,6 +437,38 @@ def _piece_cauchy_pair(coeffs, lo: float, hi: float, z: complex) -> tuple[comple
     return g, gp
 
 
+def _shift_terms(coeffs, a0: float, j: int) -> list[Fraction]:
+    # the terms C(k, j) c_k a0^(k - j) of b_j in poly_shift(coeffs, a0), exact
+    x = Fraction(a0)
+    return [math.comb(k, j) * Fraction(c) * x ** (k - j) for k, c in enumerate(coeffs) if k >= j]
+
+
+def _shift_exact(coeffs, a0: float) -> list[float]:
+    """poly_shift(coeffs, a0) in exact arithmetic, each b_j rounded once: next
+    to a zero of the density b_0 and b_1 are far below poly_shift's rounding."""
+    return [float(sum(_shift_terms(coeffs, a0, j))) for j in range(len(coeffs))]
+
+
+def _piece_q0_inside(b, u0: float, u1: float, v: float) -> float:
+    """sum_j b_j I_j with I_j = int_{u0}^{u1} u^j / (u^2 + v^2)^2 du, u0 <= 0 <= u1.
+
+    With J_m = int u^m / (u^2 + v^2) du: J_0 = (atan(u1/v) - atan(u0/v))/v,
+    J_1 = log((u1^2 + v^2)/(u0^2 + v^2))/2, J_m = [u^(m-1)]/(m-1) - v^2 J_(m-2);
+    I_0 = [u/(u^2 + v^2)]/(2v^2) + J_0/(2v^2), I_1 = -[1/(u^2 + v^2)]/2 and
+    I_j = J_(j-2) - v^2 I_(j-2). As v -> 0 the v^2 terms that these subtract
+    stay below what they are subtracted from, so q0 keeps its digits where
+    (p0 + Re G')/(2v^2) loses them all.
+    """
+    v2 = v * v
+    d0, d1 = u0 * u0 + v2, u1 * u1 + v2
+    jm = [(math.atan(u1 / v) - math.atan(u0 / v)) / v, 0.5 * math.log(d1 / d0)]
+    im = [(u1 / d1 - u0 / d0 + jm[0]) / (2.0 * v2), -0.5 * (1.0 / d1 - 1.0 / d0)]
+    for j in range(2, len(b)):
+        jm.append((u1 ** (j - 1) - u0 ** (j - 1)) / (j - 1) - v2 * jm[j - 2])
+        im.append(jm[j - 2] - v2 * im[j - 2])
+    return sum(bj * ij for bj, ij in zip(b, im))
+
+
 def _q0_cancelled(mu: MeasureSpec, a0: float, v2: float) -> float:
     """q0 of a semicircle or piecewise law where p0 + Re G' cancels.
 
@@ -443,7 +476,9 @@ def _q0_cancelled(mu: MeasureSpec, a0: float, v2: float) -> float:
     difference of G twice gives
     q0 = (a0 (4s + 2v^2 - Im(R)^2) - v Re(R) Im(R)) / (4s Re(R)^3 |R|^2),
     exact off the imaginary axis and free of cancellation where p0(a0, 0) is
-    finite. Polynomial pieces are integrated by adaptive quadrature.
+    finite. A polynomial piece that holds a0 is summed term by term in powers
+    of x - a0 (_piece_q0_inside); the others are integrated by adaptive
+    quadrature.
     """
     v = math.sqrt(v2)
     if mu.kind == "semicircle":
@@ -453,6 +488,9 @@ def _q0_cancelled(mu: MeasureSpec, a0: float, v2: float) -> float:
         return num / (4.0 * s * root.real**3 * abs(root) ** 2)
     total = 0.0
     for lo, hi, coeffs in mu.pieces:
+        if lo <= a0 <= hi:
+            total += _piece_q0_inside(_shift_exact(coeffs, a0), lo - a0, hi - a0, v)
+            continue
 
         def f(x, _c=coeffs):
             d = (a0 - x) ** 2 + v2
@@ -512,6 +550,28 @@ def p0(mu: MeasureSpec, a0: float, v: float) -> float:
     return transforms(mu, a0, v * v, ("p0",))["p0"]
 
 
+def _vanishes(coeffs, a0: float, b) -> bool:
+    """Whether a piece's density and its slope at a0 (b = poly_shift(coeffs,
+    a0)) vanish to within poly_shift's rounding: |b_j| <= 1e-13 s_j for j = 0,
+    1, where s = poly_shift(|coeffs|, |a0|) is the scale of that rounding.
+
+    A zero of order k passes on a band of half-width about (1e-13/k)**(1/(k-1))
+    in the law's units (5e-14 for k = 2, 3e-5 for k = 4), a zero at the origin
+    alone. Near the bound the test is redone in exact arithmetic, so that it
+    flips once across a band's end and lambda_region can bisect to it.
+    """
+    s = poly_shift([abs(c) for c in coeffs], abs(a0))
+    bounds = [1e-13 * sj for sj in s[:2]]
+    ratio = max(abs(bj) / e if e > 0.0 else (math.inf if bj else 0.0) for bj, e in zip(b, bounds))
+    if ratio > 2.0 or ratio < 0.5:
+        return ratio < 0.5
+    for j in range(min(2, len(coeffs))):
+        terms = _shift_terms(coeffs, a0, j)
+        if abs(sum(terms)) > Fraction(1e-13) * sum(abs(term) for term in terms):
+            return False
+    return True
+
+
 def p0_zero(mu: MeasureSpec, a0: float) -> float:
     """The v = 0 Poisson integral int dmu/(a0-x)^2, evaluated in closed form."""
     if mu.kind == "atomic":
@@ -527,12 +587,8 @@ def p0_zero(mu: MeasureSpec, a0: float) -> float:
     total = 0.0
     for lo, hi, coeffs in mu.pieces:
         b = poly_shift(coeffs, a0)  # density in powers of (x - a0)
-        edge = 1e-12 * (1.0 + abs(a0))
-        if lo - edge <= a0 <= hi + edge:
-            # just above the rounding noise of poly_shift so genuine double
-            # zeros of the density pass while any real divergence reads +inf
-            noise = 1e-11 * (1.0 + max(abs(c) for c in coeffs))
-            if abs(b[0]) > noise or (len(b) > 1 and abs(b[1]) > noise):
+        if lo <= a0 <= hi:
+            if not _vanishes(coeffs, a0, b):
                 return math.inf
             total += poly_definite(b[2:] or [0.0], lo - a0, hi - a0)
         else:

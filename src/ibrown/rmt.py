@@ -10,7 +10,6 @@ targets the additive law computed by the pushforward route.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from io import StringIO
 
@@ -96,14 +95,10 @@ def _eigvals_with_retry(m: np.ndarray, g: np.random.Generator) -> np.ndarray:
             raise EigenFailureError(f"eigensolver failed twice: {exc}") from exc
 
 
-def simulate(mu: MeasureSpec, cfg: SimConfig, workers: int = 1) -> EigenCloud:
-    """Eigenvalue cloud of D + i sqrt(t) H over cfg.reps repetitions.
-
-    Repetitions can run on a thread pool (LAPACK releases the GIL) and merge
-    in repetition order, so the cloud is bitwise reproducible for a fixed
-    seed regardless of worker count. The default stays serial: each dense
-    solve already saturates the BLAS threads.
-    """
+def simulate(mu: MeasureSpec, cfg: SimConfig) -> EigenCloud:
+    """Eigenvalue cloud of D + i sqrt(t) H over cfg.reps repetitions, merged
+    in repetition order. Repetitions run serially: each dense solve already
+    saturates the BLAS threads."""
     d = deterministic_x(mu, cfg.n)
     root_t = math.sqrt(cfg.t)
 
@@ -112,19 +107,14 @@ def simulate(mu: MeasureSpec, cfg: SimConfig, workers: int = 1) -> EigenCloud:
         m = np.diag(d.astype(complex)) + 1j * root_t * h
         return _eigvals_with_retry(m, _rng(cfg.seed, rep))
 
-    if cfg.reps == 1 or workers <= 1:
-        results = [one(r) for r in range(cfg.reps)]
-    else:
-        with ThreadPoolExecutor(max_workers=min(workers, cfg.reps)) as pool:
-            results = list(pool.map(one, range(cfg.reps)))
-    points = np.concatenate(results)
+    points = np.concatenate([one(r) for r in range(cfg.reps)])
     rep_idx = np.repeat(np.arange(cfg.reps), cfg.n)
     points.setflags(write=False)
     rep_idx.setflags(write=False)
     return EigenCloud(points=points, rep=rep_idx, config=cfg)
 
 
-def simulate_hermitian(mu: MeasureSpec, cfg: SimConfig, workers: int = 1) -> np.ndarray:
+def simulate_hermitian(mu: MeasureSpec, cfg: SimConfig) -> np.ndarray:
     """Real eigenvalues of the Hermitian control D + sqrt(t) H, all reps merged."""
     d = deterministic_x(mu, cfg.n)
     root_t = math.sqrt(cfg.t)
@@ -133,12 +123,7 @@ def simulate_hermitian(mu: MeasureSpec, cfg: SimConfig, workers: int = 1) -> np.
         h = sample_gue(cfg.n, cfg.seed, rep)
         return np.linalg.eigvalsh(np.diag(d.astype(complex)) + root_t * h)
 
-    if cfg.reps == 1 or workers <= 1:
-        results = [one(r) for r in range(cfg.reps)]
-    else:
-        with ThreadPoolExecutor(max_workers=min(workers, cfg.reps)) as pool:
-            results = list(pool.map(one, range(cfg.reps)))
-    return np.concatenate(results)
+    return np.concatenate([one(r) for r in range(cfg.reps)])
 
 
 def _clamp_to_intervals(x: np.ndarray, intervals) -> np.ndarray:

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import (
     NUMERIC_FAILURES,
     DegenerateJacobianError,
@@ -28,8 +30,8 @@ from .measure import (
     real_cauchy,
     transforms,
 )
+
 V_TOL = 1e-13
-DEFAULT_SCAN = 4096
 
 
 @dataclass(frozen=True)
@@ -59,14 +61,14 @@ def _vt_solve(
     a0: float,
     extra_keys: tuple[str, ...] = (),
     v_hint: float | None = None,
-    vtol: float = V_TOL,
 ):
     """Solve p0(a0, v) = 1/t on the guaranteed bracket (0, sqrt(t)).
 
     Bisection safeguards Newton steps through d p0/d v = -2 v q0; the bracket
     holds because p0(a0, v) <= 1/v**2 strictly for a non-degenerate law.
     Returns (v, bundle-at-v) where the bundle also carries extra_keys, or
-    (0.0, None) outside the region.
+    (0.0, None) outside the region. Inside it, where v_t < 4 V_TOL, it
+    returns 0.0 with the bundle at such a v.
     """
     if t <= 0.0:
         raise ValueError("t must be positive")
@@ -76,131 +78,241 @@ def _vt_solve(
     vmax = math.sqrt(t)
     lo, hi = 0.0, vmax  # f(lo) > 0 and f(hi) < 0 by the bracket argument
     keys = ("p0", "q0") + tuple(k for k in extra_keys if k not in ("p0", "q0"))
-    v = v_hint if (v_hint is not None and 0.0 < v_hint < vmax) else 0.5 * vmax
+    v = v_hint if (v_hint is not None and V_TOL < v_hint < vmax) else 0.5 * vmax
     out = None
     ftol = 1e-12 * inv_t
+    dv = vmax  # the step before, for the progress test
     for _ in range(120):
         out = transforms(mu, a0, v * v, keys)
         f = out["p0"] - inv_t
-        if abs(f) <= ftol:
+        df = -2.0 * v * out["q0"]
+        step = f / df if df != 0.0 else math.inf
+        # near a region end dp0/dv vanishes like v, where ftol alone would
+        # leave v_t ~1e-8 off: the Newton step must be small as well
+        if abs(f) <= ftol and abs(step) <= 1e-10 * v:
             return v, out
         if f > 0.0:
             lo = v
         else:
             hi = v
-        if hi - lo <= vtol:
+            if hi <= 4.0 * V_TOL:
+                # next to a zero of the density v_t falls below what p0 =
+                # -Im G/v resolves: it reads 0, and callers take the v -> 0
+                # limits from the bundle at this v
+                return 0.0, out
+        if hi - lo <= V_TOL:
             break
-        df = -2.0 * v * out["q0"]
-        vn = v - f / df if df != 0.0 else 0.5 * (lo + hi)
-        if not lo < vn < hi:
-            vn = 0.5 * (lo + hi)
-        if abs(vn - v) <= vtol:
-            # step below the v-tolerance: f sits at quadrature noise level
+        # Newton while it stays in the bracket and at least halves its step;
+        # from a hint far below the root, where p0 rises like 1/v, it would
+        # only double v per step. Else bisect, geometrically while the bracket
+        # spans more than a factor 4 above V_TOL: next to a zero of the density
+        # v_t is below V_TOL, and the kernels lose it there
+        floor = max(lo, V_TOL)
+        mid = math.sqrt(floor * hi) if hi > 4.0 * floor else 0.5 * (lo + hi)
+        vn = v - step if (floor < v - step < hi and abs(step) <= 0.5 * dv) else mid
+        if abs(vn - v) <= 1e-13 * v:
+            # step below the relative v-tolerance: f sits at rounding level
             return v, out
-        v = vn
+        dv, v = abs(vn - v), vn
     v = max(min(0.5 * (lo + hi), vmax * (1.0 - 1e-15)), vmax * 1e-18)
     out = transforms(mu, a0, v * v, keys)
     return v, out
 
 
-def v_t(
-    mu: MeasureSpec,
-    t: float,
-    a0: float,
-    v_hint: float | None = None,
-    vtol: float = V_TOL,
-) -> float:
+def v_t(mu: MeasureSpec, t: float, a0: float, v_hint: float | None = None) -> float:
     """Half-height of the source region over a0 (0 outside).
 
     Bisection on the guaranteed bracket [0, sqrt(t)] with Newton refinement
     through d p0/d v = -2 v q0.
     """
-    return _vt_solve(mu, t, a0, v_hint=v_hint, vtol=vtol)[0]
+    return _vt_solve(mu, t, a0, v_hint=v_hint)[0]
+
+
+#: inverse golden ratio, the shrink factor of a golden-section search
+_GOLD = 0.5 * (math.sqrt(5.0) - 1.0)
+
+
+def _bisect_edge(f, inside: float, outside: float) -> float:
+    """Where f changes sign between f(inside) > 0 and f(outside) <= 0: the
+    outside end of a bracket bisected down to adjacent floats (or to width
+    1e-17 near zero), so that f <= 0, i.e. v_t = 0, at the returned point."""
+    while abs(inside - outside) > 1e-17 * (1.0 + abs(inside) + abs(outside)):
+        mid = 0.5 * (inside + outside)
+        if mid == inside or mid == outside:
+            break
+        if f(mid) > 0.0:
+            inside = mid
+        else:
+            outside = mid
+    return outside
+
+
+def _gap_dip(f, a: float, b: float) -> float | None:
+    """A point of (a, b) where the convex f is <= 0, or None when f > 0 on all
+    of it: golden-section search that stops at the first such point."""
+    c, d = b - _GOLD * (b - a), a + _GOLD * (b - a)
+    fc, fd = f(c), f(d)
+    while fc > 0.0 and fd > 0.0:
+        if not a < c < d < b:
+            return None
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLD * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLD * (b - a)
+            fd = f(d)
+    return c if fc <= 0.0 else d
+
+
+def _gap_cut(f, g0: float, g1: float) -> tuple[float, float] | None:
+    """The closed part [c, d] of the gap [g0, g1] of the support where f <= 0.
+
+    On a gap f(a0) = p0(a0, 0) - 1/t is a sum of convex terms, so that part is
+    one interval (or empty); g1 <= g0 is two pieces that touch.
+    """
+    f0, f1 = f(g0), f(g1)
+    if f0 <= 0.0 and f1 <= 0.0:
+        return (min(g0, g1), max(g0, g1))
+    if g1 <= g0:
+        return None
+    if f0 <= 0.0:
+        return (g0, _bisect_edge(f, g1, g0))
+    if f1 <= 0.0:
+        return (_bisect_edge(f, g0, g1), g1)
+    m = _gap_dip(f, g0, g1)
+    if m is None:
+        return None
+    return (_bisect_edge(f, g0, m), _bisect_edge(f, g1, m))
+
+
+def _even_zeros(lo: float, hi: float, coeffs) -> list[float]:
+    """Points of (lo, hi) where a piece's density can vanish to even order:
+    the roots of its derivative, each cluster of numerically split multiple
+    roots taken once, at its mean."""
+    if len(coeffs) < 3:
+        return []
+    poly = np.polynomial.polynomial
+    tol = 1e-4 * (hi - lo)
+    roots = sorted(float(z.real) for z in poly.polyroots(poly.polyder(coeffs)) if abs(z.imag) <= tol)
+    clusters: list[list[float]] = []
+    for x in roots:
+        if clusters and x - clusters[-1][-1] <= tol:
+            clusters[-1].append(x)
+        else:
+            clusters.append([x])
+    return [m for m in (sum(c) / len(c) for c in clusters) if lo < m < hi]
 
 
 @lru_cache(maxsize=512)
-def _lambda_region_cached(mu: MeasureSpec, t: float, n_scan: int) -> LambdaRegion:
+def _lambda_region_cached(mu: MeasureSpec, t: float) -> LambdaRegion:
     inv_t = 1.0 / t
     root_t = math.sqrt(t)
-    lo = mu.support.lo - root_t
-    hi = mu.support.hi + root_t
 
     def f(x):
-        val = p0_zero(mu, x)
-        return (val - inv_t) if math.isfinite(val) else math.inf
+        return p0_zero(mu, x) - inv_t  # +inf on the support where p0 diverges
 
-    # the region is mathematically contained in (lo, hi); widen if rounding bites
-    for _ in range(3):
-        if f(lo) > 0.0:
-            lo -= root_t
-        if f(hi) > 0.0:
-            hi += root_t
+    if mu.kind == "atomic":
+        parts = [(x, x) for x, _ in mu.atoms]
+    elif mu.kind == "semicircle":
+        parts = [(mu.support.lo, mu.support.hi)]
+    else:
+        # inside a piece p0(., 0) is finite only at even-order zeros of the
+        # density, so the piece splits there into parts that touch
+        parts = []
+        for plo, phi, coeffs in mu.pieces:
+            ends = [plo, *_even_zeros(plo, phi, coeffs), phi]
+            parts += zip(ends[:-1], ends[1:])
 
-    xs = [lo + (hi - lo) * i / n_scan for i in range(n_scan + 1)]
-    fs = [f(x) for x in xs]
+    def into(edge, k):
+        # a cut that ends on part k, where the density vanishes to order >= 2,
+        # also covers the band next to it where p0_zero still reads finite
+        mid = 0.5 * (parts[k][0] + parts[k][1])
+        return _bisect_edge(f, mid, edge) if f(mid) > 0.0 else edge
 
-    def refine(xa, fa, xb, fb):
-        # plain bisection on the sign of f, 200 steps max
-        for _ in range(200):
-            if xb - xa <= 1e-17 * (1.0 + abs(xa) + abs(xb)):
-                break
-            xm = 0.5 * (xa + xb)
-            fm = f(xm)
-            if (fm > 0.0) == (fa > 0.0):
-                xa, fa = xm, fm
-            else:
-                xb, fb = xm, fm
-        return 0.5 * (xa + xb)
+    def end(k, edge, step):
+        # f rises toward the hull on an end gap, and f <= 0 at distance sqrt(t)
+        if f(edge) <= 0.0:
+            return into(edge, k)
+        out = edge + step
+        for _ in range(3):  # widen if rounding bites
+            if f(out) > 0.0:
+                out += step
+        return _bisect_edge(f, edge, out)
 
+    lo, hi = end(0, parts[0][0], -root_t), end(-1, parts[-1][1], root_t)
+    cuts = []
+    for k in range(len(parts) - 1):
+        g0, g1 = parts[k][1], parts[k + 1][0]
+        if cut := _gap_cut(f, g0, g1):
+            c, d = cut
+            cuts.append((into(c, k) if c == g0 else c, into(d, k + 1) if d == g1 else d))
     intervals = []
-    start = None
-    for i in range(n_scan):
-        inside_a = fs[i] > 0.0
-        inside_b = fs[i + 1] > 0.0
-        if not inside_a and inside_b:
-            start = refine(xs[i], fs[i], xs[i + 1], fs[i + 1])
-        elif inside_a and not inside_b and start is not None:
-            intervals.append((start, refine(xs[i], fs[i], xs[i + 1], fs[i + 1])))
-            start = None
+    for c, d in sorted(cuts):
+        if c > lo:
+            intervals.append((lo, c))
+        lo = max(lo, d)
+    if hi > lo:
+        intervals.append((lo, hi))
     return LambdaRegion(t=t, intervals=tuple(intervals))
 
 
-def lambda_region(mu: MeasureSpec, t: float, n_scan: int = DEFAULT_SCAN) -> LambdaRegion:
-    """Scan-and-bisect construction of {v_t > 0}.
+def lambda_region(mu: MeasureSpec, t: float) -> LambdaRegion:
+    """The source region {v_t > 0} = {a0 : p0(a0, 0) > 1/t}, built from the law.
 
-    Components narrower than the scan pitch can be missed; raise n_scan for
-    atomic laws with many close atoms at small t.
+    The support's interior lies inside, because p0(., 0) diverges there. Each
+    gap of the support gets one convex search and at most two bisections, each
+    end gap one bisection within sqrt(t) of the hull, and each even-order zero
+    of a polynomial density, where p0(., 0) is finite, a check that may split
+    the region there. No component is missed, however narrow. A cut that ends
+    where the density vanishes to order >= 2 is bisected on into the support
+    to the end of the band where p0_zero reads finite, so that v_t > 0 holds
+    on the open intervals as _vt_solve computes it.
     """
     if t <= 0.0:
         raise ValueError("t must be positive")
-    return _lambda_region_cached(mu, float(t), int(n_scan))
+    return _lambda_region_cached(mu, float(t))
 
 
 def a_t(mu: MeasureSpec, t: float, a0: float, v_hint: float | None = None) -> float:
-    """Boundary abscissa map: t*p1(a0, v_t(a0)) where v_t > 0, else a0 - t*G(a0).
+    """Boundary abscissa map: a0 - t Re G(a0 + i v_t(a0)), i.e. t*p1 where v_t > 0.
 
     The two expressions agree where v_t = 0 with p0(a0, 0) = 1/t, so interval
     endpoints evaluate as the one-sided limit from the v_t > 0 side; OnSupport
     is raised only where the exterior value genuinely diverges.
     """
     v, out = _vt_solve(mu, t, a0, extra_keys=("p1",), v_hint=v_hint)
-    if v > 0.0 and out is not None:
-        return t * out["p1"]
+    if out is not None:
+        return _at_value(t, a0, out)
     return a0 - t * real_cauchy(mu, a0)
+
+
+def _at_value(t: float, a0: float, out: dict) -> float:
+    # a0 - t Re G with Re G = a0 p0 - p1: t p1 where p0 = 1/t, but free of the
+    # solve's residual in p0, and the v -> 0 limit where v_t reads 0
+    return a0 - t * (a0 * out["p0"] - out["p1"])
 
 
 def at_with_slope(
     mu: MeasureSpec, t: float, a0: float, v_hint: float | None = None
 ) -> tuple[float, float, float]:
-    """(a_t, da_t/da0, v_t) at a point with v_t(a0) > 0, fused kernel passes."""
+    """(a_t, da_t/da0, v_t) at a point of the region, fused kernel passes.
+
+    Where v_t is below what the kernels resolve (it reads 0), these are the
+    v -> 0 limits: the slope is 1 - t Re G' with Re G' = p0 - 2 q2, as Im G'
+    is of the order of the density's slope, which vanishes there too.
+    """
     v, out = _vt_solve(mu, t, a0, extra_keys=("p1", "q1", "q2"), v_hint=v_hint)
-    if v <= 0.0 or out is None:
+    if out is None:
         raise OutsideLambdaError(f"v_t({a0}) = 0")
+    if v == 0.0:
+        return _at_value(t, a0, out), 1.0 - t * (out["p0"] - 2.0 * out["q2"]), 0.0
     q0 = out["q0"]
     if q0 <= 0.0:
         raise DegenerateJacobianError("q0 <= 0")
     slope = 2.0 * t * (q0 * out["q2"] - out["q1"] ** 2) / q0
-    return t * out["p1"], slope, v
+    return _at_value(t, a0, out), slope, v
 
 
 def da_t_da0(mu: MeasureSpec, t: float, a0: float, v_hint: float | None = None) -> float:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import ibrown.brown as B
 import ibrown.measure as M
@@ -212,3 +214,75 @@ def test_uniform_height_unimodal(un_profile):
     assert abs(un_profile.grid[peak]) < 0.02
     assert np.all(np.diff(b[: peak + 1]) > -1e-12)
     assert np.all(np.diff(b[peak:]) < 1e-12)
+
+
+def test_profile_mass_with_tiny_isolated_atom():
+    mu = M.atomic([(-1.0, 0.5), (1.0, 0.5 - 1e-6), (10.0, 1e-6)])
+    p = B.profile(mu, 0.01, n_grid=64)
+    assert len(p.omega_intervals) == 3
+    assert p.mass == pytest.approx(1.0, abs=1e-9)
+
+
+def test_profile_mass_with_interior_double_zero():
+    mu = M.piecewise_poly([(-1.0, 2.0, (0.09, -0.6, 1.0))])
+    p = B.profile(mu, 0.3, n_grid=64)
+    assert len(p.omega_intervals) == 2
+    assert p.mass == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "pieces",
+    [
+        [(-1.0, 2.0, tuple(np.polynomial.polynomial.polypow([-0.3, 1.0], 4)))],
+        [(0.0, 1.0, (0.0, 0.0, 0.0, 4.0))],
+    ],
+    ids=["interior_fourth_order_zero", "cubic_edge_zero"],
+)
+def test_profile_next_to_a_high_order_zero(pieces):
+    # next to these zeros v_t drops below what the kernels resolve (it reads
+    # 0 there), and every row still solves: a0 increases, a_t round-trips
+    mu, t = M.piecewise_poly(pieces), 0.3
+    p = B.profile(mu, t)
+    assert p.mass == pytest.approx(1.0, abs=1e-9)
+    for sl in p.blocks():
+        assert np.all(np.diff(p.a0[sl]) > 0.0)
+    assert np.all(np.isfinite(p.density)) and np.all(p.density > 0.0)
+    for k in range(0, p.grid.size, 61):
+        assert S.a_t(mu, t, p.a0[k]) == pytest.approx(p.grid[k], abs=1e-10)
+
+
+def gap_minima(xs, ws):
+    """Minimum of sum w/(a0 - x)^2 on each gap between consecutive atoms, by
+    bisection on its derivative -2 sum w/(a0 - x)^3, increasing on a gap."""
+    lo, hi = xs[:-1].copy(), xs[1:].copy()
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        slope = -2.0 * np.sum(ws / (mid[:, None] - xs) ** 3, axis=1)
+        up = slope > 0.0
+        hi = np.where(up, mid, hi)
+        lo = np.where(up, lo, mid)
+    mid = 0.5 * (lo + hi)
+    return np.sum(ws / (mid[:, None] - xs) ** 2, axis=1)
+
+
+@st.composite
+def laws_with_a_tiny_atom(draw):
+    xs = draw(st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=4))
+    ws = draw(st.lists(st.floats(0.1, 1.0), min_size=len(xs), max_size=len(xs)))
+    tiny = draw(st.floats(-6.0, 6.0))
+    assume(min(abs(x - y) for i, x in enumerate(xs) for y in xs[i + 1 :]) > 0.05)
+    assume(min(abs(tiny - x) for x in xs) > 0.5)
+    w_tiny = 10.0 ** draw(st.floats(-7.0, -5.0))
+    return M.atomic(list(zip(xs, ws)) + [(tiny, w_tiny)])
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(mu=laws_with_a_tiny_atom(), log_t=st.floats(-2.5, 0.0))
+def test_region_and_mass_with_a_tiny_isolated_atom(mu, log_t):
+    t = 10.0 ** log_t
+    xs, ws = (np.array(a) for a in zip(*mu.atoms))
+    minima = gap_minima(xs, ws)
+    assume(np.all(np.abs(minima * t - 1.0) > 1e-6))  # no gap near tangency
+    expect = 1 + int(np.sum(minima <= 1.0 / t))
+    assert len(S.lambda_region(mu, t).intervals) == expect
+    assert B.profile(mu, t, n_grid=64).mass == pytest.approx(1.0, abs=1e-9)

@@ -80,12 +80,55 @@ def test_lambda_region_bernoulli_islands(be12):
     assert ivs[0][1] < -0.5 < 0.5 < ivs[1][0]
 
 
-def test_lambda_region_endpoint_condition(be23, un):
-    for mu, t in ((be23, 1.05), (un, 0.1)):
+def gap_law():
+    # a flat piece, then a gap, then a piece whose density vanishes to second
+    # order at the gap's right edge 0.5, where p0(., 0) is finite
+    return M.piecewise_poly([(-1.0, 0.0, (1.0,)), (0.5, 1.5, (0.25, -1.0, 1.0))])
+
+
+def test_lambda_region_endpoint_condition(be23, un, quad):
+    # every end is a point where v_t = 0, and p0(., 0) > 1/t at the next float
+    # inside, so no point of an open interval reads v_t = 0 from p0_zero
+    cases = [(be23, 1.05), (un, 0.1), (quad, 0.3), (quad, 0.25)]
+    cases += [(gap_law(), t) for t in (0.05, 0.2, 0.6)]
+    for mu, t in cases:
         for lo, hi in S.lambda_region(mu, t).intervals:
-            for e in (lo, hi):
-                val = M.p0_zero(mu, e)
-                assert val <= 1.0 / t + 1e-6 * (1.0 / t)
+            for e, inward in ((lo, hi), (hi, lo)):
+                assert M.p0_zero(mu, e) <= 1.0 / t
+                assert M.p0_zero(mu, np.nextafter(e, inward)) > 1.0 / t
+    # p0(0, 0) = 3 < 1/t on the quad law: the region starts exactly on the
+    # double zero, not where p0_zero's noise floor flips just inside it
+    for t in (0.25, 0.3):
+        assert S.lambda_region(quad, t).intervals[0][0] == 0.0
+    # gap law: p0(0.5, 0) = 7/4, so the gap's cut ends at 0.5 for t < 4/7, or
+    # rather at the end of the 1e-13 band past it where p0_zero reads finite
+    ivs = S.lambda_region(gap_law(), 0.2).intervals
+    assert len(ivs) == 2 and 0.5 <= ivs[1][0] <= 0.5 + 1e-12
+    assert len(S.lambda_region(gap_law(), 0.6).intervals) == 1
+
+
+def test_lambda_region_tiny_isolated_atom():
+    # a 1e-6 atom at 10 holds a component of half-width sqrt(1e-6 * t) = 1e-4,
+    # narrower than any affordable scan pitch over the hull
+    mu = M.atomic([(-1.0, 0.5), (1.0, 0.5 - 1e-6), (10.0, 1e-6)])
+    ivs = S.lambda_region(mu, 0.01).intervals
+    assert len(ivs) == 3
+    lo, hi = ivs[2]
+    assert lo < 10.0 < hi
+    assert hi - lo == pytest.approx(2e-4, rel=1e-3)
+
+
+@pytest.mark.parametrize("order, band", [(2, 1e-12), (4, 1e-4)])
+def test_lambda_region_splits_at_interior_double_zero(order, band):
+    # density (x - 0.3)^2 on [-1, 2]: p0(0.3, 0) = 3/2.37 < 1/t at t = 0.3;
+    # (x - 0.3)^4, whose derivative's triple root splits numerically, once.
+    # The cut is the band where p0_zero reads finite: ~5e-14 wide for a double
+    # zero, ~3e-5 for a fourth-order one, which floats resolve no better
+    coeffs = np.polynomial.polynomial.polypow([-0.3, 1.0], order)
+    mu = M.piecewise_poly([(-1.0, 2.0, coeffs)])
+    (l0, r0), (l1, r1) = S.lambda_region(mu, 0.3).intervals
+    assert 0.3 - band < r0 < 0.3 < l1 < 0.3 + band
+    assert l0 < -1.0 and r1 > 2.0
 
 
 def test_at_elliptic_scaling(sc):
