@@ -36,7 +36,7 @@ class RegionVerdict:
 
     margin is |Im lam| - b_t(Re lam) near the region and a positive distance
     proxy for points whose real part lies beyond every interval, so that
-    tag == "boundary" iff |margin| <= tol.
+    tag == "boundary" iff |margin| <= 1e-9 (1 + |lam|).
     """
 
     tag: str  # "inside" | "outside" | "boundary"
@@ -45,8 +45,9 @@ class RegionVerdict:
 
 @dataclass(frozen=True)
 class BrownProfile:
-    """Sampled region data on Chebyshev grids, one block per interval of
-    the region's real section. Arrays are read-only views."""
+    """Sampled region data, one block per interval of the region's real
+    section, on the grid a_t(a0) of Chebyshev angles in a0. Arrays are
+    read-only views."""
 
     t: float
     grid: np.ndarray
@@ -186,11 +187,11 @@ def w_t(mu: MeasureSpec, t: float, a: float) -> float:
     raise OutsideOmegaError(f"{a} is not strictly inside the region's real section")
 
 
-def classify(mu: MeasureSpec, t: float, lam: complex, tol: float | None = None) -> RegionVerdict:
-    """Compare |Im lam| against the height over Re lam with a boundary band."""
+def classify(mu: MeasureSpec, t: float, lam: complex) -> RegionVerdict:
+    """Compare |Im lam| against the height over Re lam with a boundary band
+    of half-width 1e-9 (1 + |lam|)."""
     lam = complex(lam)
-    if tol is None:
-        tol = 1e-9 * (1.0 + abs(lam))
+    tol = 1e-9 * (1.0 + abs(lam))
     a, b = lam.real, abs(lam.imag)
     omega, _ = _intervals(mu, t)
     if not omega:
@@ -230,21 +231,18 @@ def _s_outside_unchecked(mu, t, lam):
 # ----------------------------------------------------------------------------
 # profile assembly
 
-#: Chebyshev angles per source interval of the mass integral and the sweep
+#: Chebyshev angles per source interval of the mass integral
 MASS_NODES = 768
-
-
-def _chebyshev_nodes(al: float, ar: float, n: int) -> np.ndarray:
-    k = np.arange(n)
-    # first-kind nodes: interior, clustered at the edges, ascending
-    return 0.5 * (al + ar) - 0.5 * (ar - al) * np.cos(np.pi * (2 * k + 1) / (2 * n))
 
 
 def lambda_sweep(mu: MeasureSpec, t: float, interval: tuple[float, float], n: int = MASS_NODES):
     """Sample v_t, a_t and the slope along one source interval at Chebyshev
-    angles theta_j = j*pi/n (endpoints carry v = 0 and zero marginal weight).
+    angles theta_j = j*pi/n (endpoints carry v = 0 and zero mass weight).
 
-    Returns dict of arrays: theta, a0, v, at, slope (slope is nan at ends).
+    Returns dict of arrays: a0, v, at, slope (nan at the ends) and cdf, the
+    planar-law mass from the interval's left end, by the trapezoid rule in
+    theta on the weight half sin(theta) (2/(pi t)) v (1 - slope/2), which
+    is 2 b_t w_t da in the source variable, smooth at the square-root ends.
     """
     l, r = interval
     mid, half = 0.5 * (l + r), 0.5 * (r - l)
@@ -261,66 +259,42 @@ def lambda_sweep(mu: MeasureSpec, t: float, interval: tuple[float, float], n: in
         vs[j], ats[j], slopes[j] = v, at, slope
     ats[0] = a_t(mu, t, l)
     ats[-1] = a_t(mu, t, r)
-    return {"theta": theta, "a0": a0s, "v": vs, "at": ats, "slope": slopes, "half": half}
-
-
-def _simpson(y: np.ndarray, h: float) -> float:
-    n = y.size - 1
-    if n % 2:  # odd panel count: trapezoid on the last panel
-        return _simpson(y[:-1], h) + 0.5 * h * (y[-2] + y[-1])
-    return (h / 3.0) * float(y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum())
-
-
-def interval_mass(mu: MeasureSpec, t: float, interval: tuple[float, float]) -> float:
-    """Planar-law mass over one region interval.
-
-    Integrates 2 b_t w_t da back in the source variable, where the integrand
-    (2/(pi t)) v_t (1 - slope/2) is bounded, under the Chebyshev substitution
-    that makes the square-root edges smooth.
-    """
-    sw = lambda_sweep(mu, t, interval, MASS_NODES)
-    g = np.zeros_like(sw["v"])
-    inner = slice(1, -1)
-    g[inner] = (2.0 / (math.pi * t)) * sw["v"][inner] * (1.0 - 0.5 * sw["slope"][inner])
-    h = sw["half"] * np.sin(sw["theta"]) * g
-    return _simpson(h, math.pi / (h.size - 1))
+    g = np.zeros(n + 1)
+    g[1:-1] = (2.0 / (math.pi * t)) * vs[1:-1] * (1.0 - 0.5 * slopes[1:-1])
+    h = half * np.sin(theta) * g
+    inc = 0.5 * (math.pi / n) * (h[:-1] + h[1:])
+    cdf = np.concatenate(([0.0], np.cumsum(inc)))
+    return {"a0": a0s, "v": vs, "at": ats, "slope": slopes, "cdf": cdf}
 
 
 def profile(mu: MeasureSpec, t: float, n_grid: int = 1024) -> BrownProfile:
-    """Assemble the sampled region: Chebyshev grid per interval, source
-    abscissas, heights, densities, and the total mass."""
+    """Assemble the sampled region: per interval, the n_grid interior nodes of
+    a source sweep give the grid a_t(a0), the source abscissas a0, the
+    heights 2 v_t and the densities; a MASS_NODES sweep gives the mass."""
     if n_grid < 16:
         raise ValueError("n_grid must be at least 16")
     if t <= 0.0:
         raise ValueError("t must be positive")
     omega, region = _intervals(mu, t)
-    grids, a0s, heights, densities, flags = [], [], [], [], []
-    edges = [0]
-    mass = 0.0
-    for omega_iv, lam_iv in zip(omega, region.intervals):
-        state: dict = {}
-        for k, a in enumerate(_chebyshev_nodes(*omega_iv, n_grid)):
-            root, slope, v = _a0_solve(mu, t, a, lam_iv, omega_iv, state)
-            grids.append(a)
-            a0s.append(root)
-            heights.append(2.0 * v)
-            densities.append((1.0 / (2.0 * math.pi * t)) * (1.0 / slope - 0.5))
-            flags.append("near_boundary" if k in (0, n_grid - 1) else "ok")
-        edges.append(len(grids))
-        mass += interval_mass(mu, t, lam_iv)
-
-    arrays = [np.asarray(v) for v in (grids, a0s, heights, densities)]
-    for arr in arrays:
+    sweeps = [lambda_sweep(mu, t, lam_iv, n_grid + 1) for lam_iv in region.intervals]
+    grid, a0, v, slope = (
+        np.concatenate([sw[key][1:-1] for sw in sweeps]) for key in ("at", "a0", "v", "slope")
+    )
+    halfheight = 2.0 * v
+    density = (1.0 / (2.0 * math.pi * t)) * (1.0 / slope - 0.5)
+    for arr in (grid, a0, halfheight, density):
         arr.setflags(write=False)
+    flags = ("near_boundary",) + ("ok",) * (n_grid - 2) + ("near_boundary",)
+    mass = sum(float(lambda_sweep(mu, t, lam_iv)["cdf"][-1]) for lam_iv in region.intervals)
     return BrownProfile(
         t=t,
-        grid=arrays[0],
-        a0=arrays[1],
-        halfheight=arrays[2],
-        density=arrays[3],
-        flags=tuple(flags),
+        grid=grid,
+        a0=a0,
+        halfheight=halfheight,
+        density=density,
+        flags=flags * len(sweeps),
         omega_intervals=omega,
         lambda_intervals=region.intervals,
-        block_edges=tuple(edges),
+        block_edges=tuple(range(0, n_grid * len(sweeps) + 1, n_grid)),
         mass=mass,
     )

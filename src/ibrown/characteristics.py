@@ -29,6 +29,7 @@ from .errors import (
     PastLifetimeError,
 )
 from .measure import MeasureSpec, log_potential, p0_zero, transforms
+from .numerics import damped_newton
 from .subordination import j_t_inverse
 
 
@@ -164,55 +165,43 @@ def _flow_residual(mu, t, u, target):
     )
 
 
-def _solve_flow(mu, t, target, start, tol, max_iter=100):
+def _solve_flow(mu, t, target, start, tol):
     """Damped Newton with a numeric Jacobian on the flow map; keeps eps0 > 0."""
-    u = np.array(start, dtype=float)
-    u[2] = max(u[2], 1e-14)
-    fu = _flow_residual(mu, t, u, target)
-    if fu is None:
-        return None
-    norm = float(np.max(np.abs(fu)))
-    for _ in range(max_iter):
-        if norm <= tol:
-            return u
+
+    def residual(u):
+        u[2] = max(u[2], 1e-300)  # a trial point is a fresh array: clamp in place
+        return _flow_residual(mu, t, u, target)
+
+    def step(u, fu):
         jac = np.empty((3, 3))
-        ok = True
         for j in range(3):
             h = 1e-7 * (1.0 + abs(u[j]))
             if j == 2:
                 h = min(h, 0.5 * u[2])
                 if h <= 0.0:
-                    ok = False
-                    break
+                    return None
             up, um = u.copy(), u.copy()
             up[j] += h
             um[j] -= h
             fp = _flow_residual(mu, t, up, target)
             fm = _flow_residual(mu, t, um, target)
             if fp is None or fm is None:
-                ok = False
-                break
+                return None
             jac[:, j] = (fp - fm) / (2.0 * h)
-        if not ok:
-            return None
         try:
-            step = np.linalg.solve(jac, fu)
+            return np.linalg.solve(jac, fu)
         except np.linalg.LinAlgError:
             return None
-        factor = 1.0
-        for _ in range(45):
-            un = u - factor * step
-            un[2] = max(un[2], 1e-300)
-            fn = _flow_residual(mu, t, un, target)
-            if fn is not None:
-                nn = float(np.max(np.abs(fn)))
-                if nn < norm:
-                    u, fu, norm = un, fn, nn
-                    break
-            factor *= 0.5
-        else:
-            return None
-    return u if norm <= tol else None
+
+    u = np.array(start, dtype=float)
+    u[2] = max(u[2], 1e-14)
+    return damped_newton(residual, step, u, tol, max_iter=100, halvings=45)
+
+
+def _admissible(mu, t, u) -> bool:
+    """Initial data u on the primary sheet: p0 finite and 1 - t p0 > 0."""
+    p0v = _momenta_values(mu, u[0], u[1], u[2])[0]
+    return math.isfinite(p0v) and 1.0 - t * p0v > 0.0
 
 
 def s_of(mu: MeasureSpec, t: float, lam: complex, eps: float) -> float:
@@ -240,19 +229,13 @@ def s_of(mu: MeasureSpec, t: float, lam: complex, eps: float) -> float:
     for k in (4.0, 16.0, 64.0):
         starts.append((lam.real, lam.imag, k * eps))
 
-    found = []
+    found = None
     for start in starts:
         u = _solve_flow(mu, t, target, start, tol)
-        if u is None:
-            continue
-        p0v = _momenta_values(mu, u[0], u[1], u[2])[0]
-        if not math.isfinite(p0v) or 1.0 - t * p0v <= 0.0:
-            continue  # mirror sheet
-        if not found:
-            found.append(u)
-            break  # primary solution; further starts only run if none converged
-        found.append(u)
-    if not found:
+        if u is not None and _admissible(mu, t, u):
+            found = u  # primary solution; further starts only run if none converged
+            break
+    if found is None:
         # continuation in eps from an easier regularization level
         u = None
         eps_hi = max(1.0, 4.0 * eps)
@@ -263,14 +246,11 @@ def s_of(mu: MeasureSpec, t: float, lam: complex, eps: float) -> float:
             if u is None:
                 break
             guess = tuple(u)
-        if u is not None:
-            p0v = _momenta_values(mu, u[0], u[1], u[2])[0]
-            if math.isfinite(p0v) and 1.0 - t * p0v > 0.0:
-                found.append(u)
-    if not found:
+        if u is not None and _admissible(mu, t, u):
+            found = u
+    if found is None:
         raise NoConvergenceError(f"flow inversion failed at (t={t}, lam={lam}, eps={eps})")
-    u = found[0]
-    init = InitialData(lam0=complex(u[0], u[1]), eps0=float(u[2]))
+    init = InitialData(lam0=complex(found[0], found[1]), eps0=float(found[2]))
     return hj_value(mu, init, t)
 
 
@@ -287,10 +267,7 @@ def s_of_all_branches(mu: MeasureSpec, t: float, lam: complex, eps: float) -> fl
         (lam.real, lam.imag, 16.0 * eps),
     ]:
         u = _solve_flow(mu, t, target, start, tol)
-        if u is None:
-            continue
-        p0v = _momenta_values(mu, u[0], u[1], u[2])[0]
-        if not math.isfinite(p0v) or 1.0 - t * p0v <= 0.0:
+        if u is None or not _admissible(mu, t, u):
             continue
         if not any(np.max(np.abs(u - s)) <= 1e-6 * (1.0 + np.max(np.abs(u))) for s in sols):
             sols.append(u)

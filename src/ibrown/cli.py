@@ -102,11 +102,11 @@ def cmd_pushforward(ns) -> int:
     out = _out_dir(ns)
     region = subordination.lambda_region(mu, ns.t)
     rows = ["a0,v_t,rho_t"]
-    for lo, hi in region.intervals:
-        for a0 in np.linspace(lo, hi, max(ns.grid // max(len(region.intervals), 1), 16))[1:-1]:
-            v = subordination.v_t(mu, ns.t, a0)
-            rho = maps.circular_density(mu, ns.t, complex(a0, 0.0))
-            rows.append("%.17g,%.17g,%.17g" % (a0, v, rho))
+    for lam_iv in region.intervals:
+        sw = brown.lambda_sweep(mu, ns.t, lam_iv, max(ns.grid // len(region.intervals), 16) - 1)
+        rho = (1.0 / (math.pi * ns.t)) * (1.0 - 0.5 * sw["slope"])  # maps.circular_density
+        for a0, v, r in zip(sw["a0"][1:-1], sw["v"][1:-1], rho[1:-1]):
+            rows.append("%.17g,%.17g,%.17g" % (a0, v, r))
     _write(out / "rho.csv", "\n".join(rows) + "\n")
 
     law = maps.law_additive(mu, ns.t, n_grid=ns.grid)

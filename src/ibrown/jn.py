@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .errors import NUMERIC_FAILURES, DegenerateJacobianError, NoConvergenceError
 from .measure import MeasureSpec, cauchy, cauchy_prime
+from .numerics import damped_newton
 from .subordination import lambda_region, v_t
 from .brown import a0_of_a
 
@@ -38,62 +37,36 @@ def _fixed_point_jacobian_solve(t: float, gp: complex, rhs: complex) -> complex 
     return complex(d_re, d_im)
 
 
-def _fixed_point_newton(mu, t, a, g0, tol, max_iter=80):
+def _fixed_point_newton(mu, t, a, g0, tol):
     """Damped Newton on F(g) = g - G(a + t*conj(g)) as a 2-real-variable system."""
-    g = complex(g0)
 
-    def residual(gv):
-        z = a + t * gv.conjugate()
+    def residual(g):
+        z = a + t * g.conjugate()
         if z.imag == 0.0:
             z = complex(z.real, -1e-300)
-        return gv - cauchy(mu, z)
-
-    try:
-        fg = residual(g)
-    except NUMERIC_FAILURES:
-        return None
-    for _ in range(max_iter):
-        if abs(fg) <= tol:
-            return g
-        z = a + t * g.conjugate()
         try:
-            gp = cauchy_prime(mu, z)
+            return g - cauchy(mu, z)
         except NUMERIC_FAILURES:
             return None
-        step = _fixed_point_jacobian_solve(t, gp, fg)
-        if step is None:
+
+    def step(g, fg):
+        try:
+            gp = cauchy_prime(mu, a + t * g.conjugate())
+        except NUMERIC_FAILURES:
             return None
-        factor = 1.0
-        for _ in range(45):
-            gn = g - factor * step
-            try:
-                fn = residual(gn)
-            except NUMERIC_FAILURES:
-                fn = None
-            if fn is not None and abs(fn) < abs(fg):
-                g, fg = gn, fn
-                break
-            factor *= 0.5
-        else:
-            return None
-    return g if abs(fg) <= tol else None
+        return _fixed_point_jacobian_solve(t, gp, fg)
+
+    return damped_newton(residual, step, complex(g0), tol, max_iter=80, halvings=45)
 
 
-def solve_g(
-    mu: MeasureSpec,
-    t: float,
-    a: float,
-    guess: complex | None = None,
-    tol: float | None = None,
-) -> complex:
+def solve_g(mu: MeasureSpec, t: float, a: float, guess: complex | None = None) -> complex:
     """Complex solution of g = G(a + t*conj(g)) with Im g > 0.
 
     Seeded from the subordination pipeline when no guess is supplied, with a
     coarse scan fallback; raises NoConvergence when every start collapses to
     the real line, which signals a point outside the support of the planar law.
     """
-    if tol is None:
-        tol = 1e-12 * (1.0 + abs(a))
+    tol = 1e-12 * (1.0 + abs(a))
     starts = []
     if guess is not None:
         starts.append(complex(guess))

@@ -112,17 +112,10 @@ def law_additive(mu: MeasureSpec, t: float, n_grid: int = 1024) -> AdditiveLaw:
     acc = 0.0
     for interval in region.intervals:
         sw = lambda_sweep(mu, t, interval, n_grid)
-        u = 2.0 * sw["a0"] - sw["at"]
-        f = sw["v"] / (math.pi * t)
-        g = np.zeros_like(sw["v"])
-        g[1:-1] = (2.0 / (math.pi * t)) * sw["v"][1:-1] * (1.0 - 0.5 * sw["slope"][1:-1])
-        h = sw["half"] * np.sin(sw["theta"]) * g
-        dth = math.pi / (h.size - 1)
-        inc = 0.5 * dth * (h[:-1] + h[1:])
-        cdf = acc + np.concatenate(([0.0], np.cumsum(inc)))
+        cdf = acc + sw["cdf"]
         acc = cdf[-1]
-        us.append(u)
-        fs.append(f)
+        us.append(2.0 * sw["a0"] - sw["at"])
+        fs.append(sw["v"] / (math.pi * t))
         aas.append(sw["at"])
         cdfs.append(cdf)
     u = np.concatenate(us)
@@ -179,18 +172,16 @@ def _edge_ladder(lo: float, hi: float, edges: tuple[float, float]) -> list[float
     return sorted(pts)
 
 
-def _v_crossings(mu, t, lam_iv, levels, n_probe=65):
-    """Source abscissas where v_t crosses the given positive levels."""
-    l, r = lam_iv
-    theta = np.linspace(0.0, np.pi, n_probe)
-    a0s = 0.5 * (l + r) - 0.5 * (r - l) * np.cos(theta)
-    vs = np.array([v_t(mu, t, x) for x in a0s])
+def _v_crossings(mu, t, sweep, levels):
+    """Source abscissas where v_t crosses the given positive levels, each
+    bracketed by neighbouring sweep nodes and then bisected."""
+    a0s, vs = sweep["a0"], sweep["v"]
     hits = []
     for level in levels:
         if level <= 0.0:
             continue
         d = vs - level
-        for i in range(n_probe - 1):
+        for i in range(d.size - 1):
             if d[i] == 0.0 or (d[i] > 0.0) == (d[i + 1] > 0.0):
                 continue
             xa, xb, fa = a0s[i], a0s[i + 1], d[i]
@@ -266,14 +257,13 @@ def pushforward_check(mu: MeasureSpec, t: float) -> PushforwardReport:
     rects, src, tgt = [], [], []
     for omega_iv, lam_iv in zip(omega, region.intervals):
         al, ar = omega_iv
-        theta = np.linspace(0.0, np.pi, 33)
-        probes = 0.5 * (lam_iv[0] + lam_iv[1]) - 0.5 * (lam_iv[1] - lam_iv[0]) * np.cos(theta)
-        bmax = 2.0 * max(v_t(mu, t, x) for x in probes)
+        sweep = lambda_sweep(mu, t, lam_iv, 64)
+        bmax = 2.0 * float(sweep["v"].max())
         cuts = np.linspace(al, ar, N_RECT + 1)
         bands = [(-2.0 * bmax, 2.0 * bmax), (0.0, 0.45 * bmax), (-0.45 * bmax, 0.0)]
         for b_lo, b_hi in bands:
             level = 0.5 * max(abs(b_lo), abs(b_hi))
-            kinks_a0 = [] if level >= 0.5 * bmax else _v_crossings(mu, t, lam_iv, [level])
+            kinks_a0 = [] if level >= 0.5 * bmax else _v_crossings(mu, t, sweep, [level])
             kinks_a = [at_with_slope(mu, t, k)[0] for k in kinks_a0]
             for i in range(N_RECT):
                 a_lo, a_hi = float(cuts[i]), float(cuts[i + 1])

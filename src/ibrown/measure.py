@@ -657,7 +657,7 @@ def _piece_cauchy_real(coeffs, lo: float, hi: float, a0: float) -> float:
     return val
 
 
-def real_cauchy(mu: MeasureSpec, a0: float, density_tol: float = 1e-9) -> float:
+def real_cauchy(mu: MeasureSpec, a0: float) -> float:
     """Cauchy transform at a real point, tolerating vanishing-density contact.
 
     Used for boundary values where the point may touch the support closure but
@@ -679,17 +679,17 @@ def real_cauchy(mu: MeasureSpec, a0: float, density_tol: float = 1e-9) -> float:
         edge = 1e-12 * (1.0 + abs(a0))
         if lo - edge <= a0 <= hi + edge:
             local = float(poly_eval(coeffs, a0))
-            if abs(local) > density_tol * (1.0 + max(abs(c) for c in coeffs)):
+            if abs(local) > 1e-9 * (1.0 + max(abs(c) for c in coeffs)):
                 raise OnSupportError(f"positive density at {a0}")
         total += _piece_cauchy_real(coeffs, lo, hi, a0)
     return total
 
 
-def cauchy(mu: MeasureSpec, z: complex, tol: float | None = None) -> complex:
+def cauchy(mu: MeasureSpec, z: complex) -> complex:
     """G(z) = int dmu(x)/(z - x); Im G < 0 on the upper half-plane."""
     z = complex(z)
     if z.imag == 0.0:
-        if on_support(mu, z.real, tol):
+        if on_support(mu, z.real):
             raise OnSupportError(f"{z.real} lies on the support")
         if mu.kind == "atomic":
             xs, ws = mu.atom_arrays
@@ -705,11 +705,11 @@ def cauchy(mu: MeasureSpec, z: complex, tol: float | None = None) -> complex:
     return _cauchy_pair(mu, z)[0]
 
 
-def cauchy_prime(mu: MeasureSpec, z: complex, tol: float | None = None) -> complex:
+def cauchy_prime(mu: MeasureSpec, z: complex) -> complex:
     """G'(z) = -int dmu(x)/(z - x)^2."""
     z = complex(z)
     if z.imag == 0.0:
-        if on_support(mu, z.real, tol):
+        if on_support(mu, z.real):
             raise OnSupportError(f"{z.real} lies on the support")
         if mu.kind == "semicircle":
             return complex(_semicircle_gprime(mu.variance, z).real)

@@ -1,4 +1,5 @@
-"""Shared numerical kernels: adaptive Gauss-Legendre panels and bracketed root solves.
+"""Shared numerical kernels: adaptive Gauss-Legendre panels, bracketed root
+solves and damped Newton.
 
 The integrator is vectorized over integrand components: ``f(x)`` receives a
 node array of shape ``(m,)`` and returns ``(k, m)`` values, so a family of
@@ -176,6 +177,45 @@ def bracket_newton(
         if not step_ok:
             x = 0.5 * (lo + hi)
     return 0.5 * (lo + hi)
+
+
+def _max_abs(r) -> float:
+    a = abs(r)
+    return float(a.max()) if isinstance(a, np.ndarray) else a
+
+
+def damped_newton(residual, newton_step, x0, tol: float, max_iter: int, halvings: int):
+    """Newton iteration with step halving until the residual norm max|r| drops.
+
+    ``residual(x)`` returns r (a complex scalar or an array), or None where x
+    is inadmissible; ``newton_step(x, r)`` returns the full step, subtracted
+    from x, or None. Returns the first x with max|r| <= tol, or None when the
+    residual is None at x0, a step is None, no halving lowers the norm or
+    max_iter steps do not reach tol.
+    """
+    r = residual(x0)
+    if r is None:
+        return None
+    x, norm = x0, _max_abs(r)
+    for _ in range(max_iter):
+        if norm <= tol:
+            return x
+        step = newton_step(x, r)
+        if step is None:
+            return None
+        factor = 1.0
+        for _ in range(halvings):
+            xn = x - factor * step
+            rn = residual(xn)
+            if rn is not None:
+                nn = _max_abs(rn)
+                if nn < norm:
+                    x, r, norm = xn, rn, nn
+                    break
+            factor *= 0.5
+        else:
+            return None
+    return x if norm <= tol else None
 
 
 def poly_eval(coeffs: Sequence[float], x):

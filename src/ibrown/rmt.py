@@ -95,19 +95,22 @@ def _eigvals_with_retry(m: np.ndarray, g: np.random.Generator) -> np.ndarray:
             raise EigenFailureError(f"eigensolver failed twice: {exc}") from exc
 
 
+def _rep_spectra(mu: MeasureSpec, cfg: SimConfig, scale: complex, eig) -> np.ndarray:
+    """eig(D + scale H, rep) for each repetition, merged in repetition order.
+    Repetitions run serially: each dense solve already saturates the BLAS
+    threads."""
+    d = np.diag(deterministic_x(mu, cfg.n).astype(complex))
+    return np.concatenate(
+        [eig(d + scale * sample_gue(cfg.n, cfg.seed, rep), rep) for rep in range(cfg.reps)]
+    )
+
+
 def simulate(mu: MeasureSpec, cfg: SimConfig) -> EigenCloud:
     """Eigenvalue cloud of D + i sqrt(t) H over cfg.reps repetitions, merged
-    in repetition order. Repetitions run serially: each dense solve already
-    saturates the BLAS threads."""
-    d = deterministic_x(mu, cfg.n)
-    root_t = math.sqrt(cfg.t)
-
-    def one(rep: int) -> np.ndarray:
-        h = sample_gue(cfg.n, cfg.seed, rep)
-        m = np.diag(d.astype(complex)) + 1j * root_t * h
-        return _eigvals_with_retry(m, _rng(cfg.seed, rep))
-
-    points = np.concatenate([one(r) for r in range(cfg.reps)])
+    in repetition order."""
+    points = _rep_spectra(
+        mu, cfg, 1j * math.sqrt(cfg.t), lambda m, rep: _eigvals_with_retry(m, _rng(cfg.seed, rep))
+    )
     rep_idx = np.repeat(np.arange(cfg.reps), cfg.n)
     points.setflags(write=False)
     rep_idx.setflags(write=False)
@@ -116,14 +119,7 @@ def simulate(mu: MeasureSpec, cfg: SimConfig) -> EigenCloud:
 
 def simulate_hermitian(mu: MeasureSpec, cfg: SimConfig) -> np.ndarray:
     """Real eigenvalues of the Hermitian control D + sqrt(t) H, all reps merged."""
-    d = deterministic_x(mu, cfg.n)
-    root_t = math.sqrt(cfg.t)
-
-    def one(rep: int) -> np.ndarray:
-        h = sample_gue(cfg.n, cfg.seed, rep)
-        return np.linalg.eigvalsh(np.diag(d.astype(complex)) + root_t * h)
-
-    return np.concatenate([one(r) for r in range(cfg.reps)])
+    return _rep_spectra(mu, cfg, math.sqrt(cfg.t), lambda m, rep: np.linalg.eigvalsh(m))
 
 
 def _clamp_to_intervals(x: np.ndarray, intervals) -> np.ndarray:

@@ -30,6 +30,7 @@ from .measure import (
     real_cauchy,
     transforms,
 )
+from .numerics import damped_newton
 
 V_TOL = 1e-13
 
@@ -334,36 +335,21 @@ def _outside_lambda_closure(mu: MeasureSpec, t: float, z: complex, slack: float 
     return val <= (1.0 + slack) / t
 
 
-def _newton_jt(mu, t, target, z0, tol, max_iter=80):
-    z = complex(z0)
-    try:
-        fz = j_t(mu, t, z) - target
-    except NUMERIC_FAILURES:
-        return None
-    for _ in range(max_iter):
-        if abs(fz) <= tol:
-            return z
+def _newton_jt(mu, t, target, z0, tol):
+    def residual(z):
+        try:
+            return j_t(mu, t, z) - target
+        except NUMERIC_FAILURES:
+            return None
+
+    def step(z, fz):
         try:
             d = 1.0 - t * cauchy_prime(mu, z)
         except NUMERIC_FAILURES:
             return None
-        if d == 0.0:
-            d = 1e-30
-        step = fz / d
-        factor = 1.0
-        for _ in range(50):
-            zn = z - factor * step
-            try:
-                fn = j_t(mu, t, zn) - target
-            except NUMERIC_FAILURES:
-                fn = None
-            if fn is not None and abs(fn) < abs(fz):
-                z, fz = zn, fn
-                break
-            factor *= 0.5
-        else:
-            return None
-    return z if abs(fz) <= tol else None
+        return fz / (d if d != 0.0 else 1e-30)
+
+    return damped_newton(residual, step, complex(z0), tol, max_iter=80, halvings=50)
 
 
 def j_t_inverse(mu: MeasureSpec, t: float, lam: complex, tol: float | None = None) -> complex:

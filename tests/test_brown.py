@@ -119,8 +119,31 @@ def test_profile_invariants(be_profile, be23):
 
 def test_profile_round_trip(sc_profile, sc):
     p = sc_profile
-    for i in range(0, p.grid.size, 41):
-        assert S.a_t(sc, 1.0, p.a0[i]) == pytest.approx(p.grid[i], abs=1e-10)
+    for a, a0, b in zip(p.grid, p.a0, p.halfheight):
+        assert S.a_t(sc, 1.0, a0) == pytest.approx(a, abs=1e-10)
+        assert b == pytest.approx(2.0 * S.v_t(sc, 1.0, a0), abs=1e-10)
+
+
+@pytest.mark.parametrize("s,t", [(1.0, 1.0), (0.6, 1.4)])
+def test_profile_semicircle_closed_form(s, t):
+    # ellipse: b_t(a) = (2t/sqrt(s+t)) sqrt(1 - (a/A)^2) with A = 2s/sqrt(s+t),
+    # and w_t = (1 + t/s)/(4 pi t), on every row, the end rows included
+    p = B.profile(M.semicircle(s), t)
+    big_a = 2.0 * s / math.sqrt(s + t)
+    closed = (2.0 * t / math.sqrt(s + t)) * np.sqrt(1.0 - (p.grid / big_a) ** 2)
+    assert np.max(np.abs(p.halfheight / closed - 1.0)) < 1e-9
+    assert np.max(np.abs(p.density - (1.0 + t / s) / (4.0 * math.pi * t))) < 1e-10
+
+
+def test_profile_needs_no_a0_inversion(sc, un, be23, monkeypatch):
+    # every row is a forward evaluation of the source sweep
+    def refuse(*args, **kwargs):
+        raise AssertionError("profile inverted a_t")
+
+    monkeypatch.setattr(B, "_a0_solve", refuse)
+    for mu, t in ((sc, 1.0), (un, 0.1), (be23, 1.05)):
+        p = B.profile(mu, t, n_grid=64)
+        assert p.mass == pytest.approx(1.0, abs=1e-9)
 
 
 def test_profile_vertical_mass(sc_profile):
@@ -247,8 +270,9 @@ def test_profile_next_to_a_high_order_zero(pieces):
     for sl in p.blocks():
         assert np.all(np.diff(p.a0[sl]) > 0.0)
     assert np.all(np.isfinite(p.density)) and np.all(p.density > 0.0)
-    for k in range(0, p.grid.size, 61):
-        assert S.a_t(mu, t, p.a0[k]) == pytest.approx(p.grid[k], abs=1e-10)
+    for a, a0, b in zip(p.grid, p.a0, p.halfheight):
+        assert S.a_t(mu, t, a0) == pytest.approx(a, abs=1e-10)
+        assert b == pytest.approx(2.0 * S.v_t(mu, t, a0), abs=1e-10)
 
 
 def gap_minima(xs, ws):
