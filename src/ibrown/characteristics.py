@@ -70,14 +70,10 @@ class PathState:
 
 def _momenta_values(mu, a0, b0, eps0):
     v2 = b0 * b0 + eps0
-    if v2 <= 0.0:
-        p0v = p0_zero(mu, a0)
-        if not math.isfinite(p0v):
-            return math.inf, math.nan, math.nan, math.nan
-        # b0 = 0 and eps0 = 0 off the divergence set: finite limits
-        out = transforms(mu, a0, 1e-300, ("p0", "p1", "pa"))
-        return out["p0"], out["p1"], out["pa"], 0.0
-    out = transforms(mu, a0, v2, ("p0", "p1", "pa"))
+    if v2 <= 0.0 and not math.isfinite(p0_zero(mu, a0)):
+        return math.inf, math.nan, math.nan, math.nan
+    # b0 = 0 and eps0 = 0 off the divergence set: the finite limits at v^2 = 1e-300
+    out = transforms(mu, a0, v2 if v2 > 0.0 else 1e-300, ("p0", "p1", "pa"))
     return out["p0"], out["p1"], out["pa"], 2.0 * b0 * out["p0"]
 
 
@@ -165,43 +161,61 @@ def _flow_residual(mu, t, u, target):
     )
 
 
+def _flow_jacobian(mu, t, u):
+    """Jacobian of _flow_residual in (a0, b0, eps0) from one bundle at v^2 = b0^2 + eps0,
+    by dp0 = -2 q1 da0 - q0 dv^2 and dpa = 2 (p0 - 2 q2) da0 - 2 q1 dv^2."""
+    a0, b0, eps0 = u
+    p0v, q0, q1, q2 = transforms(mu, a0, b0 * b0 + eps0, ("p0", "q0", "q1", "q2")).values()
+    decay = 1.0 - t * p0v
+    dp0 = np.array([-2.0 * q1, -2.0 * b0 * q0, -q0])
+    dpa = np.array([2.0 * (p0v - 2.0 * q2), -4.0 * b0 * q1, -2.0 * q1])
+    jac = np.diag([1.0, 1.0 + t * p0v, decay * decay])
+    jac[0] -= 0.5 * t * dpa
+    jac[1] += t * b0 * dp0
+    jac[2] -= 2.0 * t * eps0 * decay * dp0
+    return jac
+
+
 def _solve_flow(mu, t, target, start, tol):
-    """Damped Newton with a numeric Jacobian on the flow map; keeps eps0 > 0."""
+    """Damped Newton with the analytic Jacobian on the flow map; keeps eps0 > 0."""
 
     def residual(u):
         u[2] = max(u[2], 1e-300)  # a trial point is a fresh array: clamp in place
         return _flow_residual(mu, t, u, target)
 
     def step(u, fu):
-        jac = np.empty((3, 3))
-        for j in range(3):
-            h = 1e-7 * (1.0 + abs(u[j]))
-            if j == 2:
-                h = min(h, 0.5 * u[2])
-                if h <= 0.0:
-                    return None
-            up, um = u.copy(), u.copy()
-            up[j] += h
-            um[j] -= h
-            fp = _flow_residual(mu, t, up, target)
-            fm = _flow_residual(mu, t, um, target)
-            if fp is None or fm is None:
-                return None
-            jac[:, j] = (fp - fm) / (2.0 * h)
+        if u[2] <= 1e-300:
+            return None  # the clamp caught a step out of eps0 > 0: give up
         try:
-            return np.linalg.solve(jac, fu)
+            return np.linalg.solve(_flow_jacobian(mu, t, u), fu)
         except np.linalg.LinAlgError:
             return None
 
     u = np.array(start, dtype=float)
     u[2] = max(u[2], 1e-14)
-    return damped_newton(residual, step, u, tol, max_iter=100, halvings=45)
+    u = damped_newton(residual, step, u, tol, max_iter=100, halvings=45)
+    if u is None:
+        return None
+    # the solve stops at the first max|r| <= tol; one more full step, kept
+    # where it lowers max|r|, takes the quadratic convergence to rounding level
+    r = residual(u)
+    du = step(u, r)
+    un = u if du is None else u - du
+    return un if np.max(np.abs(residual(un))) < np.max(np.abs(r)) else u
 
 
 def _admissible(mu, t, u) -> bool:
     """Initial data u on the primary sheet: p0 finite and 1 - t p0 > 0."""
     p0v = _momenta_values(mu, u[0], u[1], u[2])[0]
     return math.isfinite(p0v) and 1.0 - t * p0v > 0.0
+
+
+def _flow_solutions(mu, t, target, starts, tol):
+    """The admissible solutions of the flow map from each start in turn."""
+    for start in starts:
+        u = _solve_flow(mu, t, target, start, tol)
+        if u is not None and _admissible(mu, t, u):
+            yield u
 
 
 def s_of(mu: MeasureSpec, t: float, lam: complex, eps: float) -> float:
@@ -226,15 +240,10 @@ def s_of(mu: MeasureSpec, t: float, lam: complex, eps: float) -> float:
             starts.append((z0.real, z0.imag, eps / (1.0 - t * p0v) ** 2))
     except NUMERIC_FAILURES:
         pass
-    for k in (4.0, 16.0, 64.0):
-        starts.append((lam.real, lam.imag, k * eps))
+    starts += [(lam.real, lam.imag, k * eps) for k in (4.0, 16.0, 64.0)]
 
-    found = None
-    for start in starts:
-        u = _solve_flow(mu, t, target, start, tol)
-        if u is not None and _admissible(mu, t, u):
-            found = u  # primary solution; further starts only run if none converged
-            break
+    # the primary solution; later starts run only while none has converged
+    found = next(_flow_solutions(mu, t, target, starts, tol), None)
     if found is None:
         # continuation in eps from an easier regularization level
         u = None
@@ -260,15 +269,9 @@ def s_of_all_branches(mu: MeasureSpec, t: float, lam: complex, eps: float) -> fl
     lam = complex(lam)
     target = (lam.real, lam.imag, eps)
     tol = 1e-10 * (1.0 + abs(lam) + eps)
+    starts = [(lam.real, lam.imag, k * eps) for k in (1.0, 4.0, 16.0)]
     sols = []
-    for start in [
-        (lam.real, lam.imag, eps),
-        (lam.real, lam.imag, 4.0 * eps),
-        (lam.real, lam.imag, 16.0 * eps),
-    ]:
-        u = _solve_flow(mu, t, target, start, tol)
-        if u is None or not _admissible(mu, t, u):
-            continue
+    for u in _flow_solutions(mu, t, target, starts, tol):
         if not any(np.max(np.abs(u - s)) <= 1e-6 * (1.0 + np.max(np.abs(u))) for s in sols):
             sols.append(u)
     if not sols:

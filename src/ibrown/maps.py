@@ -23,8 +23,6 @@ from .subordination import a_t, at_with_slope, v_t
 
 #: cuts of each region interval along Re, giving the rectangles of pushforward_check
 N_RECT = 4
-#: absolute tolerance of each rectangle mass integral in pushforward_check
-RECT_ATOL = 1e-9
 
 
 def u_t(mu: MeasureSpec, t: float, lam0: complex) -> complex:
@@ -35,8 +33,7 @@ def u_t(mu: MeasureSpec, t: float, lam0: complex) -> complex:
     v = v_t(mu, t, a0)
     if abs(b0) > v + tol:
         raise OutsideLambdaError(f"{lam0} is outside the closed source region")
-    at = at_with_slope(mu, t, a0)[0] if v > 0.0 else a_t(mu, t, a0)
-    return complex(at, 2.0 * b0)
+    return complex(a_t(mu, t, a0, v_hint=v), 2.0 * b0)
 
 
 def u_t_inverse(mu: MeasureSpec, t: float, lam: complex) -> complex:
@@ -214,10 +211,10 @@ def _source_rect_mass(mu, t, lam_iv, a0_lo, a0_hi, b_lo, b_hi, kinks):
             seg = min(b_hi, v) - max(b_lo, -v)
             if seg > 0.0:
                 out[i] = (1.0 / (math.pi * t)) * (1.0 - 0.5 * slope) * seg
-        return out[None, :]
+        return out
 
     breaks = sorted(set(_edge_ladder(l, r, lam_iv)) | {k for k in kinks if l < k < r})
-    return float(integrate_adaptive(f, breaks, RECT_ATOL, 1e-9, max_depth=26)[0])
+    return integrate_adaptive(f, breaks)
 
 
 def _target_rect_mass(mu, t, omega_iv, lam_iv, a_lo, a_hi, b_lo, b_hi, kinks):
@@ -238,10 +235,10 @@ def _target_rect_mass(mu, t, omega_iv, lam_iv, a_lo, a_hi, b_lo, b_hi, kinks):
             seg = min(b_hi, bt) - max(b_lo, -bt)
             if seg > 0.0:
                 out[i] = (1.0 / (2.0 * math.pi * t)) * (1.0 / slope - 0.5) * seg
-        return out[None, :]
+        return out
 
     breaks = sorted(set(_edge_ladder(al, ar, omega_iv)) | {k for k in kinks if al < k < ar})
-    return float(integrate_adaptive(f, breaks, RECT_ATOL, 1e-9, max_depth=26)[0])
+    return integrate_adaptive(f, breaks)
 
 
 def pushforward_check(mu: MeasureSpec, t: float) -> PushforwardReport:

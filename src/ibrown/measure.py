@@ -22,8 +22,10 @@ the Cauchy transform G and its derivative G' at ``z = a0 + iv``:
 ``p0 = -Im G/v``, ``c1 = Re G``, ``p1 = a0 p0 - c1``, ``q1 = Im G'/(2v)``,
 ``q2 = (p0 - Re G')/2`` and ``q0 = (p0 + Re G')/(2v^2)``. The last one cancels
 like ``v^2`` where ``p0(a0, 0)`` is finite; there ``q0`` alone comes from a
-rearranged closed form (semicircle), a term-by-term sum (the piece that holds
-a0) or adaptive quadrature (other pieces). Atomic laws sum over their atoms.
+rearranged closed form (semicircle) and, piece by piece, from a series in the
+piece's moments (far from z), a term-by-term sum (a0 on the piece or within
+4v of it) or a series in ``v^2`` (otherwise). Atomic laws sum over their
+atoms. No kernel uses quadrature.
 """
 
 from __future__ import annotations
@@ -49,8 +51,6 @@ from .errors import (
 )
 from .numerics import (
     bracket_newton,
-    integrate_adaptive,
-    ladder_points,
     poly_definite,
     poly_eval,
     poly_shift,
@@ -61,9 +61,6 @@ _KERNEL_KEYS = ("p0", "p1", "pa", "c1", "q0", "q1", "q2", "log")
 #: q0 leaves (p0 + Re G')/(2v^2) for _q0_cancelled once that sum falls below
 #: this share of p0, i.e. once more than four digits would cancel
 _Q0_CANCEL = 1e-4
-#: fixed tolerances of the q0 quadrature on polynomial pieces
-_Q0_ATOL = 1e-12
-_Q0_RTOL = 1e-10
 #: a polynomial piece whose center is more than _FAR half-widths from z is
 #: summed as its multipole series, where the closed form would cancel like
 #: |z - center|^(degree + 1); with ratio below 1/_FAR, _MULTIPOLE_TERMS terms
@@ -179,8 +176,11 @@ def _validate_pieces(pieces, label) -> MeasureSpec:
             raise MeasureFormatError(f"bad piece bounds [{lo}, {hi}]")
         if not coeffs:
             raise MeasureFormatError("piece without coefficients")
-        xs = np.linspace(lo, hi, 513)
-        vals = poly_eval(coeffs, xs)
+        # the minimum is at an end or at a critical point inside; real parts,
+        # as rounding can split a multiple root of the derivative off the axis
+        poly = np.polynomial.polynomial
+        crit = [z.real for z in poly.polyroots(poly.polyder(coeffs)) if lo < z.real < hi]
+        vals = poly_eval(coeffs, np.array([lo, hi, *crit]))
         scale = max(1.0, float(np.max(np.abs(vals))))
         if float(np.min(vals)) < -1e-12 * scale:
             raise NegativeMassError(f"density negative on [{lo}, {hi}]")
@@ -449,8 +449,9 @@ def _shift_exact(coeffs, a0: float) -> list[float]:
     return [float(sum(_shift_terms(coeffs, a0, j))) for j in range(len(coeffs))]
 
 
-def _piece_q0_inside(b, u0: float, u1: float, v: float) -> float:
-    """sum_j b_j I_j with I_j = int_{u0}^{u1} u^j / (u^2 + v^2)^2 du, u0 <= 0 <= u1.
+def _piece_q0_near(b, u0: float, u1: float, v: float) -> float:
+    """sum_j b_j I_j with I_j = int_{u0}^{u1} u^j / (u^2 + v^2)^2 du, for a
+    piece that holds a0 or lies within 4v of it.
 
     With J_m = int u^m / (u^2 + v^2) du: J_0 = (atan(u1/v) - atan(u0/v))/v,
     J_1 = log((u1^2 + v^2)/(u0^2 + v^2))/2, J_m = [u^(m-1)]/(m-1) - v^2 J_(m-2);
@@ -469,6 +470,47 @@ def _piece_q0_inside(b, u0: float, u1: float, v: float) -> float:
     return sum(bj * ij for bj, ij in zip(b, im))
 
 
+def _piece_q0_series(coeffs, lo: float, hi: float, a0: float, v2: float) -> float:
+    """q0 of a piece at distance d >= 4v from a0: the series
+    sum_m (-1)^m (m+1) v^(2m) M_(2m+4) in the inverse moments
+    M_n = int rho(x) (x - a0)^(-n) dx. Term m is below (m+1) 16^-m of the first.
+
+    With x - a0 = s d w, s = +-1, the piece is w in [1, W], W = 1 + (hi - lo)/d,
+    and M_n = d^(1-n) sum_j b_j (s d)^j int_1^W w^(j-n) dw, b = poly_shift(coeffs,
+    a0); each integral is a log or expm1((k+1) log1p(W - 1))/(k+1), so nothing
+    overflows and a narrow piece keeps its digits.
+    """
+    s, d = (1.0, lo - a0) if a0 < lo else (-1.0, a0 - hi)
+    lw = math.log1p((hi - lo) / d)
+    c = [bj * (s * d) ** j for j, bj in enumerate(poly_shift(coeffs, a0))]
+    r = v2 / (d * d)
+    total, m, weight = 0.0, 0, 1.0  # weight = (-1)^m (m+1) r^m
+    while abs(weight) >= 1e-17:
+        for j, cj in enumerate(c):
+            k = j - 2 * m - 4
+            total += weight * cj * (lw if k == -1 else math.expm1((k + 1) * lw) / (k + 1))
+        m += 1
+        weight *= -r * (m + 1) / m
+    return total / d**3
+
+
+def _piece_q0_multipole(pole, a0: float, v2: float, n: int) -> float:
+    """q0 of a piece far from z = a0 + iv (n = _multipole_terms > 0): sum_k
+    F_k m_k over its moments about the center c, where F_k are the Taylor
+    coefficients of P(y)^-2, P(y) = (y + c - a0)^2 + v^2. From P F' = -2 P' F,
+    (k+1) P(0) F_(k+1) = -(k+2) P'(0) F_k - (k+3) F_(k-1). Term 0 is the
+    leading one, so nothing cancels."""
+    center, _, moments = pole
+    delta = center - a0
+    p_0, p_1 = delta * delta + v2, 2.0 * delta
+    f_prev, f = 0.0, 1.0 / (p_0 * p_0)
+    total = f * moments[0]
+    for k in range(n - 1):
+        f_prev, f = f, (-(k + 2) * p_1 * f - (k + 3) * f_prev) / ((k + 1) * p_0)
+        total += f * moments[k + 1]
+    return total
+
+
 def _q0_cancelled(mu: MeasureSpec, a0: float, v2: float) -> float:
     """q0 of a semicircle or piecewise law where p0 + Re G' cancels.
 
@@ -476,9 +518,10 @@ def _q0_cancelled(mu: MeasureSpec, a0: float, v2: float) -> float:
     difference of G twice gives
     q0 = (a0 (4s + 2v^2 - Im(R)^2) - v Re(R) Im(R)) / (4s Re(R)^3 |R|^2),
     exact off the imaginary axis and free of cancellation where p0(a0, 0) is
-    finite. A polynomial piece that holds a0 is summed term by term in powers
-    of x - a0 (_piece_q0_inside); the others are integrated by adaptive
-    quadrature.
+    finite. A polynomial piece is summed as a series in its moments where
+    z = a0 + iv is far from it (_piece_q0_multipole), term by term in powers
+    of x - a0 where a0 lies on it or within 4v of it (_piece_q0_near), and
+    as a series in v^2 otherwise (_piece_q0_series).
     """
     v = math.sqrt(v2)
     if mu.kind == "semicircle":
@@ -487,17 +530,14 @@ def _q0_cancelled(mu: MeasureSpec, a0: float, v2: float) -> float:
         num = a0 * (4.0 * s + 2.0 * v2 - root.imag**2) - v * root.real * root.imag
         return num / (4.0 * s * root.real**3 * abs(root) ** 2)
     total = 0.0
-    for lo, hi, coeffs in mu.pieces:
-        if lo <= a0 <= hi:
-            total += _piece_q0_inside(_shift_exact(coeffs, a0), lo - a0, hi - a0, v)
-            continue
-
-        def f(x, _c=coeffs):
-            d = (a0 - x) ** 2 + v2
-            return poly_eval(_c, x) / (d * d)
-
-        breaks = ladder_points(lo, hi, a0, v)
-        total += float(integrate_adaptive(f, breaks, _Q0_ATOL, _Q0_RTOL)[0])
+    for (lo, hi, coeffs), pole in zip(mu.pieces, mu.piece_multipoles):
+        n = _multipole_terms(pole, complex(a0, v))
+        if n:
+            total += _piece_q0_multipole(pole, a0, v2, n)
+        elif lo - 4.0 * v < a0 < hi + 4.0 * v:
+            total += _piece_q0_near(_shift_exact(coeffs, a0), lo - a0, hi - a0, v)
+        else:
+            total += _piece_q0_series(coeffs, lo, hi, a0, v2)
     return total
 
 

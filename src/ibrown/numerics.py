@@ -1,10 +1,9 @@
 """Shared numerical kernels: adaptive Gauss-Legendre panels, bracketed root
 solves and damped Newton.
 
-The integrator is vectorized over integrand components: ``f(x)`` receives a
-node array of shape ``(m,)`` and returns ``(k, m)`` values, so a family of
-transforms sharing the same near-singular scale is resolved in one adaptive
-pass.
+The integrator takes a scalar integrand evaluated on a node array and runs
+to fixed tolerances. Its callers are the rectangle masses of the pushforward
+check, as no kernel integral of a law needs quadrature.
 """
 
 from __future__ import annotations
@@ -26,61 +25,40 @@ _NODES = np.concatenate((_gl_lo[0], _gl_hi[0]))
 _W_LO = _gl_lo[1]
 _W_HI = _gl_hi[1]
 
-#: recursion depth cap; a kernel of width 1e-14 under a unit panel needs ~47 levels
-MAX_DEPTH = 52
+#: absolute and relative tolerance and bisection depth cap of integrate_adaptive
+QUAD_ATOL = 1e-9
+QUAD_RTOL = 1e-9
+QUAD_MAX_DEPTH = 26
 
 
-def _panel_estimates(f, lo: float, hi: float):
+def _panel_estimates(f, lo: float, hi: float) -> tuple[float, float]:
     """Low- and high-order Gauss-Legendre estimates on one panel, one call to f."""
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     y = f(mid + half * _NODES)
-    if y.ndim == 1:
-        y = y[None, :]
-    i_lo = half * (y[:, :_GL_LO_N] @ _W_LO)
-    i_hi = half * (y[:, _GL_LO_N:] @ _W_HI)
-    return i_hi, np.abs(i_hi - i_lo)
+    i_lo = half * float(y[:_GL_LO_N] @ _W_LO)
+    i_hi = half * float(y[_GL_LO_N:] @ _W_HI)
+    return i_hi, abs(i_hi - i_lo)
 
 
 def integrate_adaptive(
-    f: Callable[[np.ndarray], np.ndarray],
-    breakpoints: Sequence[float],
-    atol: float = 1e-12,
-    rtol: float = 1e-10,
-    max_depth: int = MAX_DEPTH,
-) -> np.ndarray:
-    """Integrate a vector integrand over [breakpoints[0], breakpoints[-1]].
+    f: Callable[[np.ndarray], np.ndarray], breakpoints: Sequence[float]
+) -> float:
+    """Integrate f, which maps a node array to its values there, over
+    [breakpoints[0], breakpoints[-1]].
 
-    Panels are bisected recursively until every component of the embedded
-    error estimate meets its share of ``atol + rtol*|I|``; pre-split at known
-    difficult points via `breakpoints`.
-
-    Parameters
-    ----------
-    f : callable
-        Maps a node array (m,) to values (k, m) or (m,).
-    breakpoints : sequence of float
-        Ascending initial panel edges.
-
-    Returns
-    -------
-    (k,) array of component integrals.
+    Panels start at the ascending `breakpoints`, the known difficult points,
+    and are bisected, at most QUAD_MAX_DEPTH times, until the embedded error
+    estimate meets its share of ``QUAD_ATOL + QUAD_RTOL*|I|``.
     """
     pts = [float(b) for b in breakpoints]
     panels = [(lo, hi) for lo, hi in zip(pts[:-1], pts[1:]) if hi > lo]
     if not panels:
         raise ValueError("empty integration range")
+    first = [(lo, hi, *_panel_estimates(f, lo, hi)) for lo, hi in panels]
+    tol_global = QUAD_ATOL + QUAD_RTOL * abs(sum(val for _, _, val, _ in first))
 
-    rough = None
-    first = []
-    for lo, hi in panels:
-        val, err = _panel_estimates(f, lo, hi)
-        first.append((lo, hi, val, err))
-        rough = val.copy() if rough is None else rough + val
-    tol_global = atol + rtol * np.abs(rough)
-    k = rough.shape[0]
-
-    total = np.zeros(k)
+    total = 0.0
     # each initial panel gets an equal tolerance share, halved on every split;
     # the rounding floor keeps noise-dominated panels from splitting forever
     budget = 4000
@@ -88,13 +66,12 @@ def integrate_adaptive(
     while stack:
         lo, hi, tol, depth, val, err = stack.pop()
         mid = 0.5 * (lo + hi)
-        floor = tol + 5e-16 * np.abs(val) + 1e-300
         if (
-            depth >= max_depth
+            depth >= QUAD_MAX_DEPTH
             or budget <= 0
             or mid <= lo
             or mid >= hi
-            or float((err - floor).max()) <= 0.0
+            or err <= tol + 5e-16 * abs(val) + 1e-300
         ):
             total += val
             continue
@@ -103,30 +80,6 @@ def integrate_adaptive(
             v, e = _panel_estimates(f, a, b)
             stack.append((a, b, tol * 0.5, depth + 1, v, e))
     return total
-
-
-def ladder_points(lo: float, hi: float, center: float, scale: float) -> list[float]:
-    """Geometric pre-split ladder around a near-singular center.
-
-    Returns ascending breakpoints of [lo, hi] with panel edges at
-    ``center ± scale * 4**k`` so that each panel sees the kernel vary by a
-    bounded factor.
-    """
-    if hi <= lo:
-        return [lo, hi]
-    pts = {lo, hi}
-    w = max(scale, (hi - lo) * 1e-15, 1e-300)
-    if lo < center < hi:
-        pts.add(center)
-    r = w
-    for _ in range(60):
-        for p in (center - r, center + r):
-            if lo < p < hi:
-                pts.add(p)
-        if center - r < lo and center + r > hi:
-            break
-        r *= 4.0
-    return sorted(pts)
 
 
 def bracket_newton(

@@ -275,7 +275,9 @@ def _q0_cancel_ratio(mu, a0, v):
     return (p0v + gp.real) / p0v
 
 
-@pytest.mark.parametrize("name", ["semicircle", "double_zero"])
+@pytest.mark.parametrize(
+    "name", ["semicircle", "double_zero", "uniform", "two_piece", "narrow_cubic"]
+)
 def test_q0_switch_over(name, monkeypatch):
     # off the support, p0 + Re G' cancels like v^2: find where it is
     # 1e-4 * p0 and check both sides of the switch against the oracle
@@ -297,6 +299,18 @@ def test_q0_switch_over(name, monkeypatch):
         assert bool(calls) == switched
         ref, _, _, _ = oracle_bundle(mu, a0, v)
         assert rel_err(got, ref["q0"]) <= TOL
+    # the cancelled q0 with a0 off each piece, at distance d from it: v/d from
+    # 1e-12 to 0.25 (the series in v^2 or in the moments), and on to 4 (the
+    # term-by-term sum within 4v of the piece)
+    for lo, hi, _ in mu.pieces:
+        w = hi - lo
+        left = [(lo - d, d) for d in (1e-9, 1e-6, 0.05 * w, 2 * w, 15 * w)]
+        right = [(hi + d, d) for d in (1e-7, 1e-3, w, 20 * w)]
+        for a0, d in left + right:
+            for ratio in (1e-12, 1e-8, 1e-4, 1e-2, 0.1, 0.25, 0.5, 1.0, 4.0):
+                v = ratio * d
+                ref, _, _, _ = oracle_bundle(mu, a0, v)
+                assert rel_err(cancelled(mu, a0, v * v), ref["q0"]) <= 1e-12, (lo, a0, ratio)
 
 
 def test_momenta_at_tiny_regularization_on_a_piece_law():

@@ -160,9 +160,11 @@ def test_law_additive_symmetric(un):
     assert abs(law.u[0] + law.u[-1]) < 1e-10
 
 
-def test_pushforward_rectangles(sc, be23):
+def test_pushforward_rectangles(sc, be23, quad):
     rep = P.pushforward_check(sc, 1.0)
     assert rep.max_discrepancy < 1e-6
+    # 3x^2 vanishes to second order at an end of its support
+    assert P.pushforward_check(quad, 0.3).max_discrepancy <= 1e-9
     rep = P.pushforward_check(be23, 1.05)
     assert rep.max_discrepancy < 1e-5
     # the full-region rectangle carries mass 1 on both sides

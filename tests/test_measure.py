@@ -55,6 +55,14 @@ def test_negative_and_empty_rejected():
         M.atomic([(-1.0, 0.0), (1.0, 0.0)])
     with pytest.raises(NegativeMassError):
         M.piecewise_poly([(0.0, 1.0, (-0.5, 2.0))])
+    # negative only on (0.50039, 0.50059), between any two of 513 equispaced samples
+    c = 0.50049
+    coeffs = [c * c - 1e-8, -2.0 * c, 1.0]
+    with pytest.raises(NegativeMassError):
+        M.piecewise_poly([(0.0, 1.0, coeffs)])
+    piece = {"lo": 0.0, "hi": 1.0, "coeffs": coeffs}
+    with pytest.raises(NegativeMassError):
+        M.from_json(json.dumps({"type": "piecewise_poly", "pieces": [piece]}))
 
 
 def test_json_schema_strict():
