@@ -26,7 +26,6 @@ from .subordination import (
     at_with_slope,
     j_t_inverse,
     lambda_region,
-    v_t,
 )
 
 
@@ -151,40 +150,42 @@ def _a0_solve(mu, t, a, lam_iv, omega_iv, state):
 # pointwise operations
 
 
-def a0_of_a(mu: MeasureSpec, t: float, a: float) -> float:
-    """Unique source abscissa with v_t > 0 and a_t(a0) = a, by a bracketed
-    Newton solve on the matching source interval (a_t is strictly increasing)."""
+def _invert(mu, t, a):
+    """(a0, slope, v) at the source abscissa with a_t(a0) = a: the matching
+    interval's end (slope nan, v = 0) within 1e-12 (1 + |a|) of its image,
+    else one bracketed Newton solve inside it (a_t is strictly increasing)."""
     omega, region = _intervals(mu, t)
     tol = 1e-12 * (1.0 + abs(a))
     for (al, ar), (l, r) in zip(omega, region.intervals):
         if a < al - tol or a > ar + tol:
             continue
         if a <= al + tol:
-            return l
+            return l, math.nan, 0.0
         if a >= ar - tol:
-            return r
-        return _a0_solve(mu, t, a, (l, r), (al, ar), {})[0]
+            return r, math.nan, 0.0
+        return _a0_solve(mu, t, a, (l, r), (al, ar), {})
     raise OutsideOmegaError(f"{a} is outside the region's real section")
+
+
+def a0_of_a(mu: MeasureSpec, t: float, a: float) -> float:
+    """Unique source abscissa with v_t > 0 and a_t(a0) = a."""
+    return _invert(mu, t, a)[0]
 
 
 def b_t(mu: MeasureSpec, t: float, a: float) -> float:
     """Height of the region over a; 0 when a + i0 is not in the closed region."""
     try:
-        a0 = a0_of_a(mu, t, a)
+        return 2.0 * _invert(mu, t, a)[2]
     except OutsideOmegaError:
         return 0.0
-    return 2.0 * v_t(mu, t, a0)
 
 
 def w_t(mu: MeasureSpec, t: float, a: float) -> float:
     """Density at a + ib for any |b| < b_t(a); requires a strictly inside."""
-    omega, region = _intervals(mu, t)
-    tol = 1e-12 * (1.0 + abs(a))
-    for (al, ar), lam_iv in zip(omega, region.intervals):
-        if al + tol < a < ar - tol:
-            slope = _a0_solve(mu, t, a, lam_iv, (al, ar), {})[1]
-            return (1.0 / (2.0 * math.pi * t)) * (1.0 / slope - 0.5)
-    raise OutsideOmegaError(f"{a} is not strictly inside the region's real section")
+    slope = _invert(mu, t, a)[1]
+    if math.isnan(slope):
+        raise OutsideOmegaError(f"{a} is not strictly inside the region's real section")
+    return (1.0 / (2.0 * math.pi * t)) * (1.0 / slope - 0.5)
 
 
 def classify(mu: MeasureSpec, t: float, lam: complex) -> RegionVerdict:
@@ -268,24 +269,26 @@ def lambda_sweep(mu: MeasureSpec, t: float, interval: tuple[float, float], n: in
 
 
 def profile(mu: MeasureSpec, t: float, n_grid: int = 1024) -> BrownProfile:
-    """Assemble the sampled region: per interval, the n_grid interior nodes of
-    a source sweep give the grid a_t(a0), the source abscissas a0, the
-    heights 2 v_t and the densities; a MASS_NODES sweep gives the mass."""
+    """Assemble the sampled region from one source sweep per interval, at
+    k (n_grid + 1) Chebyshev angles with k the least factor that gives the
+    mass at least MASS_NODES of them: every k-th interior node gives a row,
+    the grid a_t(a0), the source abscissa a0, the height 2 v_t and the
+    density, at the angles j pi/(n_grid + 1); the sweep's cdf gives the mass."""
     if n_grid < 16:
         raise ValueError("n_grid must be at least 16")
     if t <= 0.0:
         raise ValueError("t must be positive")
     omega, region = _intervals(mu, t)
-    sweeps = [lambda_sweep(mu, t, lam_iv, n_grid + 1) for lam_iv in region.intervals]
+    k = -(-MASS_NODES // (n_grid + 1))
+    sweeps = [lambda_sweep(mu, t, lam_iv, k * (n_grid + 1)) for lam_iv in region.intervals]
     grid, a0, v, slope = (
-        np.concatenate([sw[key][1:-1] for sw in sweeps]) for key in ("at", "a0", "v", "slope")
+        np.concatenate([sw[key][k:-1:k] for sw in sweeps]) for key in ("at", "a0", "v", "slope")
     )
     halfheight = 2.0 * v
     density = (1.0 / (2.0 * math.pi * t)) * (1.0 / slope - 0.5)
     for arr in (grid, a0, halfheight, density):
         arr.setflags(write=False)
     flags = ("near_boundary",) + ("ok",) * (n_grid - 2) + ("near_boundary",)
-    mass = sum(float(lambda_sweep(mu, t, lam_iv)["cdf"][-1]) for lam_iv in region.intervals)
     return BrownProfile(
         t=t,
         grid=grid,
@@ -296,5 +299,5 @@ def profile(mu: MeasureSpec, t: float, n_grid: int = 1024) -> BrownProfile:
         omega_intervals=omega,
         lambda_intervals=region.intervals,
         block_edges=tuple(range(0, n_grid * len(sweeps) + 1, n_grid)),
-        mass=mass,
+        mass=sum(float(sw["cdf"][-1]) for sw in sweeps),
     )

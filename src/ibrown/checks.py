@@ -46,12 +46,9 @@ def check_subordination(mu, t) -> list[CheckResult]:
     j_identity = 0.0
     h_real = 0.0
     prev_at = -math.inf
-    for lo, hi in region.intervals:
-        xs = np.linspace(lo, hi, 41)[1:-1]
-        v_hint = None
-        for a0 in xs:
-            at, slope, v = subordination.at_with_slope(mu, t, a0, v_hint=v_hint)
-            v_hint = v
+    for lam_iv in region.intervals:
+        sw = brown.lambda_sweep(mu, t, lam_iv, 40)
+        for a0, v, at, slope in zip(*(sw[key][1:-1] for key in ("a0", "v", "at", "slope"))):
             vmax_violation = max(vmax_violation, v - root_t)
             monotone_violation = max(monotone_violation, prev_at - at)
             prev_at = at
@@ -136,11 +133,10 @@ def check_pushforward(mu, t) -> list[CheckResult]:
     ]
     # boundary agreement of the vertical-affine map with the holomorphic map
     worst = 0.0
-    for lo, hi in prof.lambda_intervals:
-        for a0 in np.linspace(lo, hi, 17)[1:-1]:
-            v = subordination.v_t(mu, t, a0)
-            lam0 = complex(a0, v)
-            worst = max(worst, abs(maps.u_t(mu, t, lam0) - subordination.j_t(mu, t, lam0)))
+    for lam_iv in prof.lambda_intervals:
+        sw = brown.lambda_sweep(mu, t, lam_iv, 16)
+        for a0, v, at in zip(sw["a0"][1:-1], sw["v"][1:-1], sw["at"][1:-1]):
+            worst = max(worst, abs(complex(at, 2.0 * v) - subordination.j_t(mu, t, complex(a0, v))))
     rows.append(CheckResult("pushforward", "boundary agreement", worst, 1e-9))
     law = maps.law_additive(mu, t)
     rows.append(CheckResult("pushforward", "additive law mass", abs(law.cdf[-1] - 1.0), 1e-6))

@@ -119,12 +119,11 @@ def cmd_pushforward(ns) -> int:
     # boundary correspondence samples of the vertical-affine map vs the holomorphic map
     urows = ["a0,v_t,u_re,u_im,j_re,j_im,abs_diff"]
     worst = 0.0
-    for lo, hi in region.intervals:
-        for a0 in np.linspace(lo, hi, 33)[1:-1]:
-            v = subordination.v_t(mu, ns.t, a0)
-            lam0 = complex(a0, v)
-            u = maps.u_t(mu, ns.t, lam0)
-            jv = subordination.j_t(mu, ns.t, lam0)
+    for lam_iv in region.intervals:
+        sw = brown.lambda_sweep(mu, ns.t, lam_iv, 32)
+        for a0, v, at in zip(sw["a0"][1:-1], sw["v"][1:-1], sw["at"][1:-1]):
+            u = complex(at, 2.0 * v)
+            jv = subordination.j_t(mu, ns.t, complex(a0, v))
             worst = max(worst, abs(u - jv))
             urows.append(
                 "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g"
@@ -221,30 +220,38 @@ def cmd_verify(ns) -> int:
     return 0 if all(r.passed for r in rows) else 1
 
 
+#: every option a subcommand can take; each takes --measure, --preset and
+#: --t, and of the rest only those listed for it in _COMMANDS
+_OPTIONS = {
+    "measure": {"help": "path to a measure JSON file"},
+    "preset": {"help": "semicircle[:s] | uniform[:lo,hi] | bernoulli[:alpha]"},
+    "t": {"type": float, "required": True, "help": "time parameter (> 0)"},
+    "grid": {"type": int, "default": 1024, "help": "grid points per interval"},
+    "out": {"default": ".", "help": "output directory"},
+    "svg": {"action": "store_true", "help": "also write figure.svg"},
+    "seed": {"type": int, "default": 0},
+    "n": {"type": int, "default": 500, "help": "matrix size"},
+    "reps": {"type": int, "default": 1, "help": "repetitions"},
+    "dilation": {"type": float, "default": 0.05, "help": "boundary slack"},
+}
+
+_COMMANDS = (
+    ("compute", cmd_compute, ("grid", "out", "svg")),
+    ("pushforward", cmd_pushforward, ("grid", "out")),
+    ("simulate", cmd_simulate, ("grid", "out", "svg", "seed", "n", "reps", "dilation")),
+    ("jn", cmd_jn, ("grid", "out")),
+    ("characteristics", cmd_characteristics, ("out", "seed")),
+    ("verify", cmd_verify, ()),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="ibrown", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--measure", help="path to a measure JSON file")
-    common.add_argument("--preset", help="semicircle[:s] | uniform[:lo,hi] | bernoulli[:alpha]")
-    common.add_argument("--t", type=float, required=True, help="time parameter (> 0)")
-    common.add_argument("--grid", type=int, default=1024, help="grid points per interval")
-    common.add_argument("--out", default=".", help="output directory")
-    common.add_argument("--svg", action="store_true", help="also write figure.svg")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--n", type=int, default=500, help="matrix size (simulate)")
-    common.add_argument("--reps", type=int, default=1, help="repetitions (simulate)")
-    common.add_argument("--dilation", type=float, default=0.05, help="boundary slack (simulate)")
-
-    for name, fn in (
-        ("compute", cmd_compute),
-        ("pushforward", cmd_pushforward),
-        ("simulate", cmd_simulate),
-        ("jn", cmd_jn),
-        ("characteristics", cmd_characteristics),
-        ("verify", cmd_verify),
-    ):
-        p = sub.add_parser(name, parents=[common])
+    for name, fn, options in _COMMANDS:
+        p = sub.add_parser(name)
+        for opt in ("measure", "preset", "t") + options:
+            p.add_argument("--" + opt, **_OPTIONS[opt])
         p.set_defaults(func=fn)
     return ap
 

@@ -20,7 +20,7 @@ from .errors import NUMERIC_FAILURES, DegenerateJacobianError, NoConvergenceErro
 from .measure import MeasureSpec, cauchy, cauchy_prime
 from .numerics import damped_newton
 from .subordination import lambda_region, v_t
-from .brown import a0_of_a
+from .brown import _invert
 
 
 def _fixed_point_jacobian_solve(t: float, gp: complex, rhs: complex) -> complex | None:
@@ -59,6 +59,24 @@ def _fixed_point_newton(mu, t, a, g0, tol):
     return damped_newton(residual, step, complex(g0), tol, max_iter=80, halvings=45)
 
 
+def _starts(mu, t, a):
+    """Newton starts for solve_g, built as they are needed: the subordination
+    pipeline's value, then a coarse scan over source abscissas."""
+    try:
+        a0, _, v = _invert(mu, t, a)
+    except NUMERIC_FAILURES:
+        pass
+    else:
+        yield complex((a0 - a) / t, max(v, 1e-8) / t)
+    for lo, hi in lambda_region(mu, t).intervals:
+        for s in (0.25, 0.5, 0.75):
+            a0c = lo + (hi - lo) * s
+            vc = v_t(mu, t, a0c)
+            if vc > 0.0:
+                yield complex((a0c - a) / t, vc / t)
+    yield complex(0.0, 0.5 * math.sqrt(t) / t)
+
+
 def solve_g(mu: MeasureSpec, t: float, a: float, guess: complex | None = None) -> complex:
     """Complex solution of g = G(a + t*conj(g)) with Im g > 0.
 
@@ -67,26 +85,7 @@ def solve_g(mu: MeasureSpec, t: float, a: float, guess: complex | None = None) -
     the real line, which signals a point outside the support of the planar law.
     """
     tol = 1e-12 * (1.0 + abs(a))
-    starts = []
-    if guess is not None:
-        starts.append(complex(guess))
-    else:
-        try:
-            a0g = a0_of_a(mu, t, a)
-            vg = v_t(mu, t, a0g)
-            starts.append(complex((a0g - a) / t, max(vg, 1e-8) / t))
-        except NUMERIC_FAILURES:
-            pass
-        # coarse scan over candidate source abscissas
-        region = lambda_region(mu, t)
-        for lo, hi in region.intervals:
-            for s in (0.25, 0.5, 0.75):
-                a0c = lo + (hi - lo) * s
-                vc = v_t(mu, t, a0c)
-                if vc > 0.0:
-                    starts.append(complex((a0c - a) / t, vc / t))
-        starts.append(complex(0.0, 0.5 * math.sqrt(t) / t))
-    for g0 in starts:
+    for g0 in _starts(mu, t, a) if guess is None else (complex(guess),):
         if g0.imag <= 0.0:
             g0 = complex(g0.real, abs(g0.imag) + 1e-8)
         g = _fixed_point_newton(mu, t, a, g0, tol)

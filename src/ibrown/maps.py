@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from io import StringIO
 
 import numpy as np
@@ -57,11 +58,13 @@ def circular_density(mu: MeasureSpec, t: float, lam0: complex) -> float:
     (1/(pi t)) (1 - (da_t/da0)/2), constant in Im."""
     lam0 = complex(lam0)
     a0, b0 = lam0.real, lam0.imag
-    v = v_t(mu, t, a0)
+    try:
+        _, slope, v = at_with_slope(mu, t, a0)
+    except OutsideLambdaError:
+        v = 0.0
     tol = 1e-9 * (1.0 + abs(lam0))
     if v <= 0.0 or abs(b0) >= v - tol:
         raise OutsideLambdaError(f"{lam0} is not strictly inside the source region")
-    slope = at_with_slope(mu, t, a0)[1]
     return (1.0 / (math.pi * t)) * (1.0 - 0.5 * slope)
 
 
@@ -193,52 +196,42 @@ def _v_crossings(mu, t, sweep, levels):
     return hits
 
 
-def _source_rect_mass(mu, t, lam_iv, a0_lo, a0_hi, b_lo, b_hi, kinks):
-    """Mass of rho_t over {a0 in [a0_lo, a0_hi]} x {b0 in [b_lo, b_hi]}."""
-    l, r = max(lam_iv[0], a0_lo), min(lam_iv[1], a0_hi)
-    if r <= l:
-        return 0.0
-    state = {"v": None}
-
-    def f(a0s):
-        out = np.zeros_like(a0s)
-        for i, a0 in enumerate(a0s):
-            try:
-                _, slope, v = at_with_slope(mu, t, a0, v_hint=state["v"])
-            except OutsideLambdaError:
-                continue  # height 0 at the interval edge
-            state["v"] = v
-            seg = min(b_hi, v) - max(b_lo, -v)
-            if seg > 0.0:
-                out[i] = (1.0 / (math.pi * t)) * (1.0 - 0.5 * slope) * seg
-        return out
-
-    breaks = sorted(set(_edge_ladder(l, r, lam_iv)) | {k for k in kinks if l < k < r})
-    return integrate_adaptive(f, breaks)
-
-
-def _target_rect_mass(mu, t, omega_iv, lam_iv, a_lo, a_hi, b_lo, b_hi, kinks):
-    """Mass of the planar law over [a_lo, a_hi] x [b_lo, b_hi], via inversion."""
-    al, ar = max(omega_iv[0], a_lo), min(omega_iv[1], a_hi)
-    if ar <= al:
+def _rect_mass(point, interval, x_lo, x_hi, b_lo, b_hi, kinks):
+    """Mass over {x in [x_lo, x_hi] within interval} x {b in [b_lo, b_hi]} of a
+    density constant on vertical segments: point(x, state) gives (density,
+    half-height) at x, and keeps in state what seeds its next call."""
+    lo, hi = max(interval[0], x_lo), min(interval[1], x_hi)
+    if hi <= lo:
         return 0.0
     state: dict = {}
 
-    def f(avals):
-        out = np.zeros_like(avals)
-        for i, a in enumerate(avals):
+    def f(xs):
+        out = np.zeros_like(xs)
+        for i, x in enumerate(xs):
             try:
-                _, slope, v = _a0_solve(mu, t, a, lam_iv, omega_iv, state)
+                density, height = point(x, state)
             except OutsideLambdaError:
-                continue
-            bt = 2.0 * v
-            seg = min(b_hi, bt) - max(b_lo, -bt)
+                continue  # height 0 at the interval edge
+            seg = min(b_hi, height) - max(b_lo, -height)
             if seg > 0.0:
-                out[i] = (1.0 / (2.0 * math.pi * t)) * (1.0 / slope - 0.5) * seg
+                out[i] = density * seg
         return out
 
-    breaks = sorted(set(_edge_ladder(al, ar, omega_iv)) | {k for k in kinks if al < k < ar})
+    breaks = sorted(set(_edge_ladder(lo, hi, interval)) | {k for k in kinks if lo < k < hi})
     return integrate_adaptive(f, breaks)
+
+
+def _forward(mu, t, a0, state):
+    """(rho_t, v_t) at a0 on the source side, v_t hinted by the call before."""
+    _, slope, v = at_with_slope(mu, t, a0, v_hint=state.get("v"))
+    state["v"] = v
+    return (1.0 / (math.pi * t)) * (1.0 - 0.5 * slope), v
+
+
+def _inverse(mu, t, lam_iv, omega_iv, a, state):
+    """(w_t, b_t) at a on the target side, a0(a) seeded by the call before."""
+    _, slope, v = _a0_solve(mu, t, a, lam_iv, omega_iv, state)
+    return (1.0 / (2.0 * math.pi * t)) * (1.0 / slope - 0.5), 2.0 * v
 
 
 def pushforward_check(mu: MeasureSpec, t: float) -> PushforwardReport:
@@ -255,6 +248,7 @@ def pushforward_check(mu: MeasureSpec, t: float) -> PushforwardReport:
     for omega_iv, lam_iv in zip(omega, region.intervals):
         al, ar = omega_iv
         sweep = lambda_sweep(mu, t, lam_iv, 64)
+        forward, inverse = partial(_forward, mu, t), partial(_inverse, mu, t, lam_iv, omega_iv)
         bmax = 2.0 * float(sweep["v"].max())
         cuts = np.linspace(al, ar, N_RECT + 1)
         bands = [(-2.0 * bmax, 2.0 * bmax), (0.0, 0.45 * bmax), (-0.45 * bmax, 0.0)]
@@ -267,12 +261,8 @@ def pushforward_check(mu: MeasureSpec, t: float) -> PushforwardReport:
                 a0_lo = a0_of_a(mu, t, min(max(a_lo, al), ar))
                 a0_hi = a0_of_a(mu, t, min(max(a_hi, al), ar))
                 rects.append((a_lo, a_hi, b_lo, b_hi))
-                src.append(
-                    _source_rect_mass(mu, t, lam_iv, a0_lo, a0_hi, 0.5 * b_lo, 0.5 * b_hi, kinks_a0)
-                )
-                tgt.append(
-                    _target_rect_mass(mu, t, omega_iv, lam_iv, a_lo, a_hi, b_lo, b_hi, kinks_a)
-                )
+                src.append(_rect_mass(forward, lam_iv, a0_lo, a0_hi, 0.5 * b_lo, 0.5 * b_hi, kinks_a0))
+                tgt.append(_rect_mass(inverse, omega_iv, a_lo, a_hi, b_lo, b_hi, kinks_a))
     disc = max(abs(s - g) for s, g in zip(src, tgt)) if rects else 0.0
     return PushforwardReport(
         max_discrepancy=disc,

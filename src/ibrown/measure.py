@@ -57,7 +57,6 @@ from .numerics import (
 )
 
 _ATOM_MERGE_REL = 1e-12
-_KERNEL_KEYS = ("p0", "p1", "pa", "c1", "q0", "q1", "q2", "log")
 #: q0 leaves (p0 + Re G')/(2v^2) for _q0_cancelled once that sum falls below
 #: this share of p0, i.e. once more than four digits would cancel
 _Q0_CANCEL = 1e-4
@@ -332,10 +331,9 @@ def load_measure(path) -> MeasureSpec:
 # support queries
 
 
-def on_support(mu: MeasureSpec, x: float, tol: float | None = None) -> bool:
-    """True when x lies on the closed support within tolerance."""
-    if tol is None:
-        tol = 1e-12 * (1.0 + abs(x))
+def on_support(mu: MeasureSpec, x: float) -> bool:
+    """True when x lies on the closed support within 1e-12 (1 + |x|)."""
+    tol = 1e-12 * (1.0 + abs(x))
     if mu.kind == "atomic":
         xs, _ = mu.atom_arrays
         return bool(np.min(np.abs(xs - x)) <= tol)

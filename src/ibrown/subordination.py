@@ -49,12 +49,6 @@ class LambdaRegion:
                 return i
         return None
 
-    def gap(self, a0: float) -> float:
-        """Distance from a0 to the region (0 when inside)."""
-        if not self.intervals:
-            return math.inf
-        return min(max(lo - a0, 0.0, a0 - hi) for lo, hi in self.intervals)
-
 
 def _vt_solve(
     mu: MeasureSpec,
@@ -101,7 +95,9 @@ def _vt_solve(
                 # -Im G/v resolves: it reads 0, and callers take the v -> 0
                 # limits from the bundle at this v
                 return 0.0, out
-        if hi - lo <= V_TOL:
+        # relative, like the step test: an absolute width would stop at a
+        # bracket midpoint several percent off where v_t is near V_TOL
+        if hi - lo <= 1e-10 * hi:
             break
         # Newton while it stays in the bracket and at least halves its step;
         # from a hint far below the root, where p0 rises like 1/v, it would

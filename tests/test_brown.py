@@ -146,6 +146,61 @@ def test_profile_needs_no_a0_inversion(sc, un, be23, monkeypatch):
         assert p.mass == pytest.approx(1.0, abs=1e-9)
 
 
+FOUR_ATOMS = M.atomic([(-2.0, 0.25), (-0.5, 0.25), (0.7, 0.25), (2.5, 0.25)])
+
+
+@pytest.mark.parametrize("n_grid", [16, 100, 767, 1024])
+def test_profile_sweeps_each_interval_once(n_grid, monkeypatch):
+    # one sweep per interval at k (n_grid + 1) angles, k the least factor
+    # giving at least MASS_NODES: rows are every k-th interior node, and the
+    # mass is that sweep's cdf
+    mu, t = FOUR_ATOMS, 0.5
+    intervals = S.lambda_region(mu, t).intervals
+    assert len(intervals) == 4
+    sweep, calls = B.lambda_sweep, []
+
+    def counted(*args):
+        calls.append(args)
+        return sweep(*args)
+
+    monkeypatch.setattr(B, "lambda_sweep", counted)
+    p = B.profile(mu, t, n_grid=n_grid)
+    k = -(-B.MASS_NODES // (n_grid + 1))
+    assert [c[2:] for c in calls] == [(iv, k * (n_grid + 1)) for iv in intervals]
+    for sl, iv in zip(p.blocks(), intervals):
+        sw = sweep(mu, t, iv, k * (n_grid + 1))
+        assert np.array_equal(p.grid[sl], sw["at"][k:-1:k])
+        assert np.array_equal(p.a0[sl], sw["a0"][k:-1:k])
+        assert np.array_equal(p.halfheight[sl], 2.0 * sw["v"][k:-1:k])
+    fine = sum(sweep(mu, t, iv, 4 * B.MASS_NODES)["cdf"][-1] for iv in intervals)
+    assert abs(p.mass - fine) < 1e-13
+
+
+def test_pointwise_queries_invert_once(be23, monkeypatch):
+    # one a0(a) inversion per query, and no v_t solve outside it
+    solve, vt_solve, calls, depth = B._a0_solve, S._vt_solve, [], []
+
+    def counted(*args):
+        calls.append(args)
+        depth.append(1)
+        try:
+            return solve(*args)
+        finally:
+            depth.pop()
+
+    def inside_only(*args, **kwargs):
+        assert depth, "v_t solved outside the inversion"
+        return vt_solve(*args, **kwargs)
+
+    B.omega_intervals(be23, 1.05)  # the cached region takes its own solves
+    monkeypatch.setattr(B, "_a0_solve", counted)
+    monkeypatch.setattr(S, "_vt_solve", inside_only)
+    for fn in (B.b_t, B.w_t, B.a0_of_a):
+        calls.clear()
+        fn(be23, 1.05, 0.3)
+        assert len(calls) == 1
+
+
 def test_profile_vertical_mass(sc_profile):
     # 2D density integrates to 1 over the region: 2 b_t w_t along the section
     p = sc_profile

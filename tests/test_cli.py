@@ -157,6 +157,21 @@ def test_tol_flag_is_gone():
     assert exc.value.code == 2
 
 
+def test_subcommands_take_only_the_options_they_read():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if a.dest == "command")
+    options = {
+        name: sorted(o for a in p._actions for o in a.option_strings if o.startswith("--") and o != "--help")
+        for name, p in sub.choices.items()
+    }
+    assert options["verify"] == ["--measure", "--preset", "--t"]
+    assert options["characteristics"] == ["--measure", "--out", "--preset", "--seed", "--t"]
+    assert sum(len(v) for v in options.values()) == 34
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "--preset", "semicircle:1", "--t", "1", "--grid", "64"])
+    assert exc.value.code == 2
+
+
 def test_characteristics_subcommand(tmp_path):
     code = run(
         [

@@ -103,6 +103,16 @@ def test_density_next_to_region_edge(un_profile, un):
         assert J.jn_density(un, 0.1, a) == pytest.approx(un_profile.density[i], abs=1e-8)
 
 
+def test_scan_starts_only_when_the_seed_fails(be23, monkeypatch):
+    # the seed from a0(a) converges inside the region, so the coarse scan
+    # over source abscissas never solves v_t there
+    def refuse(*args, **kwargs):
+        raise AssertionError("scan start built")
+
+    monkeypatch.setattr(J, "v_t", refuse)
+    assert J.solve_g(be23, 1.05, 0.3).imag > 0.0
+
+
 def test_programming_error_is_not_swallowed(sc, monkeypatch):
     def broken(mu, z, tol=None):
         raise TypeError("bug")

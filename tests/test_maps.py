@@ -116,6 +116,18 @@ def test_circular_density_elliptic(sc):
         assert P.circular_density(sc, 1.0, lam0) == pytest.approx(expect, abs=1e-10)
 
 
+def test_circular_density_solves_once(be23, monkeypatch):
+    solve, calls = S._vt_solve, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(S, "_vt_solve", counted)
+    P.circular_density(be23, 1.05, complex(0.2, 0.01))
+    assert len(calls) == 1
+
+
 def test_circular_density_total_mass(sc, be23):
     # int 2 v_t rho_t da0 = 1 over the source region
     for mu, t in ((sc, 1.0), (be23, 1.05)):

@@ -131,6 +131,18 @@ def test_lambda_region_splits_at_interior_double_zero(order, band):
     assert l0 < -1.0 and r1 > 2.0
 
 
+@pytest.mark.parametrize(
+    "a0, slope", [(0.30108976726021375, 1.19858624993), (0.3012014531087177, 1.19859766661)]
+)
+@pytest.mark.parametrize("v_hint", [None, 1e-3, 1e-6])
+def test_vt_solve_exit_is_relative_next_to_a_fourth_order_zero(a0, slope, v_hint):
+    # v_t is about 5e-13 here, a few times V_TOL: a bracket exit at an
+    # absolute width of V_TOL stopped at a midpoint 5-20 % off, and the
+    # slope then depended on the hint. References from a 50-digit solve.
+    mu = M.piecewise_poly([(-1.0, 2.0, tuple(np.polynomial.polynomial.polypow([-0.3, 1.0], 4)))])
+    assert S.at_with_slope(mu, 0.3, a0, v_hint=v_hint)[1] == pytest.approx(slope, abs=1e-9)
+
+
 def test_at_elliptic_scaling(sc):
     # a_t(a0) = 2s/(2s+t) a0 on the region; s = t = 1 gives 2/3
     assert S.a_t(sc, 1.0, 1.5) == pytest.approx(1.0, abs=1e-11)
