@@ -28,7 +28,7 @@ from .errors import (
     NoConvergenceError,
     PastLifetimeError,
 )
-from .measure import MeasureSpec, log_potential, p0_zero, transforms
+from .measure import MeasureSpec, log_potential, p0, p0_zero, transforms
 from .numerics import damped_newton
 from .subordination import j_t_inverse
 
@@ -73,8 +73,8 @@ def _momenta_values(mu, a0, b0, eps0):
     if v2 <= 0.0 and not math.isfinite(p0_zero(mu, a0)):
         return math.inf, math.nan, math.nan, math.nan
     # b0 = 0 and eps0 = 0 off the divergence set: the finite limits at v^2 = 1e-300
-    out = transforms(mu, a0, v2 if v2 > 0.0 else 1e-300, ("p0", "p1", "pa"))
-    return out["p0"], out["p1"], out["pa"], 2.0 * b0 * out["p0"]
+    out = transforms(mu, a0, v2 if v2 > 0.0 else 1e-300)
+    return out.p0, out.p1, 2.0 * out.c1, 2.0 * b0 * out.p0
 
 
 def initial_momenta(mu: MeasureSpec, init: InitialData) -> Momenta:
@@ -89,12 +89,8 @@ def initial_momenta(mu: MeasureSpec, init: InitialData) -> Momenta:
 def lifetime(mu: MeasureSpec, init: InitialData) -> float:
     """Blow-up time 1/p0; with eps0 = 0 this is the escape-time function whose
     sublevel set {lifetime < t} is the source region (0 on the divergence set)."""
-    a0, b0 = init.lam0.real, init.lam0.imag
-    v2 = b0 * b0 + init.eps0
-    if v2 <= 0.0:
-        p0v = p0_zero(mu, a0)
-    else:
-        p0v = transforms(mu, a0, v2, ("p0",))["p0"]
+    b0 = init.lam0.imag
+    p0v = p0(mu, init.lam0.real, math.sqrt(b0 * b0 + init.eps0))
     if not math.isfinite(p0v) or p0v <= 0.0:
         return 0.0 if not math.isfinite(p0v) else math.inf
     return 1.0 / p0v
@@ -165,7 +161,8 @@ def _flow_jacobian(mu, t, u):
     """Jacobian of _flow_residual in (a0, b0, eps0) from one bundle at v^2 = b0^2 + eps0,
     by dp0 = -2 q1 da0 - q0 dv^2 and dpa = 2 (p0 - 2 q2) da0 - 2 q1 dv^2."""
     a0, b0, eps0 = u
-    p0v, q0, q1, q2 = transforms(mu, a0, b0 * b0 + eps0, ("p0", "q0", "q1", "q2")).values()
+    out = transforms(mu, a0, b0 * b0 + eps0)
+    p0v, q0, q1, q2 = out.p0, out.q0, out.q1, out.q2
     decay = 1.0 - t * p0v
     dp0 = np.array([-2.0 * q1, -2.0 * b0 * q0, -q0])
     dpa = np.array([2.0 * (p0v - 2.0 * q2), -4.0 * b0 * q1, -2.0 * q1])

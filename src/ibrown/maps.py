@@ -89,9 +89,6 @@ class AdditiveLaw:
     def cdf_at_a(self, x) -> np.ndarray:
         return np.interp(np.asarray(x, dtype=float), self.a, self.cdf, left=0.0, right=1.0)
 
-    def q_of_a(self, x) -> np.ndarray:
-        return np.interp(np.asarray(x, dtype=float), self.a, self.u)
-
     def to_csv(self) -> str:
         buf = StringIO()
         buf.write("u,f\n")

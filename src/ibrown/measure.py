@@ -2,9 +2,8 @@
 
 A law is described by a :class:`MeasureSpec` (atoms, piecewise-polynomial
 density, or semicircle) and consumed by every other module exclusively through
-the transforms defined here: Poisson-type integrals ``p0``/``p1``, the squared
-kernels ``q0``/``q1``/``q2``, the Cauchy transform, logarithmic energies and
-quantiles.
+the transforms defined here: the kernel bundle, the Cauchy transform,
+logarithmic energies and quantiles.
 
 Conventions
 -----------
@@ -12,7 +11,11 @@ All kernels share the denominator ``D = (a0 - x)**2 + v**2``:
 
 * ``p0 = int dmu / D``           * ``q0 = int dmu / D**2``
 * ``p1 = int x dmu / D``         * ``q1 = int (a0-x) dmu / D**2``
-*                                * ``q2 = int (a0-x)**2 dmu / D**2``
+* ``c1 = int (a0-x) dmu / D``    * ``q2 = int (a0-x)**2 dmu / D**2``
+
+``transforms(mu, a0, v2)`` returns all six at once as a :class:`Bundle`,
+the fixed record that every kernel caller reads its fields from; ``p0``,
+``p1`` and ``q_integrals`` are thin wrappers around it.
 
 ``p0`` with ``v = 0`` returns ``math.inf`` when the integral diverges; callers
 use the sentinel for bracketing.
@@ -37,7 +40,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -346,37 +349,6 @@ def on_support(mu: MeasureSpec, x: float) -> bool:
 # kernel bundles
 
 
-def _kernel_rows(x: np.ndarray, a0: float, v2: float, keys) -> np.ndarray:
-    u = a0 - x
-    d = u * u + v2
-    out = np.empty((len(keys), x.size))
-    inv_d = 1.0 / d
-    inv_d2 = None
-    for i, k in enumerate(keys):
-        if k == "p0":
-            out[i] = inv_d
-        elif k == "p1":
-            out[i] = x * inv_d
-        elif k == "pa":
-            out[i] = 2.0 * u * inv_d
-        elif k == "c1":
-            out[i] = u * inv_d
-        elif k in ("q0", "q1", "q2"):
-            if inv_d2 is None:
-                inv_d2 = inv_d * inv_d
-            if k == "q0":
-                out[i] = inv_d2
-            elif k == "q1":
-                out[i] = u * inv_d2
-            else:
-                out[i] = u * u * inv_d2
-        elif k == "log":
-            out[i] = np.log(d)
-        else:
-            raise KeyError(k)
-    return out
-
-
 def _cauchy_pair(mu: MeasureSpec, z: complex) -> tuple[complex, complex]:
     """G(z) and G'(z) off the real line for a semicircle or piecewise law."""
     if mu.kind == "semicircle":
@@ -539,40 +511,41 @@ def _q0_cancelled(mu: MeasureSpec, a0: float, v2: float) -> float:
     return total
 
 
-def transforms(mu: MeasureSpec, a0: float, v2: float, keys: Sequence[str]) -> dict[str, float]:
-    """Evaluate a bundle of kernel integrals sharing v2 > 0 in one pass."""
+class Bundle(NamedTuple):
+    """The kernel integrals of a law at one point z = a0 + iv, v > 0; c1 is
+    Re G(z) = int (a0-x) dmu / D."""
+
+    p0: float
+    p1: float
+    c1: float
+    q0: float
+    q1: float
+    q2: float
+
+
+def transforms(mu: MeasureSpec, a0: float, v2: float) -> Bundle:
+    """Every kernel integral at (a0, v2), v2 > 0, in one pass."""
     if v2 <= 0.0:
         raise ValueError("transforms requires v2 > 0; use the v = 0 entry points")
-    keys = tuple(keys)
     if mu.kind == "atomic":
         xs, ws = mu.atom_arrays
-        vals = _kernel_rows(xs, a0, v2, keys) @ ws
-        return dict(zip(keys, vals.tolist()))
+        u = a0 - xs
+        inv_d = 1.0 / (u * u + v2)
+        inv_d2 = inv_d * inv_d
+        rows = np.array([inv_d, xs * inv_d, u * inv_d, inv_d2, u * inv_d2, u * u * inv_d2])
+        return Bundle(*(rows @ ws).tolist())
     v = math.sqrt(v2)
     g, gp = _cauchy_pair(mu, complex(a0, v))
     p0v = -g.imag / v
-    out = {}
-    for k in keys:
-        if k == "p0":
-            out[k] = p0v
-        elif k == "p1":
-            out[k] = a0 * p0v - g.real
-        elif k == "pa":
-            out[k] = 2.0 * g.real
-        elif k == "c1":
-            out[k] = g.real
-        elif k == "q0":
-            s = p0v + gp.real  # = 2 v^2 q0
-            out[k] = s / (2.0 * v2) if s >= _Q0_CANCEL * p0v else _q0_cancelled(mu, a0, v2)
-        elif k == "q1":
-            out[k] = gp.imag / (2.0 * v)
-        elif k == "q2":
-            out[k] = 0.5 * (p0v - gp.real)
-        elif k == "log":
-            out[k] = _log_energy(mu, a0, v2)
-        else:
-            raise KeyError(k)
-    return out
+    s = p0v + gp.real  # = 2 v^2 q0
+    return Bundle(
+        p0=p0v,
+        p1=a0 * p0v - g.real,
+        c1=g.real,
+        q0=s / (2.0 * v2) if s >= _Q0_CANCEL * p0v else _q0_cancelled(mu, a0, v2),
+        q1=gp.imag / (2.0 * v),
+        q2=0.5 * (p0v - gp.real),
+    )
 
 
 # ----------------------------------------------------------------------------
@@ -585,7 +558,7 @@ def p0(mu: MeasureSpec, a0: float, v: float) -> float:
         raise ValueError("v must be nonnegative")
     if v == 0.0:
         return p0_zero(mu, a0)
-    return transforms(mu, a0, v * v, ("p0",))["p0"]
+    return transforms(mu, a0, v * v).p0
 
 
 def _vanishes(coeffs, a0: float, b) -> bool:
@@ -643,15 +616,15 @@ def p1(mu: MeasureSpec, a0: float, v: float) -> float:
     """int x dmu / ((a0-x)^2 + v^2) for v > 0."""
     if v <= 0.0:
         raise ValueError("p1 requires v > 0")
-    return transforms(mu, a0, v * v, ("p1",))["p1"]
+    return transforms(mu, a0, v * v).p1
 
 
 def q_integrals(mu: MeasureSpec, a0: float, v: float) -> tuple[float, float, float]:
     """Squared-kernel integrals (q0, q1, q2) for v > 0."""
     if v <= 0.0:
         raise ValueError("q_integrals requires v > 0")
-    out = transforms(mu, a0, v * v, ("q0", "q1", "q2"))
-    return out["q0"], out["q1"], out["q2"]
+    out = transforms(mu, a0, v * v)
+    return out.q0, out.q1, out.q2
 
 
 # ----------------------------------------------------------------------------

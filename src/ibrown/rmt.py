@@ -122,20 +122,6 @@ def simulate_hermitian(mu: MeasureSpec, cfg: SimConfig) -> np.ndarray:
     return _rep_spectra(mu, cfg, math.sqrt(cfg.t), lambda m, rep: np.linalg.eigvalsh(m))
 
 
-def _clamp_to_intervals(x: np.ndarray, intervals) -> np.ndarray:
-    """Snap each value to the nearest point of the union of closed intervals."""
-    out = np.array(x, dtype=float)
-    best = np.full(x.shape, np.inf)
-    snapped = np.empty_like(out)
-    for lo, hi in intervals:
-        cand = np.clip(x, lo, hi)
-        dist = np.abs(cand - x)
-        take = dist < best
-        best[take] = dist[take]
-        snapped[take] = cand[take]
-    return snapped
-
-
 def ks_statistic(samples: np.ndarray, cdf_values: np.ndarray) -> float:
     """One-sample sup-distance: samples must be sorted, cdf_values = F(samples)."""
     n = samples.size
@@ -149,8 +135,9 @@ class CompareReport:
 
     inside_fraction: share of eigenvalues with |Im| <= b_t(Re) + dilation.
     ks_marginal: sup-CDF distance of Re parts against the vertical marginal.
-    ks_pushforward: sup-CDF distance of pushed (clamped) Re parts against the
-    additive law.
+    ks_pushforward: sup-CDF distance of the Hermitian control's eigenvalues,
+    drawn with the cloud's (seed, rep) keys, against the additive law: the
+    Q_t-pushforward of the planar law is the law of D + sqrt(t) H.
     """
 
     inside_fraction: float
@@ -176,7 +163,8 @@ def compare(
     t: float,
     law: AdditiveLaw | None = None,
 ) -> CompareReport:
-    """Score an eigenvalue cloud against the computed region and pushforwards."""
+    """Score an eigenvalue cloud against the computed region and its
+    Hermitian control against the additive law."""
     if abs(cloud.config.t - t) > 1e-12 * (1.0 + abs(t)):
         raise ValueError("cloud was simulated at a different t")
     if law is None:
@@ -191,9 +179,8 @@ def compare(
     sorted_re = re[order]
     ks_marg = ks_statistic(sorted_re, law.cdf_at_a(sorted_re))
 
-    clamped = _clamp_to_intervals(sorted_re, profile.omega_intervals)
-    pushed = law.q_of_a(clamped)
-    ks_push = ks_statistic(np.sort(pushed), law.cdf_at_u(np.sort(pushed)))
+    herm = np.sort(simulate_hermitian(mu, cloud.config))
+    ks_push = ks_statistic(herm, law.cdf_at_u(herm))
 
     return CompareReport(
         inside_fraction=frac,

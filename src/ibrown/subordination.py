@@ -23,9 +23,11 @@ from .errors import (
     WrongBasinError,
 )
 from .measure import (
+    Bundle,
     MeasureSpec,
     cauchy,
     cauchy_prime,
+    p0,
     p0_zero,
     real_cauchy,
     transforms,
@@ -50,20 +52,13 @@ class LambdaRegion:
         return None
 
 
-def _vt_solve(
-    mu: MeasureSpec,
-    t: float,
-    a0: float,
-    extra_keys: tuple[str, ...] = (),
-    v_hint: float | None = None,
-):
+def _vt_solve(mu: MeasureSpec, t: float, a0: float, v_hint: float | None = None):
     """Solve p0(a0, v) = 1/t on the guaranteed bracket (0, sqrt(t)).
 
     Bisection safeguards Newton steps through d p0/d v = -2 v q0; the bracket
     holds because p0(a0, v) <= 1/v**2 strictly for a non-degenerate law.
-    Returns (v, bundle-at-v) where the bundle also carries extra_keys, or
-    (0.0, None) outside the region. Inside it, where v_t < 4 V_TOL, it
-    returns 0.0 with the bundle at such a v.
+    Returns (v, bundle-at-v), or (0.0, None) outside the region. Inside it,
+    where v_t < 4 V_TOL, it returns 0.0 with the bundle at such a v.
     """
     if t <= 0.0:
         raise ValueError("t must be positive")
@@ -72,15 +67,14 @@ def _vt_solve(
         return 0.0, None
     vmax = math.sqrt(t)
     lo, hi = 0.0, vmax  # f(lo) > 0 and f(hi) < 0 by the bracket argument
-    keys = ("p0", "q0") + tuple(k for k in extra_keys if k not in ("p0", "q0"))
     v = v_hint if (v_hint is not None and V_TOL < v_hint < vmax) else 0.5 * vmax
     out = None
     ftol = 1e-12 * inv_t
     dv = vmax  # the step before, for the progress test
     for _ in range(120):
-        out = transforms(mu, a0, v * v, keys)
-        f = out["p0"] - inv_t
-        df = -2.0 * v * out["q0"]
+        out = transforms(mu, a0, v * v)
+        f = out.p0 - inv_t
+        df = -2.0 * v * out.q0
         step = f / df if df != 0.0 else math.inf
         # near a region end dp0/dv vanishes like v, where ftol alone would
         # leave v_t ~1e-8 off: the Newton step must be small as well
@@ -112,8 +106,7 @@ def _vt_solve(
             return v, out
         dv, v = abs(vn - v), vn
     v = max(min(0.5 * (lo + hi), vmax * (1.0 - 1e-15)), vmax * 1e-18)
-    out = transforms(mu, a0, v * v, keys)
-    return v, out
+    return v, transforms(mu, a0, v * v)
 
 
 def v_t(mu: MeasureSpec, t: float, a0: float, v_hint: float | None = None) -> float:
@@ -279,16 +272,16 @@ def a_t(mu: MeasureSpec, t: float, a0: float, v_hint: float | None = None) -> fl
     endpoints evaluate as the one-sided limit from the v_t > 0 side; OnSupport
     is raised only where the exterior value genuinely diverges.
     """
-    v, out = _vt_solve(mu, t, a0, extra_keys=("p1",), v_hint=v_hint)
+    v, out = _vt_solve(mu, t, a0, v_hint=v_hint)
     if out is not None:
         return _at_value(t, a0, out)
     return a0 - t * real_cauchy(mu, a0)
 
 
-def _at_value(t: float, a0: float, out: dict) -> float:
+def _at_value(t: float, a0: float, out: Bundle) -> float:
     # a0 - t Re G with Re G = a0 p0 - p1: t p1 where p0 = 1/t, but free of the
     # solve's residual in p0, and the v -> 0 limit where v_t reads 0
-    return a0 - t * (a0 * out["p0"] - out["p1"])
+    return a0 - t * (a0 * out.p0 - out.p1)
 
 
 def at_with_slope(
@@ -300,15 +293,14 @@ def at_with_slope(
     v -> 0 limits: the slope is 1 - t Re G' with Re G' = p0 - 2 q2, as Im G'
     is of the order of the density's slope, which vanishes there too.
     """
-    v, out = _vt_solve(mu, t, a0, extra_keys=("p1", "q1", "q2"), v_hint=v_hint)
+    v, out = _vt_solve(mu, t, a0, v_hint=v_hint)
     if out is None:
         raise OutsideLambdaError(f"v_t({a0}) = 0")
     if v == 0.0:
-        return _at_value(t, a0, out), 1.0 - t * (out["p0"] - 2.0 * out["q2"]), 0.0
-    q0 = out["q0"]
-    if q0 <= 0.0:
+        return _at_value(t, a0, out), 1.0 - t * (out.p0 - 2.0 * out.q2), 0.0
+    if out.q0 <= 0.0:
         raise DegenerateJacobianError("q0 <= 0")
-    slope = 2.0 * t * (q0 * out["q2"] - out["q1"] ** 2) / q0
+    slope = 2.0 * t * (out.q0 * out.q2 - out.q1**2) / out.q0
     return _at_value(t, a0, out), slope, v
 
 
@@ -326,9 +318,7 @@ def j_t(mu: MeasureSpec, t: float, z: complex) -> complex:
 
 
 def _outside_lambda_closure(mu: MeasureSpec, t: float, z: complex, slack: float = 1e-9) -> bool:
-    v = abs(z.imag)
-    val = p0_zero(mu, z.real) if v == 0.0 else transforms(mu, z.real, v * v, ("p0",))["p0"]
-    return val <= (1.0 + slack) / t
+    return p0(mu, z.real, abs(z.imag)) <= (1.0 + slack) / t
 
 
 def _newton_jt(mu, t, target, z0, tol):

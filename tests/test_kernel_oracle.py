@@ -6,12 +6,14 @@ semicircle from its algebraic form at 50 digits, and the log-energy of a
 piece by parts; every kernel then follows from the exact identities
 p0 = -Im G/v, q0 = (p0 + Re G')/(2v^2) and so on, which at 50 digits lose
 nothing to cancellation. Direct mpmath quadratures of each kernel integral
-check those identities and the semicircle's log-energy.
+check those identities and the semicircle's log-energy. An atomic law's
+kernels are 50-digit sums over its atoms.
 
 Errors are relative. For the signed kernels, whose reference can vanish by
 symmetry, the denominator is the magnitude of the transform they come from:
-|G| for c1 and pa, |G'|/(2v) for q1, max|x|*p0 for p1. The log-energy is
-an O(1) number and is compared absolutely.
+|G| for c1 and pa, |G'|/(2v) for q1, max|x|*p0 for p1; for an atomic law it
+is the sum of the terms' magnitudes. The log-energy is an O(1) number and is
+compared absolutely.
 """
 
 import math
@@ -26,7 +28,16 @@ import ibrown.measure as M
 from ibrown.characteristics import _momenta_values
 from ibrown.subordination import lambda_region
 
-KEYS = ("p0", "p1", "pa", "c1", "q0", "q1", "q2", "log")
+FIELDS = M.Bundle._fields
+#: each field's integrand as a function of x, u = a0 - x and D = u^2 + v^2
+KERNELS = {
+    "p0": lambda x, u, d: 1 / d,
+    "p1": lambda x, u, d: x / d,
+    "c1": lambda x, u, d: u / d,
+    "q0": lambda x, u, d: 1 / d**2,
+    "q1": lambda x, u, d: u / d**2,
+    "q2": lambda x, u, d: u * u / d**2,
+}
 TOL = 1e-10
 mp.mp.dps = 50
 
@@ -186,12 +197,13 @@ def grid(mu, t):
 def test_kernel_bundle_matches_oracle(name):
     mu, t = LAWS[name]
     for a0, v in grid(mu, t):
-        got = M.transforms(mu, a0, v * v, KEYS)
+        got = M.transforms(mu, a0, v * v)
         ref, scale, _, _ = oracle_bundle(mu, a0, v)
-        for k in KEYS[:-1]:
-            assert rel_err(got[k], ref[k], scale.get(k, 0)) <= TOL, (name, k, a0, v)
+        for k in FIELDS:
+            assert rel_err(getattr(got, k), ref[k], scale.get(k, 0)) <= TOL, (name, k, a0, v)
         if v >= 1e-4 or mu.kind != "semicircle":  # the semicircle's log oracle is a quadrature
-            assert abs(got["log"] - oracle_log(mu, a0, v)) <= TOL, (name, "log", a0, v)
+            log = M.log_potential(mu, a0, v * v)
+            assert abs(log - oracle_log(mu, a0, v)) <= TOL, (name, "log", a0, v)
 
 
 def cauchy_points(mu, t):
@@ -220,18 +232,10 @@ def test_cauchy_and_log_potential_match_oracle(name):
 @pytest.mark.parametrize("name", sorted(LAWS))
 def test_oracle_identities_match_direct_quadrature(name):
     mu, t = LAWS[name]
-    kernels = {
-        "p0": lambda x, u, d: 1 / d,
-        "p1": lambda x, u, d: x / d,
-        "c1": lambda x, u, d: u / d,
-        "q0": lambda x, u, d: 1 / d**2,
-        "q1": lambda x, u, d: u / d**2,
-        "q2": lambda x, u, d: u * u / d**2,
-    }
     edge = lambda_region(mu, t).intervals[0][0]
     for a0, v in ((edge + 1e-7, 1e-4), (0.5 * (mu.support.lo + mu.support.hi) + 0.1, 0.3)):
         ref, scale, _, _ = oracle_bundle(mu, a0, v)
-        for k, kern in kernels.items():
+        for k, kern in KERNELS.items():
             assert rel_err(direct(mu, a0, v, kern, dps=25), ref[k], scale.get(k, 0)) <= 1e-18
     if mu.kind == "semicircle":
         # F(z) = z G/2 + log((z + sqrt(z^2 - 4s))/2) - 1/2 at 50 digits
@@ -263,10 +267,29 @@ def test_random_laws_match_oracle(mu, s, log_v):
     # a0 from just left of the support to just right of it, in hull units
     a0 = mu.support.lo + s * (mu.support.hi - mu.support.lo)
     v = 10.0**log_v
-    got = M.transforms(mu, a0, v * v, KEYS[:-1])
+    got = M.transforms(mu, a0, v * v)
     ref, scale, _, _ = oracle_bundle(mu, a0, v)
-    for k in KEYS[:-1]:
-        assert rel_err(got[k], ref[k], scale.get(k, 0)) <= TOL, k
+    for k in FIELDS:
+        assert rel_err(getattr(got, k), ref[k], scale.get(k, 0)) <= TOL, k
+
+
+def test_atomic_bundle_matches_sums_over_atoms():
+    # a0 next to an atom, at 1e-7 and 1e-3 on either side, between atoms
+    # and outside the hull; v from 1e-6 to sqrt(t). The oracle takes the
+    # float v^2 that the kernels get, so near an atom both see the same D.
+    mu, t = M.atomic([(-2.0, 0.1), (-0.5, 0.4), (0.7, 0.3), (2.5, 0.2)]), 0.5
+    xs = [x for x, _ in mu.atoms]
+    a0s = [x + d for x in xs for d in (-1e-3, -1e-7, 1e-7, 1e-3)]
+    a0s += [0.5 * (x + y) for x, y in zip(xs[:-1], xs[1:])] + [0.1, -3.0, 3.4]
+    for a0 in a0s:
+        for v in (1e-6, 1e-4, 1e-2, 0.3 * math.sqrt(t), math.sqrt(t)):
+            v2 = v * v
+            got = M.transforms(mu, a0, v2)
+            terms = [(mp.mpf(w), mp.mpf(x), mp.mpf(a0) - mp.mpf(x)) for x, w in mu.atoms]
+            for k in FIELDS:
+                vals = [w * KERNELS[k](x, u, u * u + mp.mpf(v2)) for w, x, u in terms]
+                ref, scale = sum(vals), sum(abs(val) for val in vals)
+                assert rel_err(getattr(got, k), ref, scale) <= TOL, (k, a0, v)
 
 
 def _q0_cancel_ratio(mu, a0, v):
@@ -295,7 +318,7 @@ def test_q0_switch_over(name, monkeypatch):
     monkeypatch.setattr(M, "_q0_cancelled", lambda *args: calls.append(args) or cancelled(*args))
     for v, switched in ((lo * (1 - 1e-9), True), (hi * (1 + 1e-9), False)):
         calls.clear()
-        got = M.transforms(mu, a0, v * v, ("q0",))["q0"]
+        got = M.transforms(mu, a0, v * v).q0
         assert bool(calls) == switched
         ref, _, _, _ = oracle_bundle(mu, a0, v)
         assert rel_err(got, ref["q0"]) <= TOL

@@ -103,6 +103,18 @@ def test_compare_small_cloud_fields(sc, sc_profile):
     assert rep.dilation == 0.05
 
 
+def test_compare_ks_pushforward_is_the_hermitian_control(sc, sc_profile):
+    # the Q_t-pushforward of the planar law is the law of D + sqrt(t) H, so
+    # the field scores that control, drawn with the cloud's (seed, rep) keys;
+    # Re parts pushed through the monotone Q_t would only repeat ks_marginal
+    cfg = R.SimConfig(n=40, t=1.0, reps=2, seed=1, dilation=0.05)
+    rep = R.compare(R.simulate(sc, cfg), sc_profile, sc, 1.0)
+    herm = np.sort(R.simulate_hermitian(sc, cfg))
+    law = P.law_additive(sc, 1.0)
+    assert rep.ks_pushforward == R.ks_statistic(herm, law.cdf_at_u(herm))
+    assert rep.ks_pushforward != rep.ks_marginal
+
+
 def test_compare_rejects_mismatched_t(sc, sc_profile):
     cfg = R.SimConfig(n=10, t=0.5, reps=1, seed=1)
     cloud = R.simulate(sc, cfg)
