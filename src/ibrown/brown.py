@@ -22,6 +22,8 @@ from .errors import OutsideOmegaError, OutsideOnlyError
 from .measure import MeasureSpec, cauchy, log_potential
 from .numerics import bracket_newton
 from .subordination import (
+    _at_slope,
+    _vt_solve_nodes,
     a_t,
     at_with_slope,
     j_t_inverse,
@@ -238,7 +240,9 @@ MASS_NODES = 768
 
 def lambda_sweep(mu: MeasureSpec, t: float, interval: tuple[float, float], n: int = MASS_NODES):
     """Sample v_t, a_t and the slope along one source interval at Chebyshev
-    angles theta_j = j*pi/n (endpoints carry v = 0 and zero mass weight).
+    angles theta_j = j*pi/n (endpoints carry v = 0 and zero mass weight):
+    one array v_t solve over the interior nodes, a_t and the slope from its
+    bundles, and a_t at the two ends.
 
     Returns dict of arrays: a0, v, at, slope (nan at the ends) and cdf, the
     planar-law mass from the interval's left end, by the trapezoid rule in
@@ -250,18 +254,13 @@ def lambda_sweep(mu: MeasureSpec, t: float, interval: tuple[float, float], n: in
     theta = np.linspace(0.0, np.pi, n + 1)
     a0s = mid - half * np.cos(theta)
     a0s[0], a0s[-1] = l, r
-    vs = np.zeros(n + 1)
-    ats = np.zeros(n + 1)
-    slopes = np.full(n + 1, np.nan)
-    v_hint = None
-    for j in range(1, n):
-        at, slope, v = at_with_slope(mu, t, a0s[j], v_hint=v_hint)
-        v_hint = v
-        vs[j], ats[j], slopes[j] = v, at, slope
-    ats[0] = a_t(mu, t, l)
-    ats[-1] = a_t(mu, t, r)
+    v, out = _vt_solve_nodes(mu, t, a0s[1:-1])
+    at, slope = _at_slope(t, a0s[1:-1], v, out)
+    vs = np.concatenate(([0.0], v, [0.0]))
+    ats = np.concatenate(([a_t(mu, t, l)], at, [a_t(mu, t, r)]))
+    slopes = np.concatenate(([np.nan], slope, [np.nan]))
     g = np.zeros(n + 1)
-    g[1:-1] = (2.0 / (math.pi * t)) * vs[1:-1] * (1.0 - 0.5 * slopes[1:-1])
+    g[1:-1] = (2.0 / (math.pi * t)) * v * (1.0 - 0.5 * slope)
     h = half * np.sin(theta) * g
     inc = 0.5 * (math.pi / n) * (h[:-1] + h[1:])
     cdf = np.concatenate(([0.0], np.cumsum(inc)))

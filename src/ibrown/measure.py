@@ -15,7 +15,10 @@ All kernels share the denominator ``D = (a0 - x)**2 + v**2``:
 
 ``transforms(mu, a0, v2)`` returns all six at once as a :class:`Bundle`,
 the fixed record that every kernel caller reads its fields from; ``p0``,
-``p1`` and ``q_integrals`` are thin wrappers around it.
+``p1`` and ``q_integrals`` are thin wrappers around it. ``transforms`` also
+takes equal-length float arrays of a0 and v2, one node each, and then
+returns the same record with an array in each field: a sweep of many nodes
+costs one call.
 
 ``p0`` with ``v = 0`` returns ``math.inf`` when the integral diverges; callers
 use the sentinel for bracketing.
@@ -349,51 +352,91 @@ def on_support(mu: MeasureSpec, x: float) -> bool:
 # kernel bundles
 
 
-def _cauchy_pair(mu: MeasureSpec, z: complex) -> tuple[complex, complex]:
-    """G(z) and G'(z) off the real line for a semicircle or piecewise law."""
+def _ops(x):
+    """math for one real number, cmath for one complex number and numpy for
+    an array of either: the same functions, on the same principal branches."""
+    if isinstance(x, np.ndarray):
+        return np
+    return cmath if isinstance(x, complex) else math
+
+
+def _pick(cond, x, y):
+    """x where cond holds, else y, for a bool and numbers or elementwise for
+    a bool array and arrays; x and y must be finite."""
+    return cond * x + (1 - cond) * y
+
+
+def _cauchy_pair(mu: MeasureSpec, z):
+    """G(z) and G'(z) off the real line for a semicircle or piecewise law, at
+    one z or elementwise at an array of them. Each piece is summed as its
+    multipole series where z is far from it and in closed form elsewhere."""
     if mu.kind == "semicircle":
-        return _semicircle_g(mu.variance, z), _semicircle_gprime(mu.variance, z)
-    g = gp = 0j
+        # as _semicircle_g and _semicircle_gprime, sharing one root
+        root = _semicircle_root(mu.variance, z)
+        g = 2.0 / (z + root)
+        return g, -g / root
+    if isinstance(z, complex):
+        g = gp = 0j
+        for (lo, hi, coeffs), pole in zip(mu.pieces, mu.piece_multipoles):
+            n = _multipole_terms(pole, z)
+            gk, gpk = _multipole_pair(pole, z, n) if n else _piece_cauchy_pair(coeffs, lo, hi, z)
+            g += gk
+            gp += gpk
+        return g, gp
+    g, gp = np.zeros_like(z), np.zeros_like(z)
     for (lo, hi, coeffs), pole in zip(mu.pieces, mu.piece_multipoles):
         n = _multipole_terms(pole, z)
-        gk, gpk = _multipole_pair(pole, z, n) if n else _piece_cauchy_pair(coeffs, lo, hi, z)
-        g += gk
-        gp += gpk
+        far = n > 0
+        if far.any():
+            gk, gpk = _multipole_pair(pole, z[far], int(n.max()))
+            g[far] += gk
+            gp[far] += gpk
+        if not far.all():
+            gk, gpk = _piece_cauchy_pair(coeffs, lo, hi, z[~far])
+            g[~far] += gk
+            gp[~far] += gpk
     return g, gp
 
 
-def _multipole_terms(pole, z: complex) -> int:
+def _multipole_terms(pole, z):
     """Terms of a piece's multipole series that reach 1e-17 at z; 0 when z
-    is too near the piece for the series."""
+    is too near the piece for the series. Elementwise for an array of z."""
     center, half, _ = pole
-    dist = abs(z - center)
-    if dist <= _FAR * half:
-        return 0
-    return min(_MULTIPOLE_TERMS, int(17.0 * math.log(10.0) / math.log(dist / half)) + 1)
+    if isinstance(z, complex):
+        dist = abs(z - center)
+        if dist <= _FAR * half:
+            return 0
+        return min(_MULTIPOLE_TERMS, int(17.0 * math.log(10.0) / math.log(dist / half)) + 1)
+    dist = np.abs(z - center)
+    far = dist > _FAR * half
+    n = (17.0 * math.log(10.0) / np.log(np.where(far, dist, _FAR * half) / half)).astype(int) + 1
+    return np.where(far, np.minimum(n, _MULTIPOLE_TERMS), 0)
 
 
-def _multipole_pair(pole, z: complex, n: int) -> tuple[complex, complex]:
-    # G = sum M_k / zeta^(k+1), G' = -sum (k+1) M_k / zeta^(k+2), zeta = z - center
+def _multipole_pair(pole, z, n: int):
+    # G = sum M_k / zeta^(k+1), G' = -sum (k+1) M_k / zeta^(k+2), zeta = z - center;
+    # an array of z takes the largest of its nodes' n, the extra terms below 1e-17
     center, _, moments = pole
     inv = 1.0 / (z - center)
     g = gp = 0j
     power = inv
     for k in range(n):
         g += moments[k] * power
-        power *= inv
+        power = power * inv  # not in place: power starts as inv itself
         gp -= (k + 1) * moments[k] * power
     return g, gp
 
 
-def _piece_cauchy_pair(coeffs, lo: float, hi: float, z: complex) -> tuple[complex, complex]:
+def _piece_cauchy_pair(coeffs, lo: float, hi: float, z):
     # with u = x - z and rho = sum b_k u^k: G = -sum b_k int u^(k-1) du and
     # G' = -sum b_k int u^(k-2) du over [lo - z, hi - z]; the segment keeps a
-    # constant nonzero Im u, so the principal log of u1/u0 is the continuous one
+    # constant nonzero Im u, so the principal log of u1/u0 is the continuous one.
+    # Elementwise for an array of z, which transforms keeps off the real line
     u0, u1 = lo - z, hi - z
-    if u0 == 0.0 or u1 == 0.0:
+    if isinstance(z, complex) and (u0 == 0.0 or u1 == 0.0):
         raise OnSupportError(f"{z} is an end of the piece [{lo}, {hi}]")
     b = poly_shift(coeffs, z)
-    log_ratio = cmath.log(u1 / u0)
+    log_ratio = _ops(z).log(u1 / u0)
     g = -b[0] * log_ratio
     gp = -b[0] * (1.0 / u0 - 1.0 / u1)
     if len(b) > 1:
@@ -440,7 +483,7 @@ def _piece_q0_near(b, u0: float, u1: float, v: float) -> float:
     return sum(bj * ij for bj, ij in zip(b, im))
 
 
-def _piece_q0_series(coeffs, lo: float, hi: float, a0: float, v2: float) -> float:
+def _piece_q0_series(coeffs, lo: float, hi: float, a0, v2):
     """q0 of a piece at distance d >= 4v from a0: the series
     sum_m (-1)^m (m+1) v^(2m) M_(2m+4) in the inverse moments
     M_n = int rho(x) (x - a0)^(-n) dx. Term m is below (m+1) 16^-m of the first.
@@ -448,28 +491,33 @@ def _piece_q0_series(coeffs, lo: float, hi: float, a0: float, v2: float) -> floa
     With x - a0 = s d w, s = +-1, the piece is w in [1, W], W = 1 + (hi - lo)/d,
     and M_n = d^(1-n) sum_j b_j (s d)^j int_1^W w^(j-n) dw, b = poly_shift(coeffs,
     a0); each integral is a log or expm1((k+1) log1p(W - 1))/(k+1), so nothing
-    overflows and a narrow piece keeps its digits.
+    overflows and a narrow piece keeps its digits. Elementwise for arrays of
+    (a0, v2) off the piece, each node summed until the largest term is below 1e-17.
     """
-    s, d = (1.0, lo - a0) if a0 < lo else (-1.0, a0 - hi)
-    lw = math.log1p((hi - lo) / d)
+    ops, left = _ops(a0), a0 < lo
+    s, d = _pick(left, 1.0, -1.0), _pick(left, lo - a0, a0 - hi)
+    lw = ops.log1p((hi - lo) / d)
     c = [bj * (s * d) ** j for j, bj in enumerate(poly_shift(coeffs, a0))]
     r = v2 / (d * d)
-    total, m, weight = 0.0, 0, 1.0  # weight = (-1)^m (m+1) r^m
-    while abs(weight) >= 1e-17:
+    r_max = r if isinstance(r, float) else float(r.max())
+    # weight = (-1)^m (m+1) r^m, bound = its largest magnitude over the nodes
+    total, m, weight, bound = 0.0, 0, 1.0, 1.0
+    while bound >= 1e-17:
         for j, cj in enumerate(c):
             k = j - 2 * m - 4
-            total += weight * cj * (lw if k == -1 else math.expm1((k + 1) * lw) / (k + 1))
+            total += weight * cj * (lw if k == -1 else ops.expm1((k + 1) * lw) / (k + 1))
         m += 1
         weight *= -r * (m + 1) / m
+        bound *= r_max * (m + 1) / m
     return total / d**3
 
 
-def _piece_q0_multipole(pole, a0: float, v2: float, n: int) -> float:
+def _piece_q0_multipole(pole, a0, v2, n: int):
     """q0 of a piece far from z = a0 + iv (n = _multipole_terms > 0): sum_k
     F_k m_k over its moments about the center c, where F_k are the Taylor
     coefficients of P(y)^-2, P(y) = (y + c - a0)^2 + v^2. From P F' = -2 P' F,
     (k+1) P(0) F_(k+1) = -(k+2) P'(0) F_k - (k+3) F_(k-1). Term 0 is the
-    leading one, so nothing cancels."""
+    leading one, so nothing cancels. Elementwise for arrays of (a0, v2)."""
     center, _, moments = pole
     delta = center - a0
     p_0, p_1 = delta * delta + v2, 2.0 * delta
@@ -481,7 +529,7 @@ def _piece_q0_multipole(pole, a0: float, v2: float, n: int) -> float:
     return total
 
 
-def _q0_cancelled(mu: MeasureSpec, a0: float, v2: float) -> float:
+def _q0_cancelled(mu: MeasureSpec, a0, v2):
     """q0 of a semicircle or piecewise law where p0 + Re G' cancels.
 
     For the semicircle, with R = sqrt(z^2 - 4s), expanding the divided
@@ -492,22 +540,41 @@ def _q0_cancelled(mu: MeasureSpec, a0: float, v2: float) -> float:
     z = a0 + iv is far from it (_piece_q0_multipole), term by term in powers
     of x - a0 where a0 lies on it or within 4v of it (_piece_q0_near), and
     as a series in v^2 otherwise (_piece_q0_series).
+
+    Elementwise for arrays of (a0, v2); the term-by-term sum, which shifts
+    the polynomial in exact arithmetic, is taken node by node.
     """
-    v = math.sqrt(v2)
+    v = _ops(v2).sqrt(v2)
+    z = a0 + 1j * v
     if mu.kind == "semicircle":
         s = mu.variance
-        root = _semicircle_root(s, complex(a0, v))
+        root = _semicircle_root(s, z)
         num = a0 * (4.0 * s + 2.0 * v2 - root.imag**2) - v * root.real * root.imag
         return num / (4.0 * s * root.real**3 * abs(root) ** 2)
     total = 0.0
     for (lo, hi, coeffs), pole in zip(mu.pieces, mu.piece_multipoles):
-        n = _multipole_terms(pole, complex(a0, v))
-        if n:
-            total += _piece_q0_multipole(pole, a0, v2, n)
-        elif lo - 4.0 * v < a0 < hi + 4.0 * v:
-            total += _piece_q0_near(_shift_exact(coeffs, a0), lo - a0, hi - a0, v)
-        else:
-            total += _piece_q0_series(coeffs, lo, hi, a0, v2)
+        n = _multipole_terms(pole, z)
+        near = (lo - 4.0 * v < a0) & (a0 < hi + 4.0 * v)
+        if isinstance(z, complex):
+            if n:
+                total += _piece_q0_multipole(pole, a0, v2, n)
+            elif near:
+                total += _piece_q0_near(_shift_exact(coeffs, a0), lo - a0, hi - a0, v)
+            else:
+                total += _piece_q0_series(coeffs, lo, hi, a0, v2)
+            continue
+        far = n > 0
+        near &= ~far
+        rest = ~(far | near)
+        part = np.zeros_like(a0)
+        if far.any():
+            part[far] = _piece_q0_multipole(pole, a0[far], v2[far], int(n.max()))
+        for i in np.flatnonzero(near):
+            x = float(a0[i])
+            part[i] = _piece_q0_near(_shift_exact(coeffs, x), lo - x, hi - x, float(v[i]))
+        if rest.any():
+            part[rest] = _piece_q0_series(coeffs, lo, hi, a0[rest], v2[rest])
+        total = total + part
     return total
 
 
@@ -523,8 +590,15 @@ class Bundle(NamedTuple):
     q2: float
 
 
-def transforms(mu: MeasureSpec, a0: float, v2: float) -> Bundle:
-    """Every kernel integral at (a0, v2), v2 > 0, in one pass."""
+def transforms(mu: MeasureSpec, a0, v2) -> Bundle:
+    """Every kernel integral at (a0, v2), v2 > 0, in one pass.
+
+    a0 and v2 may also be equal-length float arrays, one node each: every
+    field of the bundle is then an array over the nodes, from one (nodes x
+    atoms) product for an atomic law and from numpy closed forms otherwise.
+    """
+    if isinstance(a0, np.ndarray):
+        return _transforms_nodes(mu, a0, np.asarray(v2, dtype=float))
     if v2 <= 0.0:
         raise ValueError("transforms requires v2 > 0; use the v = 0 entry points")
     if mu.kind == "atomic":
@@ -535,14 +609,41 @@ def transforms(mu: MeasureSpec, a0: float, v2: float) -> Bundle:
         rows = np.array([inv_d, xs * inv_d, u * inv_d, inv_d2, u * inv_d2, u * u * inv_d2])
         return Bundle(*(rows @ ws).tolist())
     v = math.sqrt(v2)
-    g, gp = _cauchy_pair(mu, complex(a0, v))
+    return _closed_form_bundle(mu, a0, v2, v, *_cauchy_pair(mu, complex(a0, v)))
+
+
+def _transforms_nodes(mu: MeasureSpec, a0: np.ndarray, v2: np.ndarray) -> Bundle:
+    # transforms at arrays of nodes: the atomic sums take a node axis before
+    # the atoms' axis. They stay apart from the scalar sums, so that a call at
+    # one point pays for no array handling
+    if np.any(v2 <= 0.0):
+        raise ValueError("transforms requires v2 > 0; use the v = 0 entry points")
+    if mu.kind == "atomic":
+        xs, ws = mu.atom_arrays
+        u = a0[:, None] - xs
+        inv_d = 1.0 / (u * u + v2[:, None])
+        inv_d2 = inv_d * inv_d
+        rows = np.array([inv_d, xs * inv_d, u * inv_d, inv_d2, u * inv_d2, u * u * inv_d2])
+        return Bundle(*(rows @ ws))
+    v = np.sqrt(v2)
+    return _closed_form_bundle(mu, a0, v2, v, *_cauchy_pair(mu, a0 + 1j * v))
+
+
+def _closed_form_bundle(mu: MeasureSpec, a0, v2, v, g, gp) -> Bundle:
+    # the kernels from G and G' at z = a0 + iv, one node or arrays of them
     p0v = -g.imag / v
     s = p0v + gp.real  # = 2 v^2 q0
+    q0 = s / (2.0 * v2)
+    keep = s >= _Q0_CANCEL * p0v
+    if not isinstance(keep, np.ndarray):
+        q0 = q0 if keep else _q0_cancelled(mu, a0, v2)
+    elif not keep.all():
+        q0[~keep] = _q0_cancelled(mu, a0[~keep], v2[~keep])
     return Bundle(
         p0=p0v,
         p1=a0 * p0v - g.real,
         c1=g.real,
-        q0=s / (2.0 * v2) if s >= _Q0_CANCEL * p0v else _q0_cancelled(mu, a0, v2),
+        q0=q0,
         q1=gp.imag / (2.0 * v),
         q2=0.5 * (p0v - gp.real),
     )
@@ -631,11 +732,12 @@ def q_integrals(mu: MeasureSpec, a0: float, v: float) -> tuple[float, float, flo
 # Cauchy transform
 
 
-def _semicircle_root(s: float, z: complex) -> complex:
+def _semicircle_root(s: float, z):
     # sqrt(z^2 - 4s) on the branch ~ z at infinity, cut along the support;
     # Im root has the sign of Im z, so z + root never cancels
     r = 2.0 * math.sqrt(s)
-    return cmath.sqrt(z - r) * cmath.sqrt(z + r)
+    sqrt = _ops(z).sqrt
+    return sqrt(z - r) * sqrt(z + r)
 
 
 def _semicircle_g(s: float, z: complex) -> complex:

@@ -25,6 +25,7 @@ from .errors import (
 from .measure import (
     Bundle,
     MeasureSpec,
+    _pick,
     cauchy,
     cauchy_prime,
     p0,
@@ -35,6 +36,16 @@ from .measure import (
 from .numerics import damped_newton
 
 V_TOL = 1e-13
+
+# The stopping rule of the v_t solve, one node or many: a root where
+# |p0 - 1/t| <= _VT_FTOL/t and the Newton step is at most _VT_RTOL v; the
+# current v once a step would move it by at most _VT_STALL v; v = 0 once the
+# bracket's top falls to 4 V_TOL; and a bracket midpoint once the bracket is
+# narrower than _VT_RTOL of its top, or after _VT_PASSES evaluations.
+_VT_FTOL = 1e-12
+_VT_RTOL = 1e-10
+_VT_STALL = 1e-13
+_VT_PASSES = 120
 
 
 @dataclass(frozen=True)
@@ -50,6 +61,12 @@ class LambdaRegion:
             if lo < a0 < hi:
                 return i
         return None
+
+
+def _vt_clamp(lo, hi, vmax):
+    # the bracket midpoint where the solve stops short of a root, kept inside
+    # (0, vmax)
+    return np.clip(0.5 * (lo + hi), vmax * 1e-18, vmax * (1.0 - 1e-15))
 
 
 def _vt_solve(mu: MeasureSpec, t: float, a0: float, v_hint: float | None = None):
@@ -69,16 +86,16 @@ def _vt_solve(mu: MeasureSpec, t: float, a0: float, v_hint: float | None = None)
     lo, hi = 0.0, vmax  # f(lo) > 0 and f(hi) < 0 by the bracket argument
     v = v_hint if (v_hint is not None and V_TOL < v_hint < vmax) else 0.5 * vmax
     out = None
-    ftol = 1e-12 * inv_t
+    ftol = _VT_FTOL * inv_t
     dv = vmax  # the step before, for the progress test
-    for _ in range(120):
+    for _ in range(_VT_PASSES):
         out = transforms(mu, a0, v * v)
         f = out.p0 - inv_t
         df = -2.0 * v * out.q0
         step = f / df if df != 0.0 else math.inf
         # near a region end dp0/dv vanishes like v, where ftol alone would
         # leave v_t ~1e-8 off: the Newton step must be small as well
-        if abs(f) <= ftol and abs(step) <= 1e-10 * v:
+        if abs(f) <= ftol and abs(step) <= _VT_RTOL * v:
             return v, out
         if f > 0.0:
             lo = v
@@ -91,7 +108,7 @@ def _vt_solve(mu: MeasureSpec, t: float, a0: float, v_hint: float | None = None)
                 return 0.0, out
         # relative, like the step test: an absolute width would stop at a
         # bracket midpoint several percent off where v_t is near V_TOL
-        if hi - lo <= 1e-10 * hi:
+        if hi - lo <= _VT_RTOL * hi:
             break
         # Newton while it stays in the bracket and at least halves its step;
         # from a hint far below the root, where p0 rises like 1/v, it would
@@ -101,12 +118,70 @@ def _vt_solve(mu: MeasureSpec, t: float, a0: float, v_hint: float | None = None)
         floor = max(lo, V_TOL)
         mid = math.sqrt(floor * hi) if hi > 4.0 * floor else 0.5 * (lo + hi)
         vn = v - step if (floor < v - step < hi and abs(step) <= 0.5 * dv) else mid
-        if abs(vn - v) <= 1e-13 * v:
+        if abs(vn - v) <= _VT_STALL * v:
             # step below the relative v-tolerance: f sits at rounding level
             return v, out
         dv, v = abs(vn - v), vn
-    v = max(min(0.5 * (lo + hi), vmax * (1.0 - 1e-15)), vmax * 1e-18)
+    v = float(_vt_clamp(lo, hi, vmax))
     return v, transforms(mu, a0, v * v)
+
+
+def _vt_solve_nodes(mu: MeasureSpec, t: float, a0: np.ndarray):
+    """_vt_solve at every node of the array a0 at once: each node keeps its
+    own bracket [0, sqrt(t)], Newton step and stopping rule, and each pass
+    evaluates one array bundle at the nodes still open. Every node starts at
+    sqrt(t)/2.
+
+    Returns (v, bundle) with an array in each: v_t, and the bundle at the v
+    each node stopped at; v is 0 where v_t < 4 V_TOL. Raises
+    OutsideLambdaError if a node lies outside the region, which shows as
+    p0(a0, 0) <= 1/t at a node whose bracket fell to 4 V_TOL.
+    """
+    inv_t, vmax = 1.0 / t, math.sqrt(t)
+    ftol = _VT_FTOL * inv_t
+    v = np.full(a0.size, 0.5 * vmax)
+    lo, hi, dv = np.zeros(a0.size), np.full(a0.size, vmax), np.full(a0.size, vmax)
+    v_out, fields = np.zeros(a0.size), np.empty((len(Bundle._fields), a0.size))
+    idx = np.arange(a0.size)  # the nodes still open, their state at [idx]
+    zero, clamp = [], []  # nodes that read v = 0 and that stop at a midpoint
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_VT_PASSES):
+            if not idx.size:
+                break
+            x = v[idx]
+            out = transforms(mu, a0[idx], x * x)
+            f = out.p0 - inv_t
+            df = -2.0 * x * out.q0
+            step = np.where(df != 0.0, f / df, np.inf)
+            root = (np.abs(f) <= ftol) & (np.abs(step) <= _VT_RTOL * x)
+            up = f > 0.0
+            lo[idx] = np.where(up, x, lo[idx])
+            hi[idx] = np.where(up, hi[idx], x)
+            low, top = lo[idx], hi[idx]
+            tiny = ~root & ~up & (top <= 4.0 * V_TOL)
+            narrow = ~root & ~tiny & (top - low <= _VT_RTOL * top)
+            floor = np.maximum(low, V_TOL)
+            mid = np.where(top > 4.0 * floor, np.sqrt(floor * top), 0.5 * (low + top))
+            cand = x - step
+            newton = (floor < cand) & (cand < top) & (np.abs(step) <= 0.5 * dv[idx])
+            vn = np.where(newton, cand, mid)
+            stall = ~(root | tiny | narrow) & (np.abs(vn - x) <= _VT_STALL * x)
+            done = root | tiny | stall
+            v_out[idx[root | stall]] = x[root | stall]
+            fields[:, idx[done]] = np.array(out)[:, done]
+            zero.append(idx[tiny])
+            clamp.append(idx[narrow])
+            keep = ~(done | narrow)
+            idx, vn, x = idx[keep], vn[keep], x[keep]
+            dv[idx], v[idx] = np.abs(vn - x), vn
+    for i in np.concatenate([idx[:0], *zero]):
+        if p0_zero(mu, float(a0[i])) <= inv_t:
+            raise OutsideLambdaError(f"v_t({a0[i]}) = 0")
+    ends = np.concatenate([*clamp, idx])  # stopped short of a root, or out of passes
+    if ends.size:
+        v_out[ends] = _vt_clamp(lo[ends], hi[ends], vmax)
+        fields[:, ends] = np.array(transforms(mu, a0[ends], v_out[ends] ** 2))
+    return v_out, Bundle(*fields)
 
 
 def v_t(mu: MeasureSpec, t: float, a0: float, v_hint: float | None = None) -> float:
@@ -278,30 +353,39 @@ def a_t(mu: MeasureSpec, t: float, a0: float, v_hint: float | None = None) -> fl
     return a0 - t * real_cauchy(mu, a0)
 
 
-def _at_value(t: float, a0: float, out: Bundle) -> float:
+def _at_value(t: float, a0, out: Bundle):
     # a0 - t Re G with Re G = a0 p0 - p1: t p1 where p0 = 1/t, but free of the
     # solve's residual in p0, and the v -> 0 limit where v_t reads 0
     return a0 - t * (a0 * out.p0 - out.p1)
 
 
+def _at_slope(t: float, a0, v, out: Bundle):
+    """(a_t, da_t/da0) from the bundle at the solved v_t, at one node or
+    elementwise at arrays of them.
+
+    The slope is 2t (q0 q2 - q1^2)/q0. Where v_t is below what the kernels
+    resolve (v reads 0), it is the v -> 0 limit 1 - t Re G' with
+    Re G' = p0 - 2 q2, as Im G' is of the order of the density's slope, which
+    vanishes there too. Raises DegenerateJacobianError where v > 0 and q0 <= 0.
+    """
+    live = v > 0.0  # a bool, or a bool array
+    bad = live & (out.q0 <= 0.0)
+    if bad.any() if isinstance(bad, np.ndarray) else bad:
+        raise DegenerateJacobianError("q0 <= 0")
+    q0 = _pick(live, out.q0, 1.0)  # 1 where only the limit is kept
+    slope = _pick(live, 2.0 * t * (q0 * out.q2 - out.q1**2) / q0, 1.0 - t * (out.p0 - 2.0 * out.q2))
+    return _at_value(t, a0, out), slope
+
+
 def at_with_slope(
     mu: MeasureSpec, t: float, a0: float, v_hint: float | None = None
 ) -> tuple[float, float, float]:
-    """(a_t, da_t/da0, v_t) at a point of the region, fused kernel passes.
-
-    Where v_t is below what the kernels resolve (it reads 0), these are the
-    v -> 0 limits: the slope is 1 - t Re G' with Re G' = p0 - 2 q2, as Im G'
-    is of the order of the density's slope, which vanishes there too.
-    """
+    """(a_t, da_t/da0, v_t) at a point of the region, fused kernel passes;
+    the v -> 0 limits where v_t reads 0 (see _at_slope)."""
     v, out = _vt_solve(mu, t, a0, v_hint=v_hint)
     if out is None:
         raise OutsideLambdaError(f"v_t({a0}) = 0")
-    if v == 0.0:
-        return _at_value(t, a0, out), 1.0 - t * (out.p0 - 2.0 * out.q2), 0.0
-    if out.q0 <= 0.0:
-        raise DegenerateJacobianError("q0 <= 0")
-    slope = 2.0 * t * (out.q0 * out.q2 - out.q1**2) / out.q0
-    return _at_value(t, a0, out), slope, v
+    return (*_at_slope(t, a0, v, out), v)
 
 
 def da_t_da0(mu: MeasureSpec, t: float, a0: float, v_hint: float | None = None) -> float:

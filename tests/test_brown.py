@@ -176,6 +176,35 @@ def test_profile_sweeps_each_interval_once(n_grid, monkeypatch):
     assert abs(p.mass - fine) < 1e-13
 
 
+def test_sweep_solves_its_interior_nodes_as_one_array(monkeypatch):
+    # no scalar v_t solve or at_with_slope for an interior node, and at most
+    # 40 (array) bundles per interval: a per-node loop would pass every
+    # value test
+    mu, t = FOUR_ATOMS, 0.5
+    scalar, bundles = [], []
+    vt_solve, transforms = S._vt_solve, S.transforms
+
+    def counted_solve(mu, t, a0, v_hint=None):
+        scalar.append(a0)
+        return vt_solve(mu, t, a0, v_hint=v_hint)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep called at_with_slope")
+
+    monkeypatch.setattr(S, "_vt_solve", counted_solve)
+    monkeypatch.setattr(S, "transforms", lambda *args: bundles.append(args) or transforms(*args))
+    monkeypatch.setattr(S, "at_with_slope", refuse)
+    monkeypatch.setattr(B, "at_with_slope", refuse)
+    for iv in S.lambda_region(mu, t).intervals:
+        scalar.clear()
+        bundles.clear()
+        sw = B.lambda_sweep(mu, t, iv, 1026)
+        assert set(scalar) <= set(iv)
+        assert 0 < len(bundles) <= 40
+        assert sum(np.size(args[1]) for args in bundles) >= 1025
+        assert sw["cdf"][-1] > 0.0
+
+
 def test_pointwise_queries_invert_once(be23, monkeypatch):
     # one a0(a) inversion per query, and no v_t solve outside it
     solve, vt_solve, calls, depth = B._a0_solve, S._vt_solve, [], []

@@ -16,6 +16,7 @@ is the sum of the terms' magnitudes. The log-energy is an O(1) number and is
 compared absolutely.
 """
 
+import cmath
 import math
 
 import mpmath as mp
@@ -355,3 +356,127 @@ def test_closed_forms_raise_on_support_at_edges():
         M._piece_cauchy_pair((0.5,), -1.0, 1.0, complex(1.0, 0.0))
     with pytest.raises(M.OnSupportError):
         M._semicircle_gprime(1.0, complex(2.0, 0.0))
+
+
+# ---------------------------------------------------------------------------
+# array bundles: one transforms call over many nodes
+
+
+def test_kernel_bundle_grid_in_one_array_call():
+    # the oracle grid of every law through a single array call, same bounds
+    for name, (mu, t) in LAWS.items():
+        a0, v = (np.array(col) for col in zip(*grid(mu, t)))
+        got = M.transforms(mu, a0, v * v)
+        for i in range(a0.size):
+            ref, scale, _, _ = oracle_bundle(mu, a0[i], v[i])
+            for k in FIELDS:
+                err = rel_err(getattr(got, k)[i], ref[k], scale.get(k, 0))
+                assert err <= TOL, (name, k, a0[i], v[i])
+
+
+def _term_scales(mu, a0, v, bundle):
+    """Per field, the sum of the magnitudes of the terms that the kernel adds
+    up at z = a0 + iv: the scale of its rounding. An atomic law sums w K(x)
+    over its atoms; a closed form sums the terms of G and G' (multipole
+    series, or the shifted polynomial's powers and the log), from which
+    p0 = -Im G/v, q1 = Im G'/(2v) and so on follow. The cancelled q0's
+    series lead with their largest term, so q0 is its own scale there."""
+    if mu.kind == "atomic":
+        u = a0 - np.array([x for x, _ in mu.atoms])
+        w = np.array([w for _, w in mu.atoms])
+        d = u * u + v * v
+        xs = a0 - u
+        return {k: float(np.sum(w * np.abs(KERNELS[k](xs, u, d)))) for k in FIELDS}
+    z = complex(a0, v)
+    if mu.kind == "semicircle":
+        g, gp = M._cauchy_pair(mu, z)
+        sg, sgp = abs(g), abs(gp)
+    else:
+        sg = sgp = 0.0
+        for (lo, hi, coeffs), pole in zip(mu.pieces, mu.piece_multipoles):
+            n = M._multipole_terms(pole, z)
+            if n:
+                inv = 1.0 / abs(z - pole[0])
+                sg += sum(abs(m) * inv ** (k + 1) for k, m in enumerate(pole[2][:n]))
+                sgp += sum((k + 1) * abs(m) * inv ** (k + 2) for k, m in enumerate(pole[2][:n]))
+                continue
+            b = [abs(bk) for bk in M.poly_shift(coeffs, z)] + [0.0]
+            u0, u1 = abs(lo - z), abs(hi - z)
+            log = abs(cmath.log((hi - z) / (lo - z)))
+            sg += b[0] * log + sum(b[k] * (u0**k + u1**k) / k for k in range(1, len(b)))
+            sgp += b[0] * (1 / u0 + 1 / u1) + b[1] * log
+            sgp += sum(b[k] * (u0 ** (k - 1) + u1 ** (k - 1)) / (k - 1) for k in range(2, len(b)))
+    cancelled = not (bundle.p0 + M._cauchy_pair(mu, z)[1].real >= M._Q0_CANCEL * bundle.p0)
+    return {
+        "p0": sg / v,
+        "p1": abs(a0) * sg / v + sg,
+        "c1": sg,
+        "q0": abs(bundle.q0) if cancelled else (sg / v + sgp) / (2 * v * v),
+        "q1": sgp / (2 * v),
+        "q2": (sg / v + sgp) / 2,
+    }
+
+
+def _switch_nodes(mu):
+    """(a0, v) on both sides of each piece's multipole switch, |z - c| = 4h."""
+    out = []
+    for c, h, _ in mu.piece_multipoles:
+        for side in (1 - 1e-3, 1 + 1e-3):
+            for ang in (0.05, 0.7, 1.5, 2.4):
+                out.append((c + 4 * h * side * math.cos(ang), 4 * h * side * math.sin(ang)))
+    return out
+
+
+def _cancelled_nodes(mu):
+    """(a0, v) where q0 takes _q0_cancelled: just outside each piece end or
+    the semicircle's edge, at v/d from 1e-9 to 4 (the series in v^2 or in the
+    moments, and the term-by-term sum within 4v)."""
+    if mu.kind == "semicircle":
+        ends = [mu.support.hi]
+    else:
+        ends = [e for lo, hi, _ in mu.pieces for e in (lo, hi)]
+    out = []
+    for e in ends:
+        for d in (1e-7, 1e-3, 0.05):
+            for ratio in (1e-9, 1e-4, 0.1, 1.0, 4.0):
+                out += [(e + d, ratio * d), (e - d, ratio * d)]
+    return out
+
+
+ARRAY_LAWS = {
+    "semicircle": M.semicircle(1.0),
+    "uniform": M.uniform(-1.0, 1.0),
+    "two_piece": two_piece(),
+    "3x^2": M.piecewise_poly([(0.0, 1.0, (0.0, 0.0, 3.0))]),
+    "four_atoms": M.atomic([(-2.0, 0.25), (-0.5, 0.25), (0.7, 0.25), (2.5, 0.25)]),
+    # a0 on the piece next to its fourth-order zero: the term-by-term q0
+    "(x-0.3)^4": M.piecewise_poly([(-1.0, 2.0, tuple(np.polynomial.polynomial.polypow([-0.3, 1.0], 4)))]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_LAWS))
+def test_array_bundle_matches_scalar_bundles(name, monkeypatch):
+    mu = ARRAY_LAWS[name]
+    if name == "(x-0.3)^4":
+        nodes = [(0.3 + d, v) for d in (-1e-3, -1e-6, 0.0, 1e-6, 1e-3) for v in (1e-9, 1e-6, 1e-4)]
+    else:
+        lo, hi = mu.support.lo, mu.support.hi
+        nodes = [(a0, v) for a0 in np.linspace(lo - 1.0, hi + 1.0, 23) for v in (1e-6, 1e-2, 0.7)]
+        if mu.kind == "piecewise_poly":
+            nodes += _switch_nodes(mu)
+        if mu.kind != "atomic":
+            nodes += _cancelled_nodes(mu)
+    a0, v = (np.array(col) for col in zip(*nodes))
+    calls = []
+    cancelled = M._q0_cancelled
+    monkeypatch.setattr(M, "_q0_cancelled", lambda *args: calls.append(args) or cancelled(*args))
+    got = M.transforms(mu, a0, v * v)
+    assert len(calls) <= 1  # the cancelled nodes of an array call in one call
+    if mu.kind != "atomic":
+        assert calls, "no node took the cancelled q0"
+    for i in range(a0.size):
+        ref = M.transforms(mu, float(a0[i]), float(v[i] * v[i]))
+        scale = _term_scales(mu, float(a0[i]), float(v[i]), ref)
+        for k in FIELDS:
+            err = abs(getattr(got, k)[i] - getattr(ref, k)) / scale[k]
+            assert err <= 1e-14, (k, a0[i], v[i], err)

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import ibrown.brown as B
 import ibrown.measure as M
 import ibrown.subordination as S
+from ibrown.errors import DegenerateJacobianError, OutsideLambdaError
 
 
 def elliptic_vt(s, t, a0):
@@ -276,3 +278,79 @@ def test_uniform_peak_height_transcendental(un):
     root = 0.5 * (lo + hi)
     assert root < math.pi * t / 2
     assert S.v_t(un, t, 0.0) == pytest.approx(root, abs=1e-11)
+
+
+# ---------------------------------------------------------------------------
+# the array v_t solve of a sweep
+
+X4 = M.piecewise_poly([(-1.0, 2.0, tuple(np.polynomial.polynomial.polypow([-0.3, 1.0], 4)))])
+SWEEP_LAWS = {
+    "semicircle": (M.semicircle(1.0), 1.0),
+    "uniform": (M.uniform(-1.0, 1.0), 0.1),
+    "bernoulli": (M.bernoulli(0.6667), 1.05),
+    "3x^2": (M.piecewise_poly([(0.0, 1.0, (0.0, 0.0, 3.0))]), 0.3),
+    "four_atoms": (M.atomic([(-2.0, 0.25), (-0.5, 0.25), (0.7, 0.25), (2.5, 0.25)]), 0.5),
+    # next to the fourth-order zero at 0.3 v_t falls below 4 V_TOL
+    "(x-0.3)^4": (X4, 0.3),
+}
+
+
+def _sweep_nodes(mu, t, n=513):
+    """Interior Chebyshev nodes of each region interval; for (x - 0.3)^4 also
+    nodes next to its zero, off the region's split there."""
+    nodes = [
+        0.5 * (lo + hi) - 0.5 * (hi - lo) * np.cos(np.linspace(0.0, np.pi, n + 1)[1:-1])
+        for lo, hi in S.lambda_region(mu, t).intervals
+    ]
+    if mu is X4:
+        near = 0.3 + np.linspace(-3e-4, 3e-4, 241)
+        nodes.append(near[np.abs(near - 0.3) > 3e-5])
+    return np.sort(np.concatenate(nodes))
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_LAWS))
+def test_array_vt_solve_matches_scalar_solve(name):
+    # node by node against the scalar solve without a hint: v within 1e-10
+    # relative and 0 at the same nodes. Next to the fourth-order zero p0 =
+    # -Im G/v keeps only 16 - log10(kappa) digits, kappa = |G|/(v p0), so
+    # there the two solves agree to within that rounding, 1e-16 kappa
+    mu, t = SWEEP_LAWS[name]
+    a0 = _sweep_nodes(mu, t)
+    v, out = S._vt_solve_nodes(mu, t, a0)
+    ref = [S._vt_solve(mu, t, float(x)) for x in a0]
+    ref_v = np.array([r[0] for r in ref])
+    assert np.array_equal(v == 0.0, ref_v == 0.0)
+    if mu is X4:
+        assert np.sum(v == 0.0) > 100  # the V_TOL branch acts
+    for i in np.flatnonzero(ref_v):
+        kappa = abs(M.cauchy(mu, complex(a0[i], ref_v[i]))) / (ref_v[i] * ref[i][1].p0)
+        assert abs(v[i] - ref_v[i]) <= (1e-10 + 1e-16 * kappa) * ref_v[i], (a0[i], kappa)
+        # the bundle returned is the one at the returned v
+        again = M.transforms(mu, float(a0[i]), float(v[i] * v[i]))
+        assert abs(out.p0[i] - again.p0) <= (1e-13 + 1e-16 * kappa) * again.p0
+
+
+def test_array_vt_solve_raises_outside_the_region():
+    # an interval that overhangs the region's end by 0.05
+    mu, t = SWEEP_LAWS["bernoulli"]
+    (lo, hi), = S.lambda_region(mu, t).intervals
+    a0 = np.linspace(lo + 0.01, hi + 0.05, 101)
+    with pytest.raises(OutsideLambdaError):
+        S._vt_solve_nodes(mu, t, a0)
+    with pytest.raises(OutsideLambdaError):
+        B.lambda_sweep(mu, t, (lo, hi + 0.05), 64)
+
+
+def test_sweep_raises_where_q0_is_not_positive(monkeypatch):
+    # a q0 <= 0 at a node with v > 0 is a degenerate Jacobian, as in
+    # at_with_slope
+    mu, t = SWEEP_LAWS["four_atoms"]
+    transforms = S.transforms
+
+    def flipped(mu, a0, v2):
+        out = transforms(mu, a0, v2)
+        return out._replace(q0=-np.abs(out.q0)) if isinstance(a0, np.ndarray) else out
+
+    monkeypatch.setattr(S, "transforms", flipped)
+    with pytest.raises(DegenerateJacobianError):
+        B.lambda_sweep(mu, t, S.lambda_region(mu, t).intervals[0], 64)
