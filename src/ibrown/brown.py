@@ -18,7 +18,7 @@ from io import StringIO
 
 import numpy as np
 
-from .errors import OutsideOmegaError, OutsideOnlyError
+from .errors import NoConvergenceError, OutsideOmegaError, OutsideOnlyError
 from .measure import MeasureSpec, cauchy, log_potential
 from .numerics import bracket_newton
 from .subordination import (
@@ -109,43 +109,82 @@ def _intervals(mu, t):
     return _omega_intervals_cached(mu, float(t))
 
 
-def _a0_solve(mu, t, a, lam_iv, omega_iv, state):
+def _a0_ftol(a, al, ar):
+    """Residual tolerance in a of the inversion a -> a0 on the interval with
+    image [al, ar], at a point or elementwise at arrays of them."""
+    # b_t grows like sqrt(a - al) at an end, so next to one the residual must
+    # shrink with the distance for b_t to keep ten digits, down to a few ulps
+    # of a, where a_t's rounding would only stall the solve
+    near = 1e-10 * np.minimum(a - al, ar - a)
+    return (1.0 + np.abs(a)) * np.maximum(np.minimum(1e-12, near), 1e-15)
+
+
+def _a0_solve(mu, t, a, lam_iv, omega_iv):
     """Invert a_t on one source interval: (a0, slope, v) with a_t(a0) = a.
 
     Bracketed Newton on the fixed bracket lam_iv = [l, r], where f = a_t - a
-    is known at both ends from omega_iv = (a_t(l), a_t(r)). ``state`` holds
-    the last evaluation (a0, a_t, slope, v) across calls: it seeds the first
-    iterate with one Newton step and v_t's solve with a hint, and the slope
-    and v returned are the ones evaluated at the root, not a second solve.
+    is known at both ends from omega_iv = (a_t(l), a_t(r)). Each evaluation
+    hints v_t's solve with the v before, and the slope and v returned are the
+    ones evaluated at the root, not a second solve.
     """
     (l, r), (al, ar) = lam_iv, omega_iv
+    last: dict = {}
 
     def fdf(a0):
-        at, slope, v = at_with_slope(mu, t, a0, v_hint=state.get("v"))
-        state.update(a0=a0, at=at, slope=slope, v=v)
+        at, slope, v = at_with_slope(mu, t, a0, v_hint=last.get("v"))
+        last.update(a0=a0, slope=slope, v=v)
         return at - a, slope
 
-    x0 = l + (r - l) * (a - al) / (ar - al)
-    if state:
-        step = state["a0"] + (a - state["at"]) / state["slope"]
-        if l < step < r:
-            x0 = step
     root = bracket_newton(
         fdf,
         l,
         r,
         flo=al - a,
         fhi=ar - a,
-        x0=x0,
+        x0=l + (r - l) * (a - al) / (ar - al),
         xtol=1e-15 * (1.0 + abs(l) + abs(r)),
-        # b_t grows like sqrt(a - al) at an end, so next to one the residual
-        # must shrink with the distance for b_t to keep ten digits, down to
-        # a few ulps of a, where a_t's rounding would only stall the solve
-        ftol=(1.0 + abs(a)) * max(min(1e-12, 1e-10 * min(a - al, ar - a)), 1e-15),
+        ftol=float(_a0_ftol(a, al, ar)),
     )
-    if state.get("a0") != root:
+    if last.get("a0") != root:
         fdf(root)
-    return root, state["slope"], state["v"]
+    return root, last["slope"], last["v"]
+
+
+#: passes of the array inversion; bisection alone closes any bracket to its
+#: xtol in under 60
+_A0_PASSES = 100
+
+
+def _a0_solve_nodes(mu, t, a, lam_iv, omega_iv, x0):
+    """_a0_solve at every node of the array a, strictly inside omega_iv, at
+    once: each node keeps its own bracket [l, r], starts at x0 and takes a
+    Newton step in it or else bisects, with _a0_solve's stopping rule. Each
+    pass is one array v_t solve and its slopes at the nodes still open.
+
+    Returns arrays (a0, slope, v), the slope and v evaluated at each root.
+    """
+    (l, r), (al, ar) = lam_iv, omega_iv
+    ftol, xtol = _a0_ftol(a, al, ar), 1e-15 * (1.0 + abs(l) + abs(r))
+    lo, hi = np.full(a.size, float(l)), np.full(a.size, float(r))
+    x = np.clip(x0, np.nextafter(l, r), np.nextafter(r, l))
+    roots, slopes, vs = np.empty(a.size), np.empty(a.size), np.empty(a.size)
+    idx = np.arange(a.size)  # the nodes still open, their iterate in x
+    for _ in range(_A0_PASSES):
+        v, out = _vt_solve_nodes(mu, t, x)
+        at, slope = _at_slope(t, x, v, out)
+        f = at - a[idx]
+        up = f > 0.0  # a_t is increasing: the root lies below x
+        lo[idx] = np.where(up, lo[idx], x)
+        hi[idx] = np.where(up, x, hi[idx])
+        done = (np.abs(f) <= ftol[idx]) | (hi[idx] - lo[idx] <= xtol)
+        roots[idx[done]], slopes[idx[done]], vs[idx[done]] = x[done], slope[done], v[done]
+        keep = ~done
+        idx, x, f, slope = idx[keep], x[keep], f[keep], slope[keep]
+        if not idx.size:
+            return roots, slopes, vs
+        xn = x - f / slope
+        x = np.where((lo[idx] < xn) & (xn < hi[idx]), xn, 0.5 * (lo[idx] + hi[idx]))
+    raise NoConvergenceError(f"a0(a) open at {idx.size} nodes after {_A0_PASSES} passes")
 
 
 # ----------------------------------------------------------------------------
@@ -165,7 +204,7 @@ def _invert(mu, t, a):
             return l, math.nan, 0.0
         if a >= ar - tol:
             return r, math.nan, 0.0
-        return _a0_solve(mu, t, a, (l, r), (al, ar), {})
+        return _a0_solve(mu, t, a, (l, r), (al, ar))
     raise OutsideOmegaError(f"{a} is outside the region's real section")
 
 

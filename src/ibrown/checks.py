@@ -129,6 +129,10 @@ def check_pushforward(mu, t) -> list[CheckResult]:
     prof = brown.profile(mu, t, n_grid=256)
     rows = [
         CheckResult("pushforward", "rectangle masses", rep.max_discrepancy, 1e-5),
+        # at most 2.1e-11 on the reference laws, on 3x^2 at t = 0.3
+        CheckResult(
+            "pushforward", "rectangle error estimate", max(rep.error_estimates, default=0.0), 1e-9
+        ),
         CheckResult("pushforward", "total mass", abs(prof.mass - 1.0), 1e-6),
     ]
     # boundary agreement of the vertical-affine map with the holomorphic map

@@ -138,6 +138,7 @@ def cmd_pushforward(ns) -> int:
         "measure": mu.label,
         "digest": mu.digest(),
         "rectangle_max_discrepancy": _fmt(rep.max_discrepancy),
+        "rectangle_max_error_estimate": _fmt(max(rep.error_estimates, default=0.0)),
         "boundary_agreement": _fmt(worst),
         "law_mass": _fmt(float(law.cdf[-1])),
     }

@@ -11,16 +11,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache
 from io import StringIO
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
-from .brown import _a0_solve, _intervals, a0_of_a, classify, lambda_sweep
+from .brown import _a0_solve_nodes, _intervals, a0_of_a, classify, lambda_sweep
 from .errors import OutsideLambdaError, OutsideOmegaError
-from .measure import MeasureSpec
-from .numerics import integrate_adaptive
-from .subordination import a_t, at_with_slope, v_t
+from .measure import MeasureSpec, transforms
+from .numerics import bracket_newton
+from .subordination import _at_slope, _at_value, _vt_solve_nodes, a_t, at_with_slope, v_t
 
 #: cuts of each region interval along Re, giving the rectangles of pushforward_check
 N_RECT = 4
@@ -143,92 +144,98 @@ def sample_planar(mu: MeasureSpec, t: float, n: int, seed: int = 0) -> np.ndarra
 
 @dataclass(frozen=True)
 class PushforwardReport:
-    """Rectangle-mass comparison between the two routes to the planar law."""
+    """Rectangle-mass comparison between the two routes to the planar law.
+
+    error_estimates holds, per rectangle, the larger of the source-side and
+    target-side differences between the RULE_NODES rule and the embedded
+    CHECK_NODES rule.
+    """
 
     max_discrepancy: float
     rectangles: tuple[tuple[float, float, float, float], ...]
     source_masses: tuple[float, ...]
     target_masses: tuple[float, ...]
+    error_estimates: tuple[float, ...]
 
 
-def _edge_ladder(lo: float, hi: float, edges: tuple[float, float]) -> list[float]:
-    """Breakpoints of [lo, hi] with geometric refinement toward touching
-    square-root edges of the enclosing interval."""
-    pts = {lo, hi}
-    span = edges[1] - edges[0]
-    for edge in edges:
-        if abs(lo - edge) <= 1e-12 * (1.0 + abs(edge)) or abs(hi - edge) <= 1e-12 * (
-            1.0 + abs(edge)
-        ):
-            r = span * 1e-10
-            while r < span:
-                for p in (edge - r, edge + r):
-                    if lo < p < hi:
-                        pts.add(p)
-                r *= 8.0
-    return sorted(pts)
+#: Gauss-Legendre nodes per theta-piece of a rectangle mass, and of the
+#: embedded lower-order rule whose difference is the mass's error estimate
+RULE_NODES = 48
+CHECK_NODES = 24
 
 
-def _v_crossings(mu, t, sweep, levels):
-    """Source abscissas where v_t crosses the given positive levels, each
-    bracketed by neighbouring sweep nodes and then bisected."""
-    a0s, vs = sweep["a0"], sweep["v"]
-    hits = []
-    for level in levels:
-        if level <= 0.0:
-            continue
-        d = vs - level
-        for i in range(d.size - 1):
-            if d[i] == 0.0 or (d[i] > 0.0) == (d[i + 1] > 0.0):
-                continue
-            xa, xb, fa = a0s[i], a0s[i + 1], d[i]
-            for _ in range(60):
-                xm = 0.5 * (xa + xb)
-                fm = v_t(mu, t, xm) - level
-                if (fm > 0.0) == (fa > 0.0):
-                    xa, fa = xm, fm
-                else:
-                    xb = xm
-            hits.append(0.5 * (xa + xb))
-    return hits
+@lru_cache(maxsize=None)
+def _embedded_rule(n_hi, n_lo):
+    """Nodes on [-1, 1] of two Gauss-Legendre rules side by side, and their
+    weights as rows (2, nodes), each row zero on the other rule's nodes.
+    Built on first use: leggauss(48) takes milliseconds, which every import
+    would pay."""
+    (x_hi, w_hi), (x_lo, w_lo) = leggauss(n_hi), leggauss(n_lo)
+    weights = np.zeros((2, n_hi + n_lo))
+    weights[0, :n_hi], weights[1, n_hi:] = w_hi, w_lo
+    nodes = np.concatenate((x_hi, x_lo))
+    for arr in (nodes, weights):
+        arr.setflags(write=False)
+    return nodes, weights
 
 
-def _rect_mass(point, interval, x_lo, x_hi, b_lo, b_hi, kinks):
-    """Mass over {x in [x_lo, x_hi] within interval} x {b in [b_lo, b_hi]} of a
-    density constant on vertical segments: point(x, state) gives (density,
-    half-height) at x, and keeps in state what seeds its next call."""
-    lo, hi = max(interval[0], x_lo), min(interval[1], x_hi)
-    if hi <= lo:
-        return 0.0
-    state: dict = {}
+def _v_crossings(mu, t, sweep, level):
+    """Source abscissas where v_t crosses the positive level, and a_t there.
 
-    def f(xs):
-        out = np.zeros_like(xs)
-        for i, x in enumerate(xs):
-            try:
-                density, height = point(x, state)
-            except OutsideLambdaError:
-                continue  # height 0 at the interval edge
-            seg = min(b_hi, height) - max(b_lo, -height)
-            if seg > 0.0:
-                out[i] = density * seg
-        return out
+    v_t > level exactly where p0(a0, level^2) > 1/t, so each crossing is a
+    root of p0(., level^2) - 1/t, bracketed by neighbouring sweep nodes
+    (where v - level has its sign) and solved by Newton through
+    d p0/d a0 = -2 q1, one bundle per step; a_t comes from the bundle at the
+    root, where v_t = level.
+    """
+    a0s, d = sweep["a0"], sweep["v"] - level
+    v2, inv_t = level * level, 1.0 / t
 
-    breaks = sorted(set(_edge_ladder(lo, hi, interval)) | {k for k in kinks if lo < k < hi})
-    return integrate_adaptive(f, breaks)
+    def fdf(a0):
+        out = transforms(mu, a0, v2)
+        return out.p0 - inv_t, -2.0 * out.q1
+
+    hits = [
+        bracket_newton(fdf, a0s[i], a0s[i + 1], flo=d[i], fhi=d[i + 1])
+        for i in np.flatnonzero((d[:-1] != 0.0) & ((d[:-1] > 0.0) != (d[1:] > 0.0)))
+    ]
+    return np.array(hits), np.array([_at_value(t, x, transforms(mu, x, v2)) for x in hits])
 
 
-def _forward(mu, t, a0, state):
-    """(rho_t, v_t) at a0 on the source side, v_t hinted by the call before."""
-    _, slope, v = at_with_slope(mu, t, a0, v_hint=state.get("v"))
-    state["v"] = v
-    return (1.0 / (math.pi * t)) * (1.0 - 0.5 * slope), v
+def _theta_nodes(interval, cuts, kinks):
+    """Nodes x and weights of both rules for the integrals over [cuts[i],
+    cuts[i + 1]], in the Chebyshev angle x = mid - half cos(theta) on the
+    whole interval (cuts[0] and cuts[-1] are its ends). Each piece of the
+    angle between consecutive breaks, the cuts and the kinks, takes both
+    Gauss-Legendre rules. Returns x, the weights (2, nodes) of the two rules
+    with dx/dtheta folded in, and each node's cut index."""
+    lo, hi = interval
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+
+    def angle(x):
+        return np.arccos(np.clip((mid - x) / half, -1.0, 1.0))
+
+    cut_th = angle(cuts)
+    cut_th[0], cut_th[-1] = 0.0, math.pi  # exact, whatever mid and half round to
+    # np.sort, not np.unique, which imports numpy.ma (about 1.3 MiB) on first use
+    breaks = np.sort(np.concatenate((cut_th, angle(kinks))))
+    left, right = breaks[:-1], breaks[1:]
+    centre, width = 0.5 * (right + left)[right > left], 0.5 * (right - left)[right > left]
+    xi, rule_weights = _embedded_rule(RULE_NODES, CHECK_NODES)
+    theta = centre[:, None] + width[:, None] * xi
+    weights = (width[:, None] * half * np.sin(theta))[None] * rule_weights[:, None, :]
+    which = np.repeat(np.searchsorted(cut_th, centre) - 1, xi.size)
+    return (mid - half * np.cos(theta)).ravel(), weights.reshape(2, -1), which
 
 
-def _inverse(mu, t, lam_iv, omega_iv, a, state):
-    """(w_t, b_t) at a on the target side, a0(a) seeded by the call before."""
-    _, slope, v = _a0_solve(mu, t, a, lam_iv, omega_iv, state)
-    return (1.0 / (2.0 * math.pi * t)) * (1.0 / slope - 0.5), 2.0 * v
+def _clipped(height, b_lo, b_hi):
+    """Length of [-height, height] within [b_lo, b_hi]."""
+    return np.maximum(np.minimum(b_hi, height) - np.maximum(b_lo, -height), 0.0)
+
+
+def _cut_sums(which, weights, f):
+    """Sums of f over the nodes of each cut under both rules: shape (2, N_RECT)."""
+    return np.array([np.bincount(which, w * f, N_RECT) for w in weights])
 
 
 def pushforward_check(mu: MeasureSpec, t: float) -> PushforwardReport:
@@ -236,34 +243,52 @@ def pushforward_check(mu: MeasureSpec, t: float) -> PushforwardReport:
 
     For a family of axis-aligned rectangles R, the mass of rho_t over
     U_t^{-1}(R) must match the planar mass over R; U_t^{-1} maps
-    [a1,a2]x[b1,b2] to [a0(a1),a0(a2)]x[b1/2,b2/2] on each interval.
-    Integrands are pre-split at the clip heights (where the rectangle top
-    crosses the boundary graph) and at the square-root edges.
+    [a1,a2]x[b1,b2] to [a0(a1),a0(a2)]x[b1/2,b2/2] on each interval. Per
+    region interval there are three bands, the full height first, each cut
+    into N_RECT rectangles.
+
+    Each side keeps its own variable: the source masses integrate rho_t
+    times the clipped height v_t over a0, the target masses w_t times the
+    clipped height b_t over a. Either integral runs over the Chebyshev angle
+    of its whole interval, which makes the square-root ends smooth, and is
+    split at the cuts and at the clip kinks, where v_t crosses the half
+    bands' top. Each piece takes a fixed Gauss-Legendre rule of RULE_NODES
+    nodes and an embedded one of CHECK_NODES for the error estimate. Per
+    interval, the source nodes take one array v_t solve, the target nodes
+    one array inversion a -> a0, and the inner cuts one a0_of_a each.
     """
     omega, region = _intervals(mu, t)
-    rects, src, tgt = [], [], []
-    for omega_iv, lam_iv in zip(omega, region.intervals):
-        al, ar = omega_iv
-        sweep = lambda_sweep(mu, t, lam_iv, 64)
-        forward, inverse = partial(_forward, mu, t), partial(_inverse, mu, t, lam_iv, omega_iv)
+    rects, src, tgt, err = [], [], [], []
+    for (al, ar), (l, r) in zip(omega, region.intervals):
+        sweep = lambda_sweep(mu, t, (l, r), 64)
         bmax = 2.0 * float(sweep["v"].max())
-        cuts = np.linspace(al, ar, N_RECT + 1)
         bands = [(-2.0 * bmax, 2.0 * bmax), (0.0, 0.45 * bmax), (-0.45 * bmax, 0.0)]
+        cuts = np.linspace(al, ar, N_RECT + 1)
+        cuts_a0 = np.array([l] + [a0_of_a(mu, t, float(c)) for c in cuts[1:-1]] + [r])
+        # the half bands share one clip level, which the full band never meets
+        kinks_a0, kinks_a = _v_crossings(mu, t, sweep, 0.225 * bmax)
+
+        x, w_x, which_x = _theta_nodes((l, r), cuts_a0, kinks_a0)
+        v, out = _vt_solve_nodes(mu, t, x)
+        rho = (1.0 / (math.pi * t)) * (1.0 - 0.5 * _at_slope(t, x, v, out)[1])
+
+        a, w_a, which_a = _theta_nodes((al, ar), cuts, kinks_a)
+        start = np.interp(a, sweep["at"], sweep["a0"])
+        _, slope, v_a = _a0_solve_nodes(mu, t, a, (l, r), (al, ar), start)
+        w = (1.0 / (2.0 * math.pi * t)) * (1.0 / slope - 0.5)
+
         for b_lo, b_hi in bands:
-            level = 0.5 * max(abs(b_lo), abs(b_hi))
-            kinks_a0 = [] if level >= 0.5 * bmax else _v_crossings(mu, t, sweep, [level])
-            kinks_a = [at_with_slope(mu, t, k)[0] for k in kinks_a0]
-            for i in range(N_RECT):
-                a_lo, a_hi = float(cuts[i]), float(cuts[i + 1])
-                a0_lo = a0_of_a(mu, t, min(max(a_lo, al), ar))
-                a0_hi = a0_of_a(mu, t, min(max(a_hi, al), ar))
-                rects.append((a_lo, a_hi, b_lo, b_hi))
-                src.append(_rect_mass(forward, lam_iv, a0_lo, a0_hi, 0.5 * b_lo, 0.5 * b_hi, kinks_a0))
-                tgt.append(_rect_mass(inverse, omega_iv, a_lo, a_hi, b_lo, b_hi, kinks_a))
+            s = _cut_sums(which_x, w_x, rho * _clipped(v, 0.5 * b_lo, 0.5 * b_hi))
+            g = _cut_sums(which_a, w_a, w * _clipped(2.0 * v_a, b_lo, b_hi))
+            rects += [(float(cuts[i]), float(cuts[i + 1]), b_lo, b_hi) for i in range(N_RECT)]
+            src += s[0].tolist()
+            tgt += g[0].tolist()
+            err += np.maximum(np.abs(s[0] - s[1]), np.abs(g[0] - g[1])).tolist()
     disc = max(abs(s - g) for s, g in zip(src, tgt)) if rects else 0.0
     return PushforwardReport(
         max_discrepancy=disc,
         rectangles=tuple(rects),
         source_masses=tuple(src),
         target_masses=tuple(tgt),
+        error_estimates=tuple(err),
     )

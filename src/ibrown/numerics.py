@@ -1,9 +1,8 @@
-"""Shared numerical kernels: adaptive Gauss-Legendre panels, bracketed root
-solves and damped Newton.
+"""Shared numerical kernels: bracketed root solves, damped Newton and
+polynomial helpers.
 
-The integrator takes a scalar integrand evaluated on a node array and runs
-to fixed tolerances. Its callers are the rectangle masses of the pushforward
-check, as no kernel integral of a law needs quadrature.
+The module holds no quadrature: no kernel integral of a law needs one, and
+the pushforward check's rectangle masses take fixed rules of their own.
 """
 
 from __future__ import annotations
@@ -12,74 +11,8 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import NoConvergenceError
-
-_GL_LO_N = 12
-_GL_HI_N = 25
-
-_gl_lo = leggauss(_GL_LO_N)
-_gl_hi = leggauss(_GL_HI_N)
-_NODES = np.concatenate((_gl_lo[0], _gl_hi[0]))
-_W_LO = _gl_lo[1]
-_W_HI = _gl_hi[1]
-
-#: absolute and relative tolerance and bisection depth cap of integrate_adaptive
-QUAD_ATOL = 1e-9
-QUAD_RTOL = 1e-9
-QUAD_MAX_DEPTH = 26
-
-
-def _panel_estimates(f, lo: float, hi: float) -> tuple[float, float]:
-    """Low- and high-order Gauss-Legendre estimates on one panel, one call to f."""
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    y = f(mid + half * _NODES)
-    i_lo = half * float(y[:_GL_LO_N] @ _W_LO)
-    i_hi = half * float(y[_GL_LO_N:] @ _W_HI)
-    return i_hi, abs(i_hi - i_lo)
-
-
-def integrate_adaptive(
-    f: Callable[[np.ndarray], np.ndarray], breakpoints: Sequence[float]
-) -> float:
-    """Integrate f, which maps a node array to its values there, over
-    [breakpoints[0], breakpoints[-1]].
-
-    Panels start at the ascending `breakpoints`, the known difficult points,
-    and are bisected, at most QUAD_MAX_DEPTH times, until the embedded error
-    estimate meets its share of ``QUAD_ATOL + QUAD_RTOL*|I|``.
-    """
-    pts = [float(b) for b in breakpoints]
-    panels = [(lo, hi) for lo, hi in zip(pts[:-1], pts[1:]) if hi > lo]
-    if not panels:
-        raise ValueError("empty integration range")
-    first = [(lo, hi, *_panel_estimates(f, lo, hi)) for lo, hi in panels]
-    tol_global = QUAD_ATOL + QUAD_RTOL * abs(sum(val for _, _, val, _ in first))
-
-    total = 0.0
-    # each initial panel gets an equal tolerance share, halved on every split;
-    # the rounding floor keeps noise-dominated panels from splitting forever
-    budget = 4000
-    stack = [(lo, hi, tol_global / len(first), 0, val, err) for lo, hi, val, err in first]
-    while stack:
-        lo, hi, tol, depth, val, err = stack.pop()
-        mid = 0.5 * (lo + hi)
-        if (
-            depth >= QUAD_MAX_DEPTH
-            or budget <= 0
-            or mid <= lo
-            or mid >= hi
-            or err <= tol + 5e-16 * abs(val) + 1e-300
-        ):
-            total += val
-            continue
-        budget -= 2
-        for a, b in ((lo, mid), (mid, hi)):
-            v, e = _panel_estimates(f, a, b)
-            stack.append((a, b, tol * 0.5, depth + 1, v, e))
-    return total
 
 
 def bracket_newton(

@@ -6,6 +6,10 @@ import ibrown.measure as M
 import ibrown.brown as B
 
 
+#: four atoms of weight 1/4; at t = 0.5 the source region has four intervals
+FOUR_ATOMS = M.atomic([(-2.0, 0.25), (-0.5, 0.25), (0.7, 0.25), (2.5, 0.25)])
+
+
 @pytest.fixture(scope="session")
 def sc():
     return M.semicircle(1.0)

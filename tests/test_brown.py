@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 import ibrown.brown as B
 import ibrown.measure as M
 import ibrown.subordination as S
-from ibrown.errors import OutsideOmegaError, OutsideOnlyError
+from ibrown.errors import NoConvergenceError, OutsideOmegaError, OutsideOnlyError
+
+from conftest import FOUR_ATOMS
 
 
 def bernoulli_quartic(al, t, a):
@@ -146,9 +148,6 @@ def test_profile_needs_no_a0_inversion(sc, un, be23, monkeypatch):
         assert p.mass == pytest.approx(1.0, abs=1e-9)
 
 
-FOUR_ATOMS = M.atomic([(-2.0, 0.25), (-0.5, 0.25), (0.7, 0.25), (2.5, 0.25)])
-
-
 @pytest.mark.parametrize("n_grid", [16, 100, 767, 1024])
 def test_profile_sweeps_each_interval_once(n_grid, monkeypatch):
     # one sweep per interval at k (n_grid + 1) angles, k the least factor
@@ -228,6 +227,35 @@ def test_pointwise_queries_invert_once(be23, monkeypatch):
         calls.clear()
         fn(be23, 1.05, 0.3)
         assert len(calls) == 1
+
+
+def test_array_inversion_matches_the_pointwise_one():
+    # one array inversion a -> a0 per interval, from a coarse sweep's
+    # interpolation, meets the scalar solve's residual tolerance, and the
+    # slope and v it returns are the ones at its roots
+    mu, t = FOUR_ATOMS, 0.5
+    omega, region = B._intervals(mu, t)
+    for (al, ar), (l, r) in zip(omega, region.intervals):
+        sw = B.lambda_sweep(mu, t, (l, r), 64)
+        a = al + (ar - al) * np.array([1e-9, 1e-4, 0.1, 0.37, 0.5, 0.9, 1.0 - 1e-6])
+        a0, slope, v = B._a0_solve_nodes(mu, t, a, (l, r), (al, ar), np.interp(a, sw["at"], sw["a0"]))
+        for i, x in enumerate(a):
+            ftol = B._a0_ftol(x, al, ar)
+            at, slope_at, v_at = S.at_with_slope(mu, t, float(a0[i]))
+            assert abs(at - x) <= ftol
+            # both roots are within their tolerance of the true one
+            assert abs(a0[i] - B.a0_of_a(mu, t, float(x))) <= 2.0 * ftol / slope_at
+            assert slope[i] == pytest.approx(slope_at, rel=1e-9)
+            assert v[i] == pytest.approx(v_at, rel=1e-9)
+
+
+def test_array_inversion_cap_is_loud(be23, monkeypatch):
+    omega, region = B._intervals(be23, 1.05)
+    lam_iv = region.intervals[0]
+    a = np.linspace(*omega[0], 9)[1:-1]
+    monkeypatch.setattr(B, "_A0_PASSES", 1)
+    with pytest.raises(NoConvergenceError):
+        B._a0_solve_nodes(be23, 1.05, a, lam_iv, omega[0], np.full(a.size, lam_iv[0]))
 
 
 def test_profile_vertical_mass(sc_profile):

@@ -118,6 +118,7 @@ def test_pushforward_outputs(tmp_path):
     assert (tmp_path / "law.csv").read_text().splitlines()[0] == "u,f"
     rep = json.loads((tmp_path / "pushforward.json").read_text())
     assert rep["rectangle_max_discrepancy"] < 1e-5
+    assert 0.0 <= rep["rectangle_max_error_estimate"] < 1e-9
     assert rep["boundary_agreement"] < 1e-9
     assert rep["law_mass"] == pytest.approx(1.0, abs=1e-6)
 
@@ -196,6 +197,7 @@ def test_verify_passes_on_preset(capsys):
     assert run(["verify", "--preset", "bernoulli:0.5", "--t", "0.8"]) == 0
     out = capsys.readouterr().out
     assert "pass" in out and "FAIL" not in out
+    assert "rectangle error estimate" in out
 
 
 def test_verify_dirac_fails_fast(tmp_path):

@@ -9,7 +9,7 @@ import ibrown.measure as M
 import ibrown.subordination as S
 from ibrown.errors import OutsideLambdaError, OutsideOmegaError
 
-from conftest import semicircle_cdf
+from conftest import FOUR_ATOMS, semicircle_cdf
 
 
 def test_ut_boundary_agrees_with_j(sc, be23, un):
@@ -189,6 +189,104 @@ def test_pushforward_rectangles(sc, be23, quad):
     ]
     assert sum(s for s, _ in full) == pytest.approx(1.0, abs=1e-6)
     assert sum(g for _, g in full) == pytest.approx(1.0, abs=1e-6)
+
+
+# the five reference laws: semicircle, Bernoulli 2/3, uniform, four atoms and
+# 3x^2 on [0, 1], whose density has a double zero at the source region's end
+REFERENCE_LAWS = {
+    "semicircle": (M.semicircle(1.0), 1.0),
+    "bernoulli": (M.bernoulli(2.0 / 3.0), 1.05),
+    "uniform": (M.uniform(-1.0, 1.0), 0.1),
+    "four_atoms": (FOUR_ATOMS, 0.5),
+    "cubic_cdf": (M.piecewise_poly([(0.0, 1.0, (0.0, 0.0, 3.0))]), 0.3),
+}
+
+
+@pytest.mark.parametrize("name", REFERENCE_LAWS)
+def test_pushforward_masses_against_a_finer_rule(name, monkeypatch):
+    # the reference takes 8 times the nodes on every theta-piece of either side
+    mu, t = REFERENCE_LAWS[name]
+    rep = P.pushforward_check(mu, t)
+    monkeypatch.setattr(P, "RULE_NODES", 8 * P.RULE_NODES)
+    monkeypatch.setattr(P, "CHECK_NODES", 8 * P.CHECK_NODES)
+    ref = P.pushforward_check(mu, t)
+    assert rep.rectangles == ref.rectangles
+    assert np.max(np.abs(np.subtract(rep.source_masses, ref.source_masses))) <= 1e-11
+    assert np.max(np.abs(np.subtract(rep.target_masses, ref.target_masses))) <= 1e-11
+    assert rep.max_discrepancy <= 1e-11
+    # the embedded rule's estimate bounds the rule's own error with room
+    assert max(rep.error_estimates) <= 1e-9
+    assert len(rep.error_estimates) == len(rep.rectangles)
+
+
+def test_clip_kinks_sit_on_the_level(be23, quad):
+    # the half bands' clip kinks: v_t equals the level there, and a_t there
+    # is the kink's image
+    for mu, t in ((be23, 1.05), (quad, 0.3), (FOUR_ATOMS, 0.5)):
+        for l, r in S.lambda_region(mu, t).intervals:
+            sw = B.lambda_sweep(mu, t, (l, r), 64)
+            level = 0.45 * float(sw["v"].max())
+            kinks_a0, kinks_a = P._v_crossings(mu, t, sw, level)
+            assert len(kinks_a0) >= 2
+            for x, a in zip(kinks_a0, kinks_a):
+                at, _, v = S.at_with_slope(mu, t, x)
+                assert v == pytest.approx(level, rel=1e-9)
+                assert a == pytest.approx(at, abs=1e-12)
+
+
+def test_pushforward_solves_its_nodes_as_arrays(monkeypatch):
+    # scalar v_t solves only at the interval ends (the sweep's a_t) and in the
+    # N_RECT - 1 inner cut inversions, never per quadrature node
+    mu, t = FOUR_ATOMS, 0.5
+    n_intervals = len(B.omega_intervals(mu, t))  # the cached region takes its own solves
+    assert n_intervals == 4
+    vt_solve, transforms, scalar, nodes = S._vt_solve, M.transforms, [], []
+
+    def counted_solve(*args, **kwargs):
+        scalar.append(args[2])
+        return vt_solve(*args, **kwargs)
+
+    def counted_bundle(mu, a0, v2):
+        nodes.append(np.size(a0))
+        return transforms(mu, a0, v2)
+
+    monkeypatch.setattr(S, "_vt_solve", counted_solve)
+    for mod in (M, S, P):
+        monkeypatch.setattr(mod, "transforms", counted_bundle)
+    rep = P.pushforward_check(mu, t)
+    assert len(scalar) <= 20 * n_intervals
+    # each interval has 4 or more theta-pieces per side, of RULE_NODES +
+    # CHECK_NODES nodes each, all of which pass through array bundles
+    assert sum(n for n in nodes if n > 1) >= 2 * 4 * n_intervals * (P.RULE_NODES + P.CHECK_NODES)
+    assert rep.max_discrepancy <= 1e-11
+
+
+def test_pushforward_rectangle_layout(be23):
+    # per region interval: three bands of N_RECT rectangles, the full height
+    # first, then the upper and the lower half band, each cut at the same
+    # abscissas from the interval's left to its right end
+    mu, t = FOUR_ATOMS, 0.5
+    rep = P.pushforward_check(mu, t)
+    omega = B.omega_intervals(mu, t)
+    n = P.N_RECT
+    assert len(rep.rectangles) == 3 * n * len(omega)
+    assert len(rep.source_masses) == len(rep.target_masses) == len(rep.rectangles)
+    for k, (al, ar) in enumerate(omega):
+        block = rep.rectangles[3 * n * k : 3 * n * (k + 1)]
+        full, upper, lower = block[:n], block[n : 2 * n], block[2 * n :]
+        cuts = [r[0] for r in full] + [full[-1][1]]
+        assert cuts == pytest.approx(list(np.linspace(al, ar, n + 1)), abs=0.0)
+        for band in (upper, lower):
+            assert [r[:2] for r in band] == [r[:2] for r in full]
+        top = full[0][3]
+        assert all(r[2:] == (-top, top) for r in full)
+        assert all(r[2] == 0.0 and 0.0 < r[3] < top for r in upper)
+        assert all(r[3] == 0.0 and r[2] == -upper[0][3] for r in lower)
+    # a one-interval law: the first third of the rectangles tiles the region
+    rep = P.pushforward_check(be23, 1.05)
+    assert len(rep.rectangles) == 3 * n
+    assert sum(rep.source_masses[:n]) == pytest.approx(1.0, abs=1e-11)
+    assert sum(rep.target_masses[:n]) == pytest.approx(1.0, abs=1e-11)
 
 
 def test_sample_planar_respects_region(be23, be_profile):
