@@ -22,15 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    NUMERIC_FAILURES,
-    AmbiguousBranchError,
-    NoConvergenceError,
-    PastLifetimeError,
-)
+from .brown import _invert, classify, omega_intervals
+from .errors import NoConvergenceError, PastLifetimeError
 from .measure import MeasureSpec, log_potential, p0, p0_zero, transforms
-from .numerics import damped_newton
-from .subordination import j_t_inverse
+from .numerics import bracket_newton, damped_newton
+from .subordination import j_t_inverse, v_t
 
 
 @dataclass(frozen=True)
@@ -207,80 +203,66 @@ def _admissible(mu, t, u) -> bool:
     return math.isfinite(p0v) and 1.0 - t * p0v > 0.0
 
 
-def _flow_solutions(mu, t, target, starts, tol):
-    """The admissible solutions of the flow map from each start in turn."""
-    for start in starts:
-        u = _solve_flow(mu, t, target, start, tol)
-        if u is not None and _admissible(mu, t, u):
-            yield u
+def _start(mu, t, lam, eps):
+    """Initial data (a0, b0, eps0) for the flow inversion at (t, lam, eps).
+
+    As eps -> 0 the preimage of lam tends to U_t^{-1}(lam) in the closed
+    support region and to J_t^{-1}(lam) outside it, so a0 is Re of that
+    limit; a boundary point's Re lam, up to the band's width past an end of
+    the real section, is clamped onto it. Along a characteristic b = b0 (2 - s)
+    and eps = eps0 s^2 with s = 1 - t p0(a0, v), v^2 = b0^2 + eps0. With a0
+    fixed, these leave one equation in v,
+
+        F(v) = v^2 - b^2/(2 - s)^2 - eps/s^2 = 0,
+
+    solved as s F = 0 (s > 0 on the bracket), which tames F's pole at the
+    fold s = 0. On (v_t(a0), inf) s rises from 0 to 1 and F from -inf, and
+    F > 0 at v^2 = b^2 + 4 eps + 2 t, where t p0 <= t/v^2 <= 1/2: a bracket
+    that needs no evaluation. Its root makes the b and eps equations hold, so
+    only the a-equation is left to the flow solve.
+    """
+    a, b = lam.real, lam.imag
+    if classify(mu, t, lam).tag == "outside":
+        a0 = j_t_inverse(mu, t, lam).real
+        vt = v_t(mu, t, a0)
+    else:
+        al, ar = min(omega_intervals(mu, t), key=lambda iv: max(iv[0] - a, a - iv[1]))
+        a0, _, vt = _invert(mu, t, min(max(a, al), ar))
+    b2 = b * b
+
+    def fdf(v):
+        out = transforms(mu, a0, v * v)
+        s, ds = 1.0 - t * out.p0, 2.0 * t * v * out.q0
+        if s <= 0.0:
+            return -math.inf, None  # below v_t: its solve may stop short of the root
+        f = v * v - b2 / (2.0 - s) ** 2 - eps / (s * s)
+        df = 2.0 * v - 2.0 * b2 * ds / (2.0 - s) ** 3 + 2.0 * eps * ds / s**3
+        return s * f, ds * f + s * df
+
+    hi2 = b2 + 4.0 * eps + 2.0 * t
+    v = bracket_newton(fdf, vt, math.sqrt(hi2), flo=-math.inf, fhi=math.inf, ftol=1e-15 * hi2)
+    s = 1.0 - t * p0(mu, a0, v)
+    return a0, b / (2.0 - s), eps / (s * s)
 
 
 def s_of(mu: MeasureSpec, t: float, lam: complex, eps: float) -> float:
     """Value of the regularized log-energy at prescribed (t, lam, eps), eps > 0,
     by inverting the flow map for admissible initial data.
 
-    Solutions with 1 - t p0 <= 0 belong to the mirror sheet of the square-root
-    regularized extension and are rejected; outside the support region with
-    small eps, the inversion warm-starts from the holomorphic route.
+    One damped Newton solve from the start built from the paper's inverse
+    maps (see _start). Solutions with 1 - t p0 <= 0 belong to the mirror
+    sheet of the square-root regularized extension: a solve that ends there,
+    or fails, raises NoConvergenceError.
     """
     if eps <= 0.0:
         raise ValueError("s_of requires eps > 0")
     lam = complex(lam)
     target = (lam.real, lam.imag, eps)
-    tol = 1e-10 * (1.0 + abs(lam) + eps)
-
-    starts = [(lam.real, lam.imag, eps)]
-    try:
-        z0 = j_t_inverse(mu, t, lam, tol=1e-9 * (1.0 + abs(lam)))
-        p0v = _momenta_values(mu, z0.real, z0.imag, 0.0)[0]
-        if math.isfinite(p0v) and t * p0v < 1.0:
-            starts.append((z0.real, z0.imag, eps / (1.0 - t * p0v) ** 2))
-    except NUMERIC_FAILURES:
-        pass
-    starts += [(lam.real, lam.imag, k * eps) for k in (4.0, 16.0, 64.0)]
-
-    # the primary solution; later starts run only while none has converged
-    found = next(_flow_solutions(mu, t, target, starts, tol), None)
-    if found is None:
-        # continuation in eps from an easier regularization level
-        u = None
-        eps_hi = max(1.0, 4.0 * eps)
-        path = [eps_hi * (eps / eps_hi) ** (k / 10.0) for k in range(11)]
-        guess = (lam.real, lam.imag, eps_hi)
-        for e in path:
-            u = _solve_flow(mu, t, (lam.real, lam.imag, e), guess, 1e-10 * (1.0 + abs(lam) + e))
-            if u is None:
-                break
-            guess = tuple(u)
-        if u is not None and _admissible(mu, t, u):
-            found = u
-    if found is None:
+    u = _solve_flow(mu, t, target, _start(mu, t, lam, eps), 1e-10 * (1.0 + abs(lam) + eps))
+    if u is None or not _admissible(mu, t, u):
         raise NoConvergenceError(f"flow inversion failed at (t={t}, lam={lam}, eps={eps})")
-    init = InitialData(lam0=complex(found[0], found[1]), eps0=float(found[2]))
+    init = InitialData(lam0=complex(u[0], u[1]), eps0=float(u[2]))
     return hj_value(mu, init, t)
-
-
-def s_of_all_branches(mu: MeasureSpec, t: float, lam: complex, eps: float) -> float:
-    """Like s_of but runs every start and raises AmbiguousBranch when distinct
-    admissible preimages disagree in value."""
-    lam = complex(lam)
-    target = (lam.real, lam.imag, eps)
-    tol = 1e-10 * (1.0 + abs(lam) + eps)
-    starts = [(lam.real, lam.imag, k * eps) for k in (1.0, 4.0, 16.0)]
-    sols = []
-    for u in _flow_solutions(mu, t, target, starts, tol):
-        if not any(np.max(np.abs(u - s)) <= 1e-6 * (1.0 + np.max(np.abs(u))) for s in sols):
-            sols.append(u)
-    if not sols:
-        raise NoConvergenceError(f"flow inversion failed at (t={t}, lam={lam}, eps={eps})")
-    values = [
-        hj_value(mu, InitialData(lam0=complex(u[0], u[1]), eps0=float(u[2])), t) for u in sols
-    ]
-    if len(sols) > 1 and max(values) - min(values) > 1e-8 * (1.0 + abs(values[0])):
-        raise AmbiguousBranchError(
-            f"{len(sols)} distinct preimages with values {values} at (t={t}, lam={lam}, eps={eps})"
-        )
-    return values[0]
 
 
 def pde_residual(mu: MeasureSpec, t: float, lam: complex, eps: float) -> float:

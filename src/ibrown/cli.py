@@ -25,7 +25,6 @@ from .errors import (
     NegativeMassError,
     NoConvergenceError,
     EigenFailureError,
-    AmbiguousBranchError,
 )
 
 _VALIDATION_ERRORS = (
@@ -35,7 +34,7 @@ _VALIDATION_ERRORS = (
     EmptyMeasureError,
     ValueError,
 )
-_CONVERGENCE_ERRORS = (NoConvergenceError, EigenFailureError, AmbiguousBranchError)
+_CONVERGENCE_ERRORS = (NoConvergenceError, EigenFailureError)
 
 
 def _parse_preset(text: str) -> measure.MeasureSpec:

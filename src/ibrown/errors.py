@@ -59,10 +59,6 @@ class DegenerateJacobianError(IBrownError):
     """An analytic derivative assembly hit a degenerate denominator."""
 
 
-class AmbiguousBranchError(IBrownError):
-    """Two distinct flow-map preimages with different values were found."""
-
-
 class EigenFailureError(IBrownError):
     """Dense eigensolver failed to converge."""
 

@@ -21,7 +21,7 @@ from .brown import _a0_solve_nodes, _intervals, a0_of_a, classify, lambda_sweep
 from .errors import OutsideLambdaError, OutsideOmegaError
 from .measure import MeasureSpec, transforms
 from .numerics import bracket_newton
-from .subordination import _at_slope, _at_value, _vt_solve_nodes, a_t, at_with_slope, v_t
+from .subordination import _at_slope, _at_value, _vt_solve, _vt_solve_nodes, a_t, at_with_slope
 
 #: cuts of each region interval along Re, giving the rectangles of pushforward_check
 N_RECT = 4
@@ -32,10 +32,10 @@ def u_t(mu: MeasureSpec, t: float, lam0: complex) -> complex:
     lam0 = complex(lam0)
     a0, b0 = lam0.real, lam0.imag
     tol = 1e-9 * (1.0 + abs(lam0))
-    v = v_t(mu, t, a0)
+    v, out = _vt_solve(mu, t, a0)
     if abs(b0) > v + tol:
         raise OutsideLambdaError(f"{lam0} is outside the closed source region")
-    return complex(a_t(mu, t, a0, v_hint=v), 2.0 * b0)
+    return complex(a_t(mu, t, a0) if out is None else _at_value(t, a0, out), 2.0 * b0)
 
 
 def u_t_inverse(mu: MeasureSpec, t: float, lam: complex) -> complex:
@@ -254,8 +254,8 @@ def pushforward_check(mu: MeasureSpec, t: float) -> PushforwardReport:
     split at the cuts and at the clip kinks, where v_t crosses the half
     bands' top. Each piece takes a fixed Gauss-Legendre rule of RULE_NODES
     nodes and an embedded one of CHECK_NODES for the error estimate. Per
-    interval, the source nodes take one array v_t solve, the target nodes
-    one array inversion a -> a0, and the inner cuts one a0_of_a each.
+    interval, the source nodes take one array v_t solve, and the target
+    nodes with the inner cuts appended one array inversion a -> a0.
     """
     omega, region = _intervals(mu, t)
     rects, src, tgt, err = [], [], [], []
@@ -264,18 +264,21 @@ def pushforward_check(mu: MeasureSpec, t: float) -> PushforwardReport:
         bmax = 2.0 * float(sweep["v"].max())
         bands = [(-2.0 * bmax, 2.0 * bmax), (0.0, 0.45 * bmax), (-0.45 * bmax, 0.0)]
         cuts = np.linspace(al, ar, N_RECT + 1)
-        cuts_a0 = np.array([l] + [a0_of_a(mu, t, float(c)) for c in cuts[1:-1]] + [r])
         # the half bands share one clip level, which the full band never meets
         kinks_a0, kinks_a = _v_crossings(mu, t, sweep, 0.225 * bmax)
+
+        # the target nodes and, appended to them, the inner cuts: one inversion
+        a, w_a, which_a = _theta_nodes((al, ar), cuts, kinks_a)
+        inv = np.concatenate((a, cuts[1:-1]))
+        start = np.interp(inv, sweep["at"], sweep["a0"])
+        a0, slope, v_a = _a0_solve_nodes(mu, t, inv, (l, r), (al, ar), start)
+        cuts_a0 = np.concatenate(([l], a0[a.size :], [r]))
+        w = (1.0 / (2.0 * math.pi * t)) * (1.0 / slope[: a.size] - 0.5)
+        v_a = v_a[: a.size]
 
         x, w_x, which_x = _theta_nodes((l, r), cuts_a0, kinks_a0)
         v, out = _vt_solve_nodes(mu, t, x)
         rho = (1.0 / (math.pi * t)) * (1.0 - 0.5 * _at_slope(t, x, v, out)[1])
-
-        a, w_a, which_a = _theta_nodes((al, ar), cuts, kinks_a)
-        start = np.interp(a, sweep["at"], sweep["a0"])
-        _, slope, v_a = _a0_solve_nodes(mu, t, a, (l, r), (al, ar), start)
-        w = (1.0 / (2.0 * math.pi * t)) * (1.0 / slope - 0.5)
 
         for b_lo, b_hi in bands:
             s = _cut_sums(which_x, w_x, rho * _clipped(v, 0.5 * b_lo, 0.5 * b_hi))

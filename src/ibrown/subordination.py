@@ -184,13 +184,13 @@ def _vt_solve_nodes(mu: MeasureSpec, t: float, a0: np.ndarray):
     return v_out, Bundle(*fields)
 
 
-def v_t(mu: MeasureSpec, t: float, a0: float, v_hint: float | None = None) -> float:
+def v_t(mu: MeasureSpec, t: float, a0: float) -> float:
     """Half-height of the source region over a0 (0 outside).
 
     Bisection on the guaranteed bracket [0, sqrt(t)] with Newton refinement
     through d p0/d v = -2 v q0.
     """
-    return _vt_solve(mu, t, a0, v_hint=v_hint)[0]
+    return _vt_solve(mu, t, a0)[0]
 
 
 #: inverse golden ratio, the shrink factor of a golden-section search
@@ -340,14 +340,14 @@ def lambda_region(mu: MeasureSpec, t: float) -> LambdaRegion:
     return _lambda_region_cached(mu, float(t))
 
 
-def a_t(mu: MeasureSpec, t: float, a0: float, v_hint: float | None = None) -> float:
+def a_t(mu: MeasureSpec, t: float, a0: float) -> float:
     """Boundary abscissa map: a0 - t Re G(a0 + i v_t(a0)), i.e. t*p1 where v_t > 0.
 
     The two expressions agree where v_t = 0 with p0(a0, 0) = 1/t, so interval
     endpoints evaluate as the one-sided limit from the v_t > 0 side; OnSupport
     is raised only where the exterior value genuinely diverges.
     """
-    v, out = _vt_solve(mu, t, a0, v_hint=v_hint)
+    out = _vt_solve(mu, t, a0)[1]
     if out is not None:
         return _at_value(t, a0, out)
     return a0 - t * real_cauchy(mu, a0)
@@ -388,9 +388,9 @@ def at_with_slope(
     return (*_at_slope(t, a0, v, out), v)
 
 
-def da_t_da0(mu: MeasureSpec, t: float, a0: float, v_hint: float | None = None) -> float:
+def da_t_da0(mu: MeasureSpec, t: float, a0: float) -> float:
     """Derivative of a_t, assembled from the q-kernels: 2t(q0 q2 - q1^2)/q0 in (0,2)."""
-    return at_with_slope(mu, t, a0, v_hint=v_hint)[1]
+    return at_with_slope(mu, t, a0)[1]
 
 
 def h_t(mu: MeasureSpec, t: float, z: complex) -> complex:

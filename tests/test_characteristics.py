@@ -7,7 +7,9 @@ import ibrown.brown as B
 import ibrown.characteristics as C
 import ibrown.measure as M
 import ibrown.subordination as S
-from ibrown.errors import PastLifetimeError
+from ibrown.errors import NoConvergenceError, PastLifetimeError
+
+from conftest import FOUR_ATOMS
 
 
 def test_momenta_relations(sc, be23):
@@ -238,8 +240,86 @@ def test_s_of_far_field_consistency(sc):
     assert C.s_of(sc, t, lam, eps) == pytest.approx(approx, abs=5e-3)
 
 
-def test_s_of_all_branches_matches(sc):
+def test_s_of_start_finds_the_preimage_of_every_start(sc):
+    # the blind starts (lam, k eps) that earlier versions tried in turn reach
+    # no admissible preimage other than the one from the inverse-map start
     lam, t, eps = 1.6 + 0.7j, 1.0, 0.4
-    assert C.s_of_all_branches(sc, t, lam, eps) == pytest.approx(
-        C.s_of(sc, t, lam, eps), abs=1e-10
-    )
+    target, tol = (lam.real, lam.imag, eps), 1e-10 * (1.0 + abs(lam) + eps)
+    start = C._start(sc, t, lam, eps)
+    # the start meets the b and eps equations; only the a-equation is open
+    r = C._flow_residual(sc, t, np.array(start), target)
+    assert abs(r[1]) <= 1e-13 and abs(r[2]) <= 1e-12 * eps
+    u = C._solve_flow(sc, t, target, start, tol)
+    value = C.s_of(sc, t, lam, eps)
+    assert C.hj_value(sc, C.InitialData(complex(u[0], u[1]), u[2]), t) == value
+    found = 0
+    for k in (1.0, 4.0, 16.0):
+        w = C._solve_flow(sc, t, target, (lam.real, lam.imag, k * eps), tol)
+        if w is not None and C._admissible(sc, t, w):
+            found += 1
+            assert w == pytest.approx(u, abs=1e-9)
+    assert found
+
+
+REFERENCE_LAWS = {
+    "semicircle": (M.semicircle(1.0), 1.0),
+    "bernoulli": (M.bernoulli(2.0 / 3.0), 1.05),
+    "uniform": (M.uniform(-1.0, 1.0), 0.1),
+    "four_atoms": (FOUR_ATOMS, 0.5),
+    "cubic": (M.piecewise_poly([(0.0, 1.0, (0.0, 0.0, 3.0))]), 0.3),
+}
+
+
+def _grid_points(mu, t):
+    """Inside, boundary-band, region-end, gap and real-axis points."""
+    omega = B.omega_intervals(mu, t)
+    pts = []
+    for (al, ar), nxt in zip(omega, omega[1:] + ((None, None),)):
+        for a in (al + 0.1 * (ar - al), 0.5 * (al + ar)):
+            h = B.b_t(mu, t, a)
+            pts += [complex(a, 0.5 * h), complex(a, h - 5e-10), complex(a, h + 5e-10), complex(a, 0.0)]
+        pts += [complex(al, 0.0), complex(ar, 0.0), complex(ar, 0.05), complex(ar + 0.3, 0.0)]
+        if nxt[0] is not None:
+            gap = 0.5 * (ar + nxt[0])
+            pts += [complex(gap, 0.0), complex(gap, 0.02)]
+    return pts
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_LAWS))
+def test_s_of_never_raises_on_the_reference_grid(name):
+    # eps = 1e-10 is left out: there the fold's conditioning moves values by
+    # up to 1e-6, while the start still converges
+    mu, t = REFERENCE_LAWS[name]
+    for lam in _grid_points(mu, t):
+        for eps in (1e-6, 1e-3, 0.1, 1.0, 5.0):
+            assert math.isfinite(C.s_of(mu, t, lam, eps))
+
+
+def test_s_of_cost_in_bundles(sc, monkeypatch):
+    # the start is one U_t^{-1} inversion and one bracketed solve in v, and
+    # the flow solve a few Newton steps from it
+    t = 1.0
+    B.omega_intervals(sc, t)  # the cached region takes its own bundles
+    transforms, count = M.transforms, []
+
+    def counted(*args):
+        count.append(1)
+        return transforms(*args)
+
+    for mod in (M, S, C):
+        monkeypatch.setattr(mod, "transforms", counted)
+    C.s_of(sc, t, 0.9 + 0.05j, 1e-4)
+    assert len(count) <= 60
+
+
+def test_s_of_failure_is_loud_after_one_solve(sc, monkeypatch):
+    calls = []
+
+    def failing(*args):
+        calls.append(args)
+        return None
+
+    monkeypatch.setattr(C, "_solve_flow", failing)
+    with pytest.raises(NoConvergenceError):
+        C.s_of(sc, 1.0, 0.9 + 0.05j, 1e-4)
+    assert len(calls) == 1
