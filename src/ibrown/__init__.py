@@ -18,16 +18,7 @@ from .characteristics import (
 )
 from .errors import IBrownError
 from .jn import jn_boundary_gap, jn_density, solve_g
-from .maps import (
-    AdditiveLaw,
-    circular_density,
-    law_additive,
-    pushforward_check,
-    q_t,
-    sample_planar,
-    u_t,
-    u_t_inverse,
-)
+from .maps import circular_density, pushforward_check, q_t, sample_planar, u_t, u_t_inverse
 from .measure import (
     MeasureSpec,
     Support,

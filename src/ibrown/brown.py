@@ -48,33 +48,75 @@ class RegionVerdict:
 class BrownProfile:
     """Sampled region data, one block per interval of the region's real
     section, on the grid a_t(a0) of Chebyshev angles in a0. Arrays are
-    read-only views."""
+    read-only views.
+
+    The same rows sample the additive law, the Q_t-image of the planar law:
+    u = 2 a0 - a_t(a0) with density f = b_t/(2 pi t), and cdf, the planar
+    mass left of each row, is the CDF of Re and of u alike. end_cdf is that
+    mass at each interval's ends, where a = a_t(l) and u = 2l - a_t(l).
+    """
 
     t: float
     grid: np.ndarray
     a0: np.ndarray
     halfheight: np.ndarray
     density: np.ndarray
+    slope: np.ndarray  # da_t/da0 at each row
+    cdf: np.ndarray
     flags: tuple[str, ...]
     omega_intervals: tuple[tuple[float, float], ...]
     lambda_intervals: tuple[tuple[float, float], ...]
     block_edges: tuple[int, ...]  # grid index ranges per interval
-    mass: float
+    end_cdf: tuple[tuple[float, float], ...]
+
+    @property
+    def mass(self) -> float:
+        return self.end_cdf[-1][1]
+
+    @property
+    def u(self) -> np.ndarray:
+        return 2.0 * self.a0 - self.grid
+
+    @property
+    def f(self) -> np.ndarray:
+        return self.halfheight / (2.0 * math.pi * self.t)
 
     def blocks(self):
         for i in range(len(self.block_edges) - 1):
             yield slice(self.block_edges[i], self.block_edges[i + 1])
 
+    def _knots(self, rows, ends) -> np.ndarray:
+        """rows with each block between its interval's two values in ends."""
+        return np.concatenate(
+            [np.concatenate(([lo], rows[sl], [hi])) for sl, (lo, hi) in zip(self.blocks(), ends)]
+        )
+
+    def _a_knots(self) -> np.ndarray:
+        return self._knots(self.grid, self.omega_intervals)
+
     def b_interp(self, a) -> np.ndarray:
         """Height b_t at arbitrary points by per-interval interpolation (0 outside)."""
-        a = np.asarray(a, dtype=float)
-        out = np.zeros_like(a)
-        for (al, ar), sl in zip(self.omega_intervals, self.blocks()):
-            xs = np.concatenate(([al], self.grid[sl], [ar]))
-            ys = np.concatenate(([0.0], self.halfheight[sl], [0.0]))
-            m = (a >= al) & (a <= ar)
-            out[m] = np.interp(a[m], xs, ys)
-        return out
+        heights = self._knots(self.halfheight, ((0.0, 0.0),) * len(self.omega_intervals))
+        return np.interp(np.asarray(a, dtype=float), self._a_knots(), heights, left=0.0, right=0.0)
+
+    def cdf_at_a(self, x) -> np.ndarray:
+        """Marginal CDF of Re under the planar law, linear between the knots."""
+        cdf = self._knots(self.cdf, self.end_cdf)
+        return np.interp(np.asarray(x, dtype=float), self._a_knots(), cdf, left=0.0, right=1.0)
+
+    def cdf_at_u(self, x) -> np.ndarray:
+        """CDF of the additive law, linear between the knots."""
+        ends = [
+            (2.0 * l - al, 2.0 * r - ar)
+            for (l, r), (al, ar) in zip(self.lambda_intervals, self.omega_intervals)
+        ]
+        knots, cdf = self._knots(self.u, ends), self._knots(self.cdf, self.end_cdf)
+        return np.interp(np.asarray(x, dtype=float), knots, cdf, left=0.0, right=1.0)
+
+    def a_quantile(self, p) -> np.ndarray:
+        """Inverse of cdf_at_a on [0, mass]."""
+        cdf = self._knots(self.cdf, self.end_cdf)
+        return np.interp(np.asarray(p, dtype=float), cdf, self._a_knots())
 
     def to_csv(self) -> str:
         buf = StringIO()
@@ -311,7 +353,8 @@ def profile(mu: MeasureSpec, t: float, n_grid: int = 1024) -> BrownProfile:
     k (n_grid + 1) Chebyshev angles with k the least factor that gives the
     mass at least MASS_NODES of them: every k-th interior node gives a row,
     the grid a_t(a0), the source abscissa a0, the height 2 v_t and the
-    density, at the angles j pi/(n_grid + 1); the sweep's cdf gives the mass."""
+    density, at the angles j pi/(n_grid + 1); the sweep's cdf gives the
+    planar mass left of each row and of each interval's ends."""
     if n_grid < 16:
         raise ValueError("n_grid must be at least 16")
     if t <= 0.0:
@@ -322,9 +365,15 @@ def profile(mu: MeasureSpec, t: float, n_grid: int = 1024) -> BrownProfile:
     grid, a0, v, slope = (
         np.concatenate([sw[key][k:-1:k] for sw in sweeps]) for key in ("at", "a0", "v", "slope")
     )
+    cdf, end_cdf, acc = [], [], 0.0
+    for sw in sweeps:
+        cdf.append(acc + sw["cdf"][k:-1:k])
+        end_cdf.append((acc, acc + float(sw["cdf"][-1])))
+        acc = end_cdf[-1][1]
+    cdf = np.concatenate(cdf)
     halfheight = 2.0 * v
     density = (1.0 / (2.0 * math.pi * t)) * (1.0 / slope - 0.5)
-    for arr in (grid, a0, halfheight, density):
+    for arr in (grid, a0, halfheight, density, slope, cdf):
         arr.setflags(write=False)
     flags = ("near_boundary",) + ("ok",) * (n_grid - 2) + ("near_boundary",)
     return BrownProfile(
@@ -333,9 +382,11 @@ def profile(mu: MeasureSpec, t: float, n_grid: int = 1024) -> BrownProfile:
         a0=a0,
         halfheight=halfheight,
         density=density,
+        slope=slope,
+        cdf=cdf,
         flags=flags * len(sweeps),
         omega_intervals=omega,
         lambda_intervals=region.intervals,
         block_edges=tuple(range(0, n_grid * len(sweeps) + 1, n_grid)),
-        mass=sum(float(sw["cdf"][-1]) for sw in sweeps),
+        end_cdf=tuple(end_cdf),
     )

@@ -267,10 +267,11 @@ def s_of(mu: MeasureSpec, t: float, lam: complex, eps: float) -> float:
 
 def pde_residual(mu: MeasureSpec, t: float, lam: complex, eps: float) -> float:
     """|dS/dt - ((dS/da)^2 - (dS/db)^2)/4 - eps (dS/deps)^2| by central
-    differences of the flow inversion; steps scale with the point."""
+    differences of the flow inversion; steps scale with the point, and the
+    t-step stays below t/2 so that t - ht stays positive."""
     lam = complex(lam)
     ha = hb = 1e-4 * (1.0 + abs(lam))
-    ht = 1e-4 * (1.0 + t)
+    ht = min(1e-4 * (1.0 + t), 0.5 * t)
     he = 1e-4 * eps
 
     def val(tt, a, b, e):

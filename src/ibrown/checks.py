@@ -27,40 +27,36 @@ class CheckResult:
         return bool(self.value <= self.threshold)
 
 
-def _interior_points(profile, per_interval=24):
-    pts = []
-    for sl in profile.blocks():
-        g = profile.grid[sl]
-        take = np.linspace(2, g.size - 3, min(per_interval, max(g.size - 4, 1))).astype(int)
-        pts.extend(g[take])
-    return pts
-
-
-def check_subordination(mu, t) -> list[CheckResult]:
-    region = subordination.lambda_region(mu, t)
+def _interior_rows(profile, per_interval=24):
+    """Indices of up to per_interval rows of each block, clear of its ends."""
     rows = []
+    for sl in profile.blocks():
+        size = sl.stop - sl.start
+        take = np.linspace(2, size - 3, min(per_interval, max(size - 4, 1))).astype(int)
+        rows.extend(sl.start + take)
+    return rows
+
+
+def check_subordination(mu, t, prof) -> list[CheckResult]:
     root_t = math.sqrt(t)
-    vmax_violation = 0.0
-    monotone_violation = -math.inf
-    slope_violation = 0.0
-    j_identity = 0.0
-    h_real = 0.0
-    prev_at = -math.inf
-    for lam_iv in region.intervals:
-        sw = brown.lambda_sweep(mu, t, lam_iv, 40)
-        for a0, v, at, slope in zip(*(sw[key][1:-1] for key in ("a0", "v", "at", "slope"))):
-            vmax_violation = max(vmax_violation, v - root_t)
-            monotone_violation = max(monotone_violation, prev_at - at)
-            prev_at = at
-            slope_violation = max(slope_violation, -slope, slope - 2.0)
-            z = complex(a0, v)
-            j_identity = max(j_identity, abs(subordination.j_t(mu, t, z).imag - 2.0 * v))
-            h_real = max(h_real, abs(subordination.h_t(mu, t, z).imag))
-    rows.append(CheckResult("subordination", "v_t < sqrt(t)", vmax_violation, 0.0))
-    rows.append(CheckResult("subordination", "a_t strictly increasing", monotone_violation, 0.0))
-    rows.append(CheckResult("subordination", "slope in (0,2)", slope_violation, 0.0))
-    rows.append(CheckResult("subordination", "Im J = 2 v_t on boundary", j_identity, 1e-9))
-    rows.append(CheckResult("subordination", "H real on boundary", h_real, 1e-9))
+    v = 0.5 * prof.halfheight
+    z = prof.a0 + 1j * v
+    j_identity = max(abs(subordination.j_t(mu, t, x).imag - 2.0 * y) for x, y in zip(z, v))
+    h_real = max(abs(subordination.h_t(mu, t, x).imag) for x in z)
+    rows = [
+        CheckResult("subordination", "v_t < sqrt(t)", max(float(v.max()) - root_t, 0.0), 0.0),
+        CheckResult(
+            "subordination", "a_t strictly increasing", float(np.max(-np.diff(prof.grid))), 0.0
+        ),
+        CheckResult(
+            "subordination",
+            "slope in (0,2)",
+            max(float(np.max(-prof.slope)), float(np.max(prof.slope - 2.0)), 0.0),
+            0.0,
+        ),
+        CheckResult("subordination", "Im J = 2 v_t on boundary", j_identity, 1e-9),
+        CheckResult("subordination", "H real on boundary", h_real, 1e-9),
+    ]
 
     # inversion round trips outside the region
     span = max(abs(mu.support.lo), abs(mu.support.hi)) + 2.0 * root_t
@@ -74,19 +70,18 @@ def check_subordination(mu, t) -> list[CheckResult]:
     return rows
 
 
-def check_jn(mu, t, n_points=200) -> list[CheckResult]:
-    prof = brown.profile(mu, t, n_grid=max(64, n_points))
+def check_jn(mu, t, prof, n_points=200) -> list[CheckResult]:
     density_dev = 0.0
     re_identity = 0.0
     poisson = 0.0
-    pts = _interior_points(prof, per_interval=max(8, n_points // max(len(prof.omega_intervals), 1)))
-    for a in pts:
+    rows = _interior_rows(prof, per_interval=max(8, n_points // max(len(prof.omega_intervals), 1)))
+    for i in rows:
+        a = float(prof.grid[i])
         g = jn.solve_g(mu, t, a)
-        a0 = brown.a0_of_a(mu, t, a)
-        re_identity = max(re_identity, abs(t * g.real - (a0 - a)))
-        density_dev = max(density_dev, abs(jn.jn_density(mu, t, a) - brown.w_t(mu, t, a)))
-    for a in pts[:: max(len(pts) // 8, 1)]:
-        poisson = max(poisson, jn.poisson_identity_residual(mu, t, a))
+        re_identity = max(re_identity, abs(t * g.real - (prof.a0[i] - a)))
+        density_dev = max(density_dev, abs(jn.jn_density(mu, t, a) - prof.density[i]))
+    for i in rows[:: max(len(rows) // 8, 1)]:
+        poisson = max(poisson, jn.poisson_identity_residual(mu, t, float(prof.grid[i])))
     return [
         CheckResult("jn", "density equivalence", density_dev, 1e-5),
         CheckResult("jn", "t*Re g = a0 - a", re_identity, 1e-8),
@@ -124,34 +119,35 @@ def check_pde(mu, t, n_points=8, seed=5) -> list[CheckResult]:
     ]
 
 
-def check_pushforward(mu, t) -> list[CheckResult]:
+def check_pushforward(mu, t, prof) -> list[CheckResult]:
     rep = maps.pushforward_check(mu, t)
-    prof = brown.profile(mu, t, n_grid=256)
-    rows = [
+    # boundary agreement of the vertical-affine map with the holomorphic map
+    v = 0.5 * prof.halfheight
+    worst = max(
+        abs(complex(a, 2.0 * y) - subordination.j_t(mu, t, complex(x, y)))
+        for x, y, a in zip(prof.a0, v, prof.grid)
+    )
+    (l, r), (_, ar) = prof.lambda_intervals[-1], prof.omega_intervals[-1]
+    return [
         CheckResult("pushforward", "rectangle masses", rep.max_discrepancy, 1e-5),
         # at most 2.1e-11 on the reference laws, on 3x^2 at t = 0.3
         CheckResult(
             "pushforward", "rectangle error estimate", max(rep.error_estimates, default=0.0), 1e-9
         ),
         CheckResult("pushforward", "total mass", abs(prof.mass - 1.0), 1e-6),
+        CheckResult("pushforward", "boundary agreement", worst, 1e-9),
+        CheckResult(
+            "pushforward", "additive law mass", abs(float(prof.cdf_at_u(2.0 * r - ar)) - 1.0), 1e-6
+        ),
     ]
-    # boundary agreement of the vertical-affine map with the holomorphic map
-    worst = 0.0
-    for lam_iv in prof.lambda_intervals:
-        sw = brown.lambda_sweep(mu, t, lam_iv, 16)
-        for a0, v, at in zip(sw["a0"][1:-1], sw["v"][1:-1], sw["at"][1:-1]):
-            worst = max(worst, abs(complex(at, 2.0 * v) - subordination.j_t(mu, t, complex(a0, v))))
-    rows.append(CheckResult("pushforward", "boundary agreement", worst, 1e-9))
-    law = maps.law_additive(mu, t)
-    rows.append(CheckResult("pushforward", "additive law mass", abs(law.cdf[-1] - 1.0), 1e-6))
-    return rows
 
 
 def run_all(mu, t) -> list[CheckResult]:
+    prof = brown.profile(mu, t, n_grid=256)
     rows = []
-    rows += check_subordination(mu, t)
-    rows += check_pushforward(mu, t)
-    rows += check_jn(mu, t, n_points=60)
+    rows += check_subordination(mu, t, prof)
+    rows += check_pushforward(mu, t, prof)
+    rows += check_jn(mu, t, prof, n_points=60)
     rows += check_pde(mu, t, n_points=6)
     return rows
 

@@ -96,39 +96,28 @@ def cmd_compute(ns) -> int:
     return 0
 
 
+def _csv(header: str, *columns) -> str:
+    """One line per row of the columns, each value as %.17g."""
+    lines = [header] + [",".join("%.17g" % x for x in row) for row in zip(*columns)]
+    return "\n".join(lines) + "\n"
+
+
 def cmd_pushforward(ns) -> int:
     mu = _load_measure(ns)
     out = _out_dir(ns)
-    region = subordination.lambda_region(mu, ns.t)
-    rows = ["a0,v_t,rho_t"]
-    for lam_iv in region.intervals:
-        sw = brown.lambda_sweep(mu, ns.t, lam_iv, max(ns.grid // len(region.intervals), 16) - 1)
-        rho = (1.0 / (math.pi * ns.t)) * (1.0 - 0.5 * sw["slope"])  # maps.circular_density
-        for a0, v, r in zip(sw["a0"][1:-1], sw["v"][1:-1], rho[1:-1]):
-            rows.append("%.17g,%.17g,%.17g" % (a0, v, r))
-    _write(out / "rho.csv", "\n".join(rows) + "\n")
+    prof = brown.profile(mu, ns.t, n_grid=ns.grid)
+    v = 0.5 * prof.halfheight
+    rho = (1.0 / (math.pi * ns.t)) * (1.0 - 0.5 * prof.slope)  # maps.circular_density
+    _write(out / "rho.csv", _csv("a0,v_t,rho_t", prof.a0, v, rho))
+    _write(out / "law.csv", _csv("u,f", prof.u, prof.f))
+    _write(out / "qt_curve.csv", _csv("a,q", prof.grid, prof.u))
 
-    law = maps.law_additive(mu, ns.t, n_grid=ns.grid)
-    _write(out / "law.csv", law.to_csv())
-    qrows = ["a,q"]
-    for a, u in zip(law.a, law.u):
-        qrows.append("%.17g,%.17g" % (a, u))
-    _write(out / "qt_curve.csv", "\n".join(qrows) + "\n")
-
-    # boundary correspondence samples of the vertical-affine map vs the holomorphic map
-    urows = ["a0,v_t,u_re,u_im,j_re,j_im,abs_diff"]
-    worst = 0.0
-    for lam_iv in region.intervals:
-        sw = brown.lambda_sweep(mu, ns.t, lam_iv, 32)
-        for a0, v, at in zip(sw["a0"][1:-1], sw["v"][1:-1], sw["at"][1:-1]):
-            u = complex(at, 2.0 * v)
-            jv = subordination.j_t(mu, ns.t, complex(a0, v))
-            worst = max(worst, abs(u - jv))
-            urows.append(
-                "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g"
-                % (a0, v, u.real, u.imag, jv.real, jv.imag, abs(u - jv))
-            )
-    _write(out / "ut_boundary.csv", "\n".join(urows) + "\n")
+    # boundary correspondence of the vertical-affine map vs the holomorphic map
+    jv = np.array([subordination.j_t(mu, ns.t, complex(x, y)) for x, y in zip(prof.a0, v)])
+    diff = np.abs(prof.grid + 1j * prof.halfheight - jv)
+    header = "a0,v_t,u_re,u_im,j_re,j_im,abs_diff"
+    cols = (prof.a0, v, prof.grid, prof.halfheight, jv.real, jv.imag, diff)
+    _write(out / "ut_boundary.csv", _csv(header, *cols))
 
     rep = maps.pushforward_check(mu, ns.t)
     summary = {
@@ -138,8 +127,8 @@ def cmd_pushforward(ns) -> int:
         "digest": mu.digest(),
         "rectangle_max_discrepancy": _fmt(rep.max_discrepancy),
         "rectangle_max_error_estimate": _fmt(max(rep.error_estimates, default=0.0)),
-        "boundary_agreement": _fmt(worst),
-        "law_mass": _fmt(float(law.cdf[-1])),
+        "boundary_agreement": _fmt(float(diff.max())),
+        "law_mass": _fmt(prof.mass),
     }
     _write(out / "pushforward.json", json.dumps(summary, indent=2))
     return 0

@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import math
 
-from .errors import NUMERIC_FAILURES, DegenerateJacobianError, NoConvergenceError
+from .brown import _invert
+from .errors import NUMERIC_FAILURES, DegenerateJacobianError, NoConvergenceError, OutsideOmegaError
 from .measure import MeasureSpec, cauchy, cauchy_prime
 from .numerics import damped_newton
-from .subordination import lambda_region, v_t
-from .brown import _invert
 
 
 def _fixed_point_jacobian_solve(t: float, gp: complex, rhs: complex) -> complex | None:
@@ -59,41 +58,25 @@ def _fixed_point_newton(mu, t, a, g0, tol):
     return damped_newton(residual, step, complex(g0), tol, max_iter=80, halvings=45)
 
 
-def _starts(mu, t, a):
-    """Newton starts for solve_g, built as they are needed: the subordination
-    pipeline's value, then a coarse scan over source abscissas."""
-    try:
-        a0, _, v = _invert(mu, t, a)
-    except NUMERIC_FAILURES:
-        pass
-    else:
-        yield complex((a0 - a) / t, max(v, 1e-8) / t)
-    for lo, hi in lambda_region(mu, t).intervals:
-        for s in (0.25, 0.5, 0.75):
-            a0c = lo + (hi - lo) * s
-            vc = v_t(mu, t, a0c)
-            if vc > 0.0:
-                yield complex((a0c - a) / t, vc / t)
-    yield complex(0.0, 0.5 * math.sqrt(t) / t)
-
-
-def solve_g(mu: MeasureSpec, t: float, a: float, guess: complex | None = None) -> complex:
+def solve_g(mu: MeasureSpec, t: float, a: float) -> complex:
     """Complex solution of g = G(a + t*conj(g)) with Im g > 0.
 
-    Seeded from the subordination pipeline when no guess is supplied, with a
-    coarse scan fallback; raises NoConvergence when every start collapses to
-    the real line, which signals a point outside the support of the planar law.
+    Seeded from the subordination pipeline, g0 = (a0(a) - a + i v_t)/t;
+    raises NoConvergenceError when a lies outside the region's real section
+    or the solve collapses to the real line, either of which signals a point
+    outside the support of the planar law.
     """
-    tol = 1e-12 * (1.0 + abs(a))
-    for g0 in _starts(mu, t, a) if guess is None else (complex(guess),):
-        if g0.imag <= 0.0:
-            g0 = complex(g0.real, abs(g0.imag) + 1e-8)
-        g = _fixed_point_newton(mu, t, a, g0, tol)
-        if g is not None and abs(g.imag) > 1e-12:
-            return g if g.imag > 0.0 else g.conjugate()
-    raise NoConvergenceError(
-        f"no complex fixed point at a = {a}; the point lies outside the planar support"
-    )
+    try:
+        a0, _, v = _invert(mu, t, a)
+    except OutsideOmegaError as exc:
+        raise NoConvergenceError(f"no complex fixed point at a = {a}: {exc}") from exc
+    g0 = complex((a0 - a) / t, max(v, 1e-8) / t)
+    g = _fixed_point_newton(mu, t, a, g0, 1e-12 * (1.0 + abs(a)))
+    if g is None or abs(g.imag) <= 1e-12:
+        raise NoConvergenceError(
+            f"no complex fixed point at a = {a}; the point lies outside the planar support"
+        )
+    return g if g.imag > 0.0 else g.conjugate()
 
 
 def jn_density(mu: MeasureSpec, t: float, a: float) -> float:

@@ -4,7 +4,8 @@ U_t carries the source region onto the planar support region, scaling
 vertical segments by two; Q_t collapses vertical segments of the support
 region to points of the real line; the density rho_t on the source region
 is the planar law of the two-sided (rotation-invariant) perturbation, and
-its Q_t-image is the law of the self-adjoint perturbation.
+its Q_t-image is the law of the self-adjoint perturbation, which
+brown.profile samples on its rows.
 """
 
 from __future__ import annotations
@@ -12,12 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from io import StringIO
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .brown import _a0_solve_nodes, _intervals, a0_of_a, classify, lambda_sweep
+from .brown import _a0_solve_nodes, _intervals, a0_of_a, classify, lambda_sweep, profile
 from .errors import OutsideLambdaError, OutsideOmegaError
 from .measure import MeasureSpec, transforms
 from .numerics import bracket_newton
@@ -69,76 +69,14 @@ def circular_density(mu: MeasureSpec, t: float, lam0: complex) -> float:
     return (1.0 / (math.pi * t)) * (1.0 - 0.5 * slope)
 
 
-@dataclass(frozen=True)
-class AdditiveLaw:
-    """Parametric density of the self-adjoint perturbation's law.
-
-    Sampled along the source sweep: u ascending, f = density, cdf cumulative;
-    a holds the matching support-region abscissas so the same cdf doubles as
-    the marginal CDF of Re under the planar law.
-    """
-
-    t: float
-    u: np.ndarray
-    f: np.ndarray
-    a: np.ndarray
-    cdf: np.ndarray
-
-    def cdf_at_u(self, x) -> np.ndarray:
-        return np.interp(np.asarray(x, dtype=float), self.u, self.cdf, left=0.0, right=1.0)
-
-    def cdf_at_a(self, x) -> np.ndarray:
-        return np.interp(np.asarray(x, dtype=float), self.a, self.cdf, left=0.0, right=1.0)
-
-    def to_csv(self) -> str:
-        buf = StringIO()
-        buf.write("u,f\n")
-        for i in range(self.u.size):
-            buf.write("%.17g,%.17g\n" % (self.u[i], self.f[i]))
-        return buf.getvalue()
-
-
-def law_additive(mu: MeasureSpec, t: float, n_grid: int = 1024) -> AdditiveLaw:
-    """Q_t-pushforward of the planar law: pairs (u, f) with u = 2 a0 - a_t(a0)
-    and f = b_t/(2 pi t) = v_t/(pi t), plus the cumulative mass.
-
-    u equals the boundary value of the conjugate map H_t, strictly increasing
-    across the whole sweep, so the arrays are globally sorted.
-    """
-    _, region = _intervals(mu, t)
-    us, fs, aas, cdfs = [], [], [], []
-    acc = 0.0
-    for interval in region.intervals:
-        sw = lambda_sweep(mu, t, interval, n_grid)
-        cdf = acc + sw["cdf"]
-        acc = cdf[-1]
-        us.append(2.0 * sw["a0"] - sw["at"])
-        fs.append(sw["v"] / (math.pi * t))
-        aas.append(sw["at"])
-        cdfs.append(cdf)
-    u = np.concatenate(us)
-    out = AdditiveLaw(
-        t=t,
-        u=u,
-        f=np.concatenate(fs),
-        a=np.concatenate(aas),
-        cdf=np.concatenate(cdfs),
-    )
-    for arr in (out.u, out.f, out.a, out.cdf):
-        arr.setflags(write=False)
-    return out
-
-
 def sample_planar(mu: MeasureSpec, t: float, n: int, seed: int = 0) -> np.ndarray:
     """Draw n points from the planar law using its product structure: the real
-    part comes from the vertical marginal 2 b_t w_t by inverse CDF on the
-    sweep grid, the imaginary part is uniform on (-b_t(a), b_t(a))."""
-    law = law_additive(mu, t)
+    part comes from the vertical marginal 2 b_t w_t by inverting the
+    profile's CDF of Re, the imaginary part is uniform on (-b_t(a), b_t(a))."""
+    prof = profile(mu, t)
     rng = np.random.default_rng(seed)
-    u = rng.uniform(0.0, law.cdf[-1], n)
-    a = np.interp(u, law.cdf, law.a)
-    heights = 2.0 * math.pi * t * np.interp(a, law.a, law.f)  # b_t = 2 pi t f
-    b = rng.uniform(-1.0, 1.0, n) * heights
+    a = prof.a_quantile(rng.uniform(0.0, prof.mass, n))
+    b = rng.uniform(-1.0, 1.0, n) * prof.b_interp(a)
     return a + 1j * b
 
 

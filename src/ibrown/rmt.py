@@ -3,8 +3,9 @@ fill the computed planar region.
 
 The model is D + i sqrt(t) H with D a deterministic diagonal of law quantiles
 and H drawn from the Gaussian unitary ensemble normalized so its spectral law
-tends to the unit-variance semicircle. The Hermitian control D + sqrt(t) H
-targets the additive law computed by the pushforward route.
+tends to the unit-variance semicircle. The Hermitian control D + sqrt(t) H,
+built from the same draw, targets the additive law, the Q_t-pushforward of
+the planar law.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import numpy as np
 
 from .brown import BrownProfile
 from .errors import EigenFailureError
-from .maps import AdditiveLaw, law_additive
 from .measure import MeasureSpec, quantile
 
 
@@ -47,10 +47,13 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class EigenCloud:
-    """n*reps complex eigenvalues with their repetition index."""
+    """n*reps complex eigenvalues with their repetition index, and the n*reps
+    real eigenvalues of the Hermitian control D + sqrt(t) H of the same
+    draws, in repetition order."""
 
     points: np.ndarray
     rep: np.ndarray
+    hermitian: np.ndarray
     config: SimConfig
 
     def to_csv(self) -> str:
@@ -95,31 +98,22 @@ def _eigvals_with_retry(m: np.ndarray, g: np.random.Generator) -> np.ndarray:
             raise EigenFailureError(f"eigensolver failed twice: {exc}") from exc
 
 
-def _rep_spectra(mu: MeasureSpec, cfg: SimConfig, scale: complex, eig) -> np.ndarray:
-    """eig(D + scale H, rep) for each repetition, merged in repetition order.
-    Repetitions run serially: each dense solve already saturates the BLAS
-    threads."""
-    d = np.diag(deterministic_x(mu, cfg.n).astype(complex))
-    return np.concatenate(
-        [eig(d + scale * sample_gue(cfg.n, cfg.seed, rep), rep) for rep in range(cfg.reps)]
-    )
-
-
 def simulate(mu: MeasureSpec, cfg: SimConfig) -> EigenCloud:
-    """Eigenvalue cloud of D + i sqrt(t) H over cfg.reps repetitions, merged
-    in repetition order."""
-    points = _rep_spectra(
-        mu, cfg, 1j * math.sqrt(cfg.t), lambda m, rep: _eigvals_with_retry(m, _rng(cfg.seed, rep))
-    )
+    """Eigenvalue clouds of D + i sqrt(t) H and of D + sqrt(t) H, one draw of
+    H per repetition, merged in repetition order. Repetitions run serially:
+    each dense solve already saturates the BLAS threads."""
+    d = np.diag(deterministic_x(mu, cfg.n).astype(complex))
+    root_t = math.sqrt(cfg.t)
+    points, hermitian = [], []
+    for rep in range(cfg.reps):
+        h = sample_gue(cfg.n, cfg.seed, rep)
+        points.append(_eigvals_with_retry(d + 1j * root_t * h, _rng(cfg.seed, rep)))
+        hermitian.append(np.linalg.eigvalsh(d + root_t * h))
+    points, hermitian = np.concatenate(points), np.concatenate(hermitian)
     rep_idx = np.repeat(np.arange(cfg.reps), cfg.n)
-    points.setflags(write=False)
-    rep_idx.setflags(write=False)
-    return EigenCloud(points=points, rep=rep_idx, config=cfg)
-
-
-def simulate_hermitian(mu: MeasureSpec, cfg: SimConfig) -> np.ndarray:
-    """Real eigenvalues of the Hermitian control D + sqrt(t) H, all reps merged."""
-    return _rep_spectra(mu, cfg, math.sqrt(cfg.t), lambda m, rep: np.linalg.eigvalsh(m))
+    for arr in (points, hermitian, rep_idx):
+        arr.setflags(write=False)
+    return EigenCloud(points=points, rep=rep_idx, hermitian=hermitian, config=cfg)
 
 
 def ks_statistic(samples: np.ndarray, cdf_values: np.ndarray) -> float:
@@ -135,9 +129,9 @@ class CompareReport:
 
     inside_fraction: share of eigenvalues with |Im| <= b_t(Re) + dilation.
     ks_marginal: sup-CDF distance of Re parts against the vertical marginal.
-    ks_pushforward: sup-CDF distance of the Hermitian control's eigenvalues,
-    drawn with the cloud's (seed, rep) keys, against the additive law: the
-    Q_t-pushforward of the planar law is the law of D + sqrt(t) H.
+    ks_pushforward: sup-CDF distance of the Hermitian control's eigenvalues
+    against the additive law: the Q_t-pushforward of the planar law is the
+    law of D + sqrt(t) H.
     """
 
     inside_fraction: float
@@ -156,36 +150,20 @@ class CompareReport:
         }
 
 
-def compare(
-    cloud: EigenCloud,
-    profile: BrownProfile,
-    mu: MeasureSpec,
-    t: float,
-    law: AdditiveLaw | None = None,
-) -> CompareReport:
+def compare(cloud: EigenCloud, profile: BrownProfile, mu: MeasureSpec, t: float) -> CompareReport:
     """Score an eigenvalue cloud against the computed region and its
-    Hermitian control against the additive law."""
-    if abs(cloud.config.t - t) > 1e-12 * (1.0 + abs(t)):
-        raise ValueError("cloud was simulated at a different t")
-    if law is None:
-        law = law_additive(mu, t)
+    Hermitian control against the additive law, both read from the profile
+    of the law mu at t."""
+    if max(abs(cloud.config.t - t), abs(profile.t - t)) > 1e-12 * (1.0 + abs(t)):
+        raise ValueError("cloud or profile was computed at a different t")
     pts = cloud.points
-    re = pts.real
-    heights = profile.b_interp(re)
-    inside = np.abs(pts.imag) <= heights + cloud.config.dilation
-    frac = float(np.mean(inside))
-
-    order = np.argsort(re)
-    sorted_re = re[order]
-    ks_marg = ks_statistic(sorted_re, law.cdf_at_a(sorted_re))
-
-    herm = np.sort(simulate_hermitian(mu, cloud.config))
-    ks_push = ks_statistic(herm, law.cdf_at_u(herm))
-
+    inside = np.abs(pts.imag) <= profile.b_interp(pts.real) + cloud.config.dilation
+    re = np.sort(pts.real)
+    herm = np.sort(cloud.hermitian)
     return CompareReport(
-        inside_fraction=frac,
-        ks_marginal=ks_marg,
-        ks_pushforward=ks_push,
+        inside_fraction=float(np.mean(inside)),
+        ks_marginal=ks_statistic(re, profile.cdf_at_a(re)),
+        ks_pushforward=ks_statistic(herm, profile.cdf_at_u(herm)),
         n_points=pts.size,
         dilation=cloud.config.dilation,
     )

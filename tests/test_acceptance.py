@@ -171,9 +171,9 @@ def test_pushforward_identities():
         worst_rect = max(worst_rect, P.pushforward_check(mu, t).max_discrepancy)
 
     sc = M.semicircle(1.0)
-    law = P.law_additive(sc, 1.0, n_grid=2048)
+    prof = B.profile(sc, 1.0, n_grid=2048)
     cdf_dev = float(
-        max(abs(c - semicircle_cdf(2.0, u)) for u, c in zip(law.u, law.cdf))
+        max(abs(c - semicircle_cdf(2.0, u)) for u, c in zip(prof.u, prof.cdf))
     )
     rng = np.random.default_rng(1)
     line_dev = 0.0
@@ -292,8 +292,7 @@ def test_monte_carlo():
         cfg = R.SimConfig(n=2000, t=t, reps=5, seed=20240, dilation=0.05)
         cloud = R.simulate(mu, cfg)
         prof = B.profile(mu, t, n_grid=512)
-        law = P.law_additive(mu, t, n_grid=1024)
-        rep = R.compare(cloud, prof, mu, t, law=law)
+        rep = R.compare(cloud, prof, mu, t)
         results.append((mu.label, rep.inside_fraction, rep.ks_marginal, rep.ks_pushforward))
     elapsed = time.perf_counter() - t0
     ok = all(f >= 0.98 and m <= 0.02 and kh <= 0.02 for _, f, m, kh in results) and (

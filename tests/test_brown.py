@@ -166,11 +166,17 @@ def test_profile_sweeps_each_interval_once(n_grid, monkeypatch):
     p = B.profile(mu, t, n_grid=n_grid)
     k = -(-B.MASS_NODES // (n_grid + 1))
     assert [c[2:] for c in calls] == [(iv, k * (n_grid + 1)) for iv in intervals]
-    for sl, iv in zip(p.blocks(), intervals):
+    acc = 0.0
+    for sl, iv, ends in zip(p.blocks(), intervals, p.end_cdf):
         sw = sweep(mu, t, iv, k * (n_grid + 1))
         assert np.array_equal(p.grid[sl], sw["at"][k:-1:k])
         assert np.array_equal(p.a0[sl], sw["a0"][k:-1:k])
         assert np.array_equal(p.halfheight[sl], 2.0 * sw["v"][k:-1:k])
+        assert np.array_equal(p.slope[sl], sw["slope"][k:-1:k])
+        # the same sweep's cumulative mass, from the region's left end
+        assert np.array_equal(p.cdf[sl], acc + sw["cdf"][k:-1:k])
+        assert ends == (acc, acc + sw["cdf"][-1])
+        acc = ends[1]
     fine = sum(sweep(mu, t, iv, 4 * B.MASS_NODES)["cdf"][-1] for iv in intervals)
     assert abs(p.mass - fine) < 1e-13
 

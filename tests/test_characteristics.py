@@ -208,6 +208,12 @@ def test_pde_residual_three_presets(sc, be23, un):
             assert C.pde_residual(mu, t, lam, eps) < 1e-4
 
 
+@pytest.mark.parametrize("t", [1e-4, 5e-5, 1e-6])
+def test_pde_residual_at_small_t(sc, t):
+    # the t-step stays below t, so both sides of the difference are flows
+    assert C.pde_residual(sc, t, 1.4 + 0.8j, 0.5) < 1e-6
+
+
 def test_pde_residual_t_to_zero_consistency(sc):
     # at small t the a-gradient of the value approaches the initial gradient
     lam, eps = 1.4 + 0.8j, 0.5

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from ibrown import cli
+from ibrown import brown, cli, maps
 
 
 def run(args):
@@ -198,6 +198,39 @@ def test_verify_passes_on_preset(capsys):
     out = capsys.readouterr().out
     assert "pass" in out and "FAIL" not in out
     assert "rectangle error estimate" in out
+
+
+def test_verify_builds_one_profile(monkeypatch):
+    # the subordination, pushforward and jn suites share one profile
+    calls, profile = [], brown.profile
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return profile(*args, **kwargs)
+
+    monkeypatch.setattr(brown, "profile", counted)
+    assert run(["verify", "--preset", "semicircle:1", "--t", "1"]) == 0
+    assert len(calls) == 1
+
+
+def test_pushforward_sweeps_each_interval_at_most_twice(tmp_path, monkeypatch):
+    # the profile's sweep and pushforward_check's bracket sweep, per interval
+    calls, sweep = [], brown.lambda_sweep
+
+    def counted(*args):
+        calls.append(args)
+        return sweep(*args)
+
+    monkeypatch.setattr(brown, "lambda_sweep", counted)
+    monkeypatch.setattr(maps, "lambda_sweep", counted)
+    args = ["pushforward", "--preset", "bernoulli:0.5", "--t", "0.8", "--grid", "64"]
+    assert run(args + ["--out", str(tmp_path)]) == 0
+    assert 0 < len(calls) <= 4
+    law = (tmp_path / "law.csv").read_text().splitlines()
+    assert law[0] == "u,f" and len(law) == 1 + 2 * 64
+    rep = json.loads((tmp_path / "pushforward.json").read_text())
+    assert rep["boundary_agreement"] < 1e-9
+    assert rep["law_mass"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_verify_dirac_fails_fast(tmp_path):

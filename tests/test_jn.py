@@ -6,7 +6,9 @@ import pytest
 import ibrown.brown as B
 import ibrown.jn as J
 import ibrown.measure as M
-from ibrown.errors import NoConvergenceError
+from ibrown.errors import NoConvergenceError, OutsideOmegaError
+
+from conftest import FOUR_ATOMS
 
 
 def test_real_part_identity(sc, be23, un):
@@ -103,14 +105,18 @@ def test_density_next_to_region_edge(un_profile, un):
         assert J.jn_density(un, 0.1, a) == pytest.approx(un_profile.density[i], abs=1e-8)
 
 
-def test_scan_starts_only_when_the_seed_fails(be23, monkeypatch):
-    # the seed from a0(a) converges inside the region, so the coarse scan
-    # over source abscissas never solves v_t there
-    def refuse(*args, **kwargs):
-        raise AssertionError("scan start built")
-
-    monkeypatch.setattr(J, "v_t", refuse)
-    assert J.solve_g(be23, 1.05, 0.3).imag > 0.0
+def test_no_fixed_point_outside_the_region():
+    # outside the region's real section, between and beyond its four
+    # intervals: a scan of source abscissas once converged there to roots
+    # with Im g near 2e-12 and gave a density of 0.02-0.06 where it is 0
+    mu, t = FOUR_ATOMS, 0.5
+    for a in (0.0441, 0.1429, 2.6948, -2.1863):
+        assert B.classify(mu, t, complex(a, 0.0)).tag == "outside"
+        with pytest.raises(NoConvergenceError) as info:
+            J.solve_g(mu, t, a)
+        assert isinstance(info.value.__cause__, OutsideOmegaError)
+        with pytest.raises(NoConvergenceError):
+            J.jn_density(mu, t, a)
 
 
 def test_programming_error_is_not_swallowed(sc, monkeypatch):
@@ -119,4 +125,4 @@ def test_programming_error_is_not_swallowed(sc, monkeypatch):
 
     monkeypatch.setattr(J, "cauchy", broken)
     with pytest.raises(TypeError):
-        J.solve_g(sc, 1.0, 0.3, guess=0.1 + 0.4j)
+        J.solve_g(sc, 1.0, 0.3)

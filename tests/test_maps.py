@@ -144,21 +144,47 @@ def test_circular_density_total_mass(sc, be23):
 
 def test_law_additive_elliptic_is_semicircle(sc):
     # free convolution of semicircles: variance s + t
-    law = P.law_additive(sc, 1.0, n_grid=1024)
+    prof = B.profile(sc, 1.0, n_grid=1024)
     dev = max(
-        abs(c - semicircle_cdf(2.0, u)) for u, c in zip(law.u[::17], law.cdf[::17])
+        abs(c - semicircle_cdf(2.0, u)) for u, c in zip(prof.u[::17], prof.cdf[::17])
     )
     assert dev < 1e-5
-    assert law.cdf[-1] == pytest.approx(1.0, abs=1e-6)
+    assert prof.mass == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("n_grid, bound", [(32, 1e-3), (1024, 5e-6)])
+def test_u_cdf_against_the_semicircle(sc, n_grid, bound):
+    # between the knots too, and past both ends, where it is 0 and 1
+    prof = B.profile(sc, 1.0, n_grid=n_grid)
+    us = np.linspace(-3.0, 3.0, 6001)
+    exact = np.array([semicircle_cdf(2.0, u) for u in us])
+    assert np.max(np.abs(prof.cdf_at_u(us) - exact)) <= bound
+
+
+def test_cdfs_are_flat_across_the_gap(be12):
+    # two intervals, each of mass 1/2: no mass between them in a or in u
+    prof = B.profile(be12, 0.8, n_grid=64)
+    assert len(prof.omega_intervals) == 2
+    (l1, r1), (l2, r2) = prof.lambda_intervals
+    (al1, ar1), (al2, ar2) = prof.omega_intervals
+    first = prof.end_cdf[0][1]
+    assert first == pytest.approx(0.5, abs=1e-12)
+    assert prof.end_cdf[1][0] == first
+    for cdf, lo, hi in (
+        (prof.cdf_at_a, ar1, al2),
+        (prof.cdf_at_u, 2.0 * r1 - ar1, 2.0 * l2 - al2),
+    ):
+        assert lo < hi
+        assert np.all(np.abs(cdf(np.linspace(lo, hi, 101)) - 0.5) <= 1e-12)
 
 
 def test_law_additive_density_identity(be23):
     # f = b_t/(2 pi t), and dQ/da = 4 pi t w_t by the chain rule
     t = 1.05
-    law = P.law_additive(be23, t, n_grid=256)
-    for i in range(10, law.u.size - 10, 40):
-        a = law.a[i]
-        assert law.f[i] == pytest.approx(B.b_t(be23, t, a) / (2 * math.pi * t), abs=1e-9)
+    prof = B.profile(be23, t, n_grid=256)
+    for i in range(10, prof.u.size - 10, 40):
+        a = prof.grid[i]
+        assert prof.f[i] == pytest.approx(B.b_t(be23, t, a) / (2 * math.pi * t), abs=1e-9)
     h = 1e-5
     for a in (-0.2, 0.25):
         dq = (P.q_t(be23, t, complex(a + h, 0)) - P.q_t(be23, t, complex(a - h, 0))) / (2 * h)
@@ -166,10 +192,11 @@ def test_law_additive_density_identity(be23):
 
 
 def test_law_additive_symmetric(un):
-    law = P.law_additive(un, 0.1, n_grid=256)
-    mid = law.u.size // 2
-    assert np.allclose(law.f[:mid], law.f[::-1][:mid], atol=1e-10)
-    assert abs(law.u[0] + law.u[-1]) < 1e-10
+    prof = B.profile(un, 0.1, n_grid=256)
+    mid = prof.u.size // 2
+    assert np.allclose(prof.f[:mid], prof.f[::-1][:mid], atol=1e-10)
+    (l, r), (al, ar) = prof.lambda_intervals[0], prof.omega_intervals[0]
+    assert abs((2.0 * l - al) + (2.0 * r - ar)) < 1e-10
 
 
 def test_pushforward_rectangles(sc, be23, quad):
@@ -296,6 +323,5 @@ def test_sample_planar_respects_region(be23, be_profile):
     # marginal of the real part matches the law CDF
     import ibrown.rmt as R
 
-    law = P.law_additive(be23, 1.05)
     s = np.sort(pts.real)
-    assert R.ks_statistic(s, law.cdf_at_a(s)) < 0.04
+    assert R.ks_statistic(s, be_profile.cdf_at_a(s)) < 0.04

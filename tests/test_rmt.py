@@ -1,10 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
 import ibrown.brown as B
-import ibrown.maps as P
 import ibrown.measure as M
 import ibrown.rmt as R
 
@@ -105,14 +105,40 @@ def test_compare_small_cloud_fields(sc, sc_profile):
 
 def test_compare_ks_pushforward_is_the_hermitian_control(sc, sc_profile):
     # the Q_t-pushforward of the planar law is the law of D + sqrt(t) H, so
-    # the field scores that control, drawn with the cloud's (seed, rep) keys;
-    # Re parts pushed through the monotone Q_t would only repeat ks_marginal
+    # the field scores that control, drawn with the cloud's H; Re parts
+    # pushed through the monotone Q_t would only repeat ks_marginal
     cfg = R.SimConfig(n=40, t=1.0, reps=2, seed=1, dilation=0.05)
-    rep = R.compare(R.simulate(sc, cfg), sc_profile, sc, 1.0)
-    herm = np.sort(R.simulate_hermitian(sc, cfg))
-    law = P.law_additive(sc, 1.0)
-    assert rep.ks_pushforward == R.ks_statistic(herm, law.cdf_at_u(herm))
+    cloud = R.simulate(sc, cfg)
+    rep = R.compare(cloud, sc_profile, sc, 1.0)
+    herm = np.sort(cloud.hermitian)
+    assert rep.ks_pushforward == R.ks_statistic(herm, sc_profile.cdf_at_u(herm))
     assert rep.ks_pushforward != rep.ks_marginal
+
+
+def test_simulate_draws_each_repetition_once(sc, monkeypatch):
+    # both spectra come from one draw of H per repetition
+    cfg = R.SimConfig(n=30, t=0.7, reps=3, seed=4)
+    draws, sample = [], R.sample_gue
+    monkeypatch.setattr(R, "sample_gue", lambda *args: draws.append(args) or sample(*args))
+    cloud = R.simulate(sc, cfg)
+    assert draws == [(30, 4, rep) for rep in range(3)]
+    d = R.deterministic_x(sc, 30)
+    for rep in range(3):
+        m = np.diag(d) + math.sqrt(0.7) * sample(30, 4, rep)
+        assert np.allclose(cloud.hermitian[30 * rep : 30 * (rep + 1)], np.linalg.eigvalsh(m))
+    assert not cloud.hermitian.flags.writeable
+
+
+def test_compare_makes_no_kernel_call(sc, sc_profile, monkeypatch):
+    # everything compare scores is read from the profile it is passed
+    def refuse(*args, **kwargs):
+        raise AssertionError("compare evaluated a kernel bundle")
+
+    cloud = R.simulate(sc, R.SimConfig(n=40, t=1.0, reps=1, seed=2))
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("ibrown") and hasattr(mod, "transforms"):
+            monkeypatch.setattr(mod, "transforms", refuse)
+    R.compare(cloud, sc_profile, sc, 1.0)
 
 
 def test_compare_rejects_mismatched_t(sc, sc_profile):
@@ -133,7 +159,6 @@ def test_inside_fraction_improves_with_n(sc, sc_profile):
 
 def test_hermitian_control_matches_additive_law(sc):
     cfg = R.SimConfig(n=600, t=1.0, reps=2, seed=8)
-    evs = np.sort(R.simulate_hermitian(sc, cfg))
-    law = P.law_additive(sc, 1.0)
-    ks = R.ks_statistic(evs, law.cdf_at_u(evs))
+    evs = np.sort(R.simulate(sc, cfg).hermitian)
+    ks = R.ks_statistic(evs, B.profile(sc, 1.0).cdf_at_u(evs))
     assert ks < 0.04
