@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from io import StringIO
 
 import numpy as np
@@ -21,23 +20,18 @@ import numpy as np
 from .errors import NoConvergenceError, OutsideOmegaError, OutsideOnlyError
 from .measure import MeasureSpec, cauchy, log_potential
 from .numerics import bracket_newton
-from .subordination import (
-    _at_slope,
-    _vt_solve_nodes,
-    a_t,
-    at_with_slope,
-    j_t_inverse,
-    lambda_region,
-)
+from .subordination import _at_slope, _vt_solve_nodes, a_t, at_with_slope, j_t_inverse, lambda_region
 
 
 @dataclass(frozen=True)
 class RegionVerdict:
-    """Classification of a point against the support region.
+    """Classification of a point against the closed support region.
 
-    margin is |Im lam| - b_t(Re lam) near the region and a positive distance
-    proxy for points whose real part lies beyond every interval, so that
-    tag == "boundary" iff |margin| <= 1e-9 (1 + |lam|).
+    margin is |Im lam| - b_t(Re lam), Re lam clamped onto the real section;
+    a positive distance proxy for a real part beyond every interval; and,
+    for |Im lam| > 2 sqrt(t) + band, |Im lam| - 2 sqrt(t), a positive lower
+    bound of |Im lam| - b_t as b_t < 2 sqrt(t). tag == "boundary" iff
+    |margin| <= band = 1e-9 (1 + |lam|).
     """
 
     tag: str  # "inside" | "outside" | "boundary"
@@ -130,25 +124,12 @@ class BrownProfile:
 
 
 # ----------------------------------------------------------------------------
-# interval bookkeeping
-
-
-@lru_cache(maxsize=512)
-def _omega_intervals_cached(mu: MeasureSpec, t: float):
-    region = lambda_region(mu, t)
-    out = []
-    for lo, hi in region.intervals:
-        out.append((a_t(mu, t, lo), a_t(mu, t, hi)))
-    return tuple(out), region
+# the inversion a -> a0
 
 
 def omega_intervals(mu: MeasureSpec, t: float) -> tuple[tuple[float, float], ...]:
     """Images of the source intervals under the boundary map (the region's real section)."""
-    return _omega_intervals_cached(mu, float(t))[0]
-
-
-def _intervals(mu, t):
-    return _omega_intervals_cached(mu, float(t))
+    return lambda_region(mu, t).images
 
 
 def _a0_ftol(a, al, ar):
@@ -233,34 +214,59 @@ def _a0_solve_nodes(mu, t, a, lam_iv, omega_iv, x0):
 # pointwise operations
 
 
+def _locate(mu, t, lam):
+    """Locate lam in one walk of the region's intervals: (verdict,
+    (a0, slope, v)), or (verdict, None) where the verdict needs no inversion.
+
+    Re lam within the band 1e-9 (1 + |lam|) of an image [al, ar] of a source
+    interval [l, r] is clamped onto it; beyond it lam is outside. The clamped
+    a within 1e-12 (1 + |a|) of an end of the image gives that interval's end
+    (slope nan, v = 0), else a0 is one _a0_solve. |Im lam| > 2 sqrt(t) + band
+    tops every height 2v (v_t < sqrt(t)) and needs no inversion either.
+    """
+    lam = complex(lam)
+    a, b = lam.real, abs(lam.imag)
+    band = 1e-9 * (1.0 + abs(lam))
+    region = lambda_region(mu, t)
+    gap, k = min((max(al - a, 0.0, a - ar), k) for k, (al, ar) in enumerate(region.images))
+    if gap > band:
+        return RegionVerdict("outside", max(b, gap)), None
+    top = 2.0 * math.sqrt(t)
+    if b > top + band:
+        return RegionVerdict("outside", b - top), None
+    (l, r), (al, ar) = region.intervals[k], region.images[k]
+    a = min(max(a, al), ar)
+    snap = 1e-12 * (1.0 + abs(a))
+    if a <= al + snap:
+        inv = (l, math.nan, 0.0)
+    elif a >= ar - snap:
+        inv = (r, math.nan, 0.0)
+    else:
+        inv = _a0_solve(mu, t, a, (l, r), (al, ar))
+    margin = b - 2.0 * inv[2]
+    tag = "inside" if margin < -band else "boundary" if margin <= band else "outside"
+    return RegionVerdict(tag, margin), inv
+
+
 def _invert(mu, t, a):
-    """(a0, slope, v) at the source abscissa with a_t(a0) = a: the matching
-    interval's end (slope nan, v = 0) within 1e-12 (1 + |a|) of its image,
-    else one bracketed Newton solve inside it (a_t is strictly increasing)."""
-    omega, region = _intervals(mu, t)
-    tol = 1e-12 * (1.0 + abs(a))
-    for (al, ar), (l, r) in zip(omega, region.intervals):
-        if a < al - tol or a > ar + tol:
-            continue
-        if a <= al + tol:
-            return l, math.nan, 0.0
-        if a >= ar - tol:
-            return r, math.nan, 0.0
-        return _a0_solve(mu, t, a, (l, r), (al, ar))
-    raise OutsideOmegaError(f"{a} is outside the region's real section")
+    """(a0, slope, v) of _locate at the real point a; OutsideOmegaError
+    beyond the band of the region's real section."""
+    inv = _locate(mu, t, a)[1]
+    if inv is None:
+        raise OutsideOmegaError(f"{a} is outside the region's real section")
+    return inv
 
 
 def a0_of_a(mu: MeasureSpec, t: float, a: float) -> float:
-    """Unique source abscissa with v_t > 0 and a_t(a0) = a."""
+    """Unique source abscissa with v_t > 0 and a_t(a0) = a; an interval's end
+    for a within the boundary band past an end of its image (see _locate)."""
     return _invert(mu, t, a)[0]
 
 
 def b_t(mu: MeasureSpec, t: float, a: float) -> float:
     """Height of the region over a; 0 when a + i0 is not in the closed region."""
-    try:
-        return 2.0 * _invert(mu, t, a)[2]
-    except OutsideOmegaError:
-        return 0.0
+    inv = _locate(mu, t, a)[1]
+    return 0.0 if inv is None else 2.0 * inv[2]
 
 
 def w_t(mu: MeasureSpec, t: float, a: float) -> float:
@@ -272,24 +278,10 @@ def w_t(mu: MeasureSpec, t: float, a: float) -> float:
 
 
 def classify(mu: MeasureSpec, t: float, lam: complex) -> RegionVerdict:
-    """Compare |Im lam| against the height over Re lam with a boundary band
-    of half-width 1e-9 (1 + |lam|)."""
-    lam = complex(lam)
-    tol = 1e-9 * (1.0 + abs(lam))
-    a, b = lam.real, abs(lam.imag)
-    omega, _ = _intervals(mu, t)
-    if not omega:
-        return RegionVerdict("outside", math.inf)
-    gap = min(max(al - a, 0.0, a - ar) for al, ar in omega)
-    if gap > tol:
-        return RegionVerdict("outside", max(b, gap))
-    height = b_t(mu, t, min(max(a, omega[0][0]), omega[-1][1]))
-    margin = b - height
-    if margin < -tol:
-        return RegionVerdict("inside", margin)
-    if margin <= tol:
-        return RegionVerdict("boundary", margin)
-    return RegionVerdict("outside", margin)
+    """Compare |Im lam| against the height over Re lam, clamped onto the
+    region's real section, with a boundary band of half-width
+    1e-9 (1 + |lam|) (see _locate)."""
+    return _locate(mu, t, lam)[0]
 
 
 def s_outside(mu: MeasureSpec, t: float, lam: complex) -> float:
@@ -299,13 +291,8 @@ def s_outside(mu: MeasureSpec, t: float, lam: complex) -> float:
 
     Harmonic there; tested through a 5-point stencil Laplacian.
     """
-    verdict = classify(mu, t, lam)
-    if verdict.tag != "outside":
+    if classify(mu, t, lam).tag != "outside":
         raise OutsideOnlyError(f"{lam} is not outside the closed region")
-    return _s_outside_unchecked(mu, t, lam)
-
-
-def _s_outside_unchecked(mu, t, lam):
     z0 = j_t_inverse(mu, t, lam)
     lp = log_potential(mu, z0.real, z0.imag * z0.imag)
     g = cauchy(mu, z0)
@@ -359,7 +346,7 @@ def profile(mu: MeasureSpec, t: float, n_grid: int = 1024) -> BrownProfile:
         raise ValueError("n_grid must be at least 16")
     if t <= 0.0:
         raise ValueError("t must be positive")
-    omega, region = _intervals(mu, t)
+    region = lambda_region(mu, t)
     k = -(-MASS_NODES // (n_grid + 1))
     sweeps = [lambda_sweep(mu, t, lam_iv, k * (n_grid + 1)) for lam_iv in region.intervals]
     grid, a0, v, slope = (
@@ -385,7 +372,7 @@ def profile(mu: MeasureSpec, t: float, n_grid: int = 1024) -> BrownProfile:
         slope=slope,
         cdf=cdf,
         flags=flags * len(sweeps),
-        omega_intervals=omega,
+        omega_intervals=region.images,
         lambda_intervals=region.intervals,
         block_edges=tuple(range(0, n_grid * len(sweeps) + 1, n_grid)),
         end_cdf=tuple(end_cdf),

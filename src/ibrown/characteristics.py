@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .brown import _invert, classify, omega_intervals
+from .brown import _locate
 from .errors import NoConvergenceError, PastLifetimeError
 from .measure import MeasureSpec, log_potential, p0, p0_zero, transforms
 from .numerics import bracket_newton, damped_newton
@@ -221,13 +221,13 @@ def _start(mu, t, lam, eps):
     that needs no evaluation. Its root makes the b and eps equations hold, so
     only the a-equation is left to the flow solve.
     """
-    a, b = lam.real, lam.imag
-    if classify(mu, t, lam).tag == "outside":
+    verdict, inv = _locate(mu, t, lam)
+    if verdict.tag == "outside":
         a0 = j_t_inverse(mu, t, lam).real
         vt = v_t(mu, t, a0)
     else:
-        al, ar = min(omega_intervals(mu, t), key=lambda iv: max(iv[0] - a, a - iv[1]))
-        a0, _, vt = _invert(mu, t, min(max(a, al), ar))
+        a0, _, vt = inv
+    b = lam.imag
     b2 = b * b
 
     def fdf(v):

@@ -27,7 +27,11 @@ class CheckResult:
         return bool(self.value <= self.threshold)
 
 
-def _interior_rows(profile, per_interval=24):
+#: rows of the profile the jn suite solves at, over all intervals
+JN_POINTS = 60
+
+
+def _interior_rows(profile, per_interval):
     """Indices of up to per_interval rows of each block, clear of its ends."""
     rows = []
     for sl in profile.blocks():
@@ -70,11 +74,11 @@ def check_subordination(mu, t, prof) -> list[CheckResult]:
     return rows
 
 
-def check_jn(mu, t, prof, n_points=200) -> list[CheckResult]:
+def check_jn(mu, t, prof) -> list[CheckResult]:
     density_dev = 0.0
     re_identity = 0.0
     poisson = 0.0
-    rows = _interior_rows(prof, per_interval=max(8, n_points // max(len(prof.omega_intervals), 1)))
+    rows = _interior_rows(prof, per_interval=max(8, JN_POINTS // max(len(prof.omega_intervals), 1)))
     for i in rows:
         a = float(prof.grid[i])
         g = jn.solve_g(mu, t, a)
@@ -89,8 +93,8 @@ def check_jn(mu, t, prof, n_points=200) -> list[CheckResult]:
     ]
 
 
-def check_pde(mu, t, n_points=8, seed=5) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
+def check_pde(mu, t, n_points) -> list[CheckResult]:
+    rng = np.random.default_rng(5)  # the same points on every run
     span = max(abs(mu.support.lo), abs(mu.support.hi))
     worst = 0.0
     for _ in range(n_points):
@@ -147,7 +151,7 @@ def run_all(mu, t) -> list[CheckResult]:
     rows = []
     rows += check_subordination(mu, t, prof)
     rows += check_pushforward(mu, t, prof)
-    rows += check_jn(mu, t, prof, n_points=60)
+    rows += check_jn(mu, t, prof)
     rows += check_pde(mu, t, n_points=6)
     return rows
 

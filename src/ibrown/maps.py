@@ -17,11 +17,12 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .brown import _a0_solve_nodes, _intervals, a0_of_a, classify, lambda_sweep, profile
+from .brown import _a0_solve_nodes, _locate, lambda_sweep, profile
 from .errors import OutsideLambdaError, OutsideOmegaError
 from .measure import MeasureSpec, transforms
 from .numerics import bracket_newton
 from .subordination import _at_slope, _at_value, _vt_solve, _vt_solve_nodes, a_t, at_with_slope
+from .subordination import lambda_region
 
 #: cuts of each region interval along Re, giving the rectangles of pushforward_check
 N_RECT = 4
@@ -39,19 +40,20 @@ def u_t(mu: MeasureSpec, t: float, lam0: complex) -> complex:
 
 
 def u_t_inverse(mu: MeasureSpec, t: float, lam: complex) -> complex:
-    """a0(Re lam) + i Im(lam)/2 for lam in the closed support region."""
+    """a0(Re lam) + i Im(lam)/2 for lam in the closed region: where classify
+    does not say "outside", so also on its band past an interval's end."""
     lam = complex(lam)
-    if classify(mu, t, lam).tag == "outside":
+    verdict, inv = _locate(mu, t, lam)
+    if verdict.tag == "outside":
         raise OutsideOmegaError(f"{lam} is outside the closed region")
-    return complex(a0_of_a(mu, t, lam.real), 0.5 * lam.imag)
+    return complex(inv[0], 0.5 * lam.imag)
 
 
 def q_t(mu: MeasureSpec, t: float, lam: complex) -> float:
-    """2 a0(Re lam) - Re lam; constant along vertical segments."""
+    """2 a0(Re lam) - Re lam, constant along vertical segments, on the closed
+    region (classify's band included) as u_t_inverse takes it."""
     lam = complex(lam)
-    if classify(mu, t, lam).tag == "outside":
-        raise OutsideOmegaError(f"{lam} is outside the closed region")
-    return 2.0 * a0_of_a(mu, t, lam.real) - lam.real
+    return 2.0 * u_t_inverse(mu, t, lam).real - lam.real
 
 
 def circular_density(mu: MeasureSpec, t: float, lam0: complex) -> float:
@@ -195,9 +197,9 @@ def pushforward_check(mu: MeasureSpec, t: float) -> PushforwardReport:
     interval, the source nodes take one array v_t solve, and the target
     nodes with the inner cuts appended one array inversion a -> a0.
     """
-    omega, region = _intervals(mu, t)
+    region = lambda_region(mu, t)
     rects, src, tgt, err = [], [], [], []
-    for (al, ar), (l, r) in zip(omega, region.intervals):
+    for (al, ar), (l, r) in zip(region.images, region.intervals):
         sweep = lambda_sweep(mu, t, (l, r), 64)
         bmax = 2.0 * float(sweep["v"].max())
         bands = [(-2.0 * bmax, 2.0 * bmax), (0.0, 0.45 * bmax), (-0.45 * bmax, 0.0)]

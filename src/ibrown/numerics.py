@@ -15,6 +15,10 @@ import numpy as np
 from .errors import NoConvergenceError
 
 
+#: evaluations of bracket_newton before it returns its bracket's midpoint
+_BRACKET_ITERS = 240
+
+
 def bracket_newton(
     func: Callable[[float], tuple[float, float | None]],
     lo: float,
@@ -24,13 +28,13 @@ def bracket_newton(
     x0: float | None = None,
     xtol: float = 1e-14,
     ftol: float = 0.0,
-    max_iter: int = 240,
 ) -> float:
     """Find a root on a sign-change bracket, taking Newton steps when safe.
 
     ``func(x)`` returns ``(f, df)``; ``df`` may be None to force bisection.
     [lo, hi] must satisfy sign(f(lo)) != sign(f(hi)); zero endpoints are
-    returned directly.
+    returned directly. Returns the bracket's midpoint after _BRACKET_ITERS
+    evaluations.
     """
     if flo is None:
         flo = func(lo)[0]
@@ -44,7 +48,7 @@ def bracket_newton(
         raise NoConvergenceError(f"root not bracketed on [{lo}, {hi}]")
 
     x = x0 if (x0 is not None and lo < x0 < hi) else 0.5 * (lo + hi)
-    for _ in range(max_iter):
+    for _ in range(_BRACKET_ITERS):
         f, df = func(x)
         if f == 0.0 or (ftol > 0.0 and abs(f) <= ftol):
             return x

@@ -50,17 +50,13 @@ _VT_PASSES = 120
 
 @dataclass(frozen=True)
 class LambdaRegion:
-    """Maximal open intervals of the real line where v_t > 0, for one t."""
+    """Maximal open intervals of the real line where v_t > 0, for one t, and
+    their images (a_t(l), a_t(r)) under the boundary map: the real section of
+    the planar support region."""
 
     t: float
     intervals: tuple[tuple[float, float], ...]
-
-    def locate(self, a0: float) -> int | None:
-        """Index of the interval containing a0, or None."""
-        for i, (lo, hi) in enumerate(self.intervals):
-            if lo < a0 < hi:
-                return i
-        return None
+    images: tuple[tuple[float, float], ...]
 
 
 def _vt_clamp(lo, hi, vmax):
@@ -320,7 +316,8 @@ def _lambda_region_cached(mu: MeasureSpec, t: float) -> LambdaRegion:
         lo = max(lo, d)
     if hi > lo:
         intervals.append((lo, hi))
-    return LambdaRegion(t=t, intervals=tuple(intervals))
+    images = tuple((a_t(mu, t, l), a_t(mu, t, r)) for l, r in intervals)
+    return LambdaRegion(t=t, intervals=tuple(intervals), images=images)
 
 
 def lambda_region(mu: MeasureSpec, t: float) -> LambdaRegion:
@@ -333,7 +330,9 @@ def lambda_region(mu: MeasureSpec, t: float) -> LambdaRegion:
     the region there. No component is missed, however narrow. A cut that ends
     where the density vanishes to order >= 2 is bisected on into the support
     to the end of the band where p0_zero reads finite, so that v_t > 0 holds
-    on the open intervals as _vt_solve computes it.
+    on the open intervals as _vt_solve computes it. The record also carries
+    a_t at each interval's ends, so that it is the whole region, source and
+    planar, built once per (mu, t).
     """
     if t <= 0.0:
         raise ValueError("t must be positive")
@@ -401,8 +400,9 @@ def j_t(mu: MeasureSpec, t: float, z: complex) -> complex:
     return complex(z) - t * cauchy(mu, z)
 
 
-def _outside_lambda_closure(mu: MeasureSpec, t: float, z: complex, slack: float = 1e-9) -> bool:
-    return p0(mu, z.real, abs(z.imag)) <= (1.0 + slack) / t
+def _outside_lambda_closure(mu: MeasureSpec, t: float, z: complex) -> bool:
+    # off the closed source region, up to a relative slack of 1e-9
+    return p0(mu, z.real, abs(z.imag)) <= (1.0 + 1e-9) / t
 
 
 def _newton_jt(mu, t, target, z0, tol):
@@ -422,16 +422,16 @@ def _newton_jt(mu, t, target, z0, tol):
     return damped_newton(residual, step, complex(z0), tol, max_iter=80, halvings=50)
 
 
-def j_t_inverse(mu: MeasureSpec, t: float, lam: complex, tol: float | None = None) -> complex:
-    """The unique z outside the closed source region with J_t(z) = lam.
+def j_t_inverse(mu: MeasureSpec, t: float, lam: complex) -> complex:
+    """The unique z outside the closed source region with J_t(z) = lam, to
+    |J_t(z) - lam| <= 1e-12 (1 + |lam|).
 
     Damped Newton from z0 = lam; on failure or a wrong-basin landing, restarts
     with continuation along the vertical segment lam + i*h, h from far field
     down to 0, which cannot cross the planar support region.
     """
     lam = complex(lam)
-    if tol is None:
-        tol = 1e-12 * (1.0 + abs(lam))
+    tol = 1e-12 * (1.0 + abs(lam))
     z = _newton_jt(mu, t, lam, lam, tol)
     if z is not None and _outside_lambda_closure(mu, t, z):
         return z

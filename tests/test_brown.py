@@ -6,6 +6,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ibrown.brown as B
+import ibrown.characteristics as C
+import ibrown.maps as P
 import ibrown.measure as M
 import ibrown.subordination as S
 from ibrown.errors import NoConvergenceError, OutsideOmegaError, OutsideOnlyError
@@ -210,8 +212,9 @@ def test_sweep_solves_its_interior_nodes_as_one_array(monkeypatch):
         assert sw["cdf"][-1] > 0.0
 
 
-def test_pointwise_queries_invert_once(be23, monkeypatch):
-    # one a0(a) inversion per query, and no v_t solve outside it
+def test_pointwise_queries_invert_once(be23, sc, monkeypatch):
+    # one a0(a) inversion per query, and no v_t solve outside it; none above
+    # 2 sqrt(t), which tops every height
     solve, vt_solve, calls, depth = B._a0_solve, S._vt_solve, [], []
 
     def counted(*args):
@@ -226,13 +229,32 @@ def test_pointwise_queries_invert_once(be23, monkeypatch):
         assert depth, "v_t solved outside the inversion"
         return vt_solve(*args, **kwargs)
 
-    B.omega_intervals(be23, 1.05)  # the cached region takes its own solves
+    for mu, t in ((be23, 1.05), (sc, 1.0)):
+        B.omega_intervals(mu, t)  # the cached region takes its own solves
     monkeypatch.setattr(B, "_a0_solve", counted)
     monkeypatch.setattr(S, "_vt_solve", inside_only)
-    for fn in (B.b_t, B.w_t, B.a0_of_a):
+    lam = 0.3 + 0.1j
+    queries = [(fn, 0.3) for fn in (B.b_t, B.w_t, B.a0_of_a)]
+    queries += [(fn, lam) for fn in (B.classify, P.q_t, P.u_t_inverse)]
+    queries.append((lambda mu, t, z: C.s_of(mu, t, z, 1e-3), lam))
+    for fn, x in queries:
         calls.clear()
-        fn(be23, 1.05, 0.3)
+        fn(be23, 1.05, x)
         assert len(calls) == 1
+    calls.clear()
+    B.s_outside(be23, 1.05, 0.3 + 3j)
+    assert not calls
+
+    # in kernel bundles on the semicircle: q_t took 12 when it inverted twice,
+    # and s_outside far above the region 7
+    transforms, bundles = M.transforms, []
+    for mod in (M, S, C):
+        monkeypatch.setattr(mod, "transforms", lambda *args: bundles.append(1) or transforms(*args))
+    P.q_t(sc, 1.0, 0.5 + 0.1j)
+    assert len(bundles) <= 6
+    bundles.clear()
+    B.s_outside(sc, 1.0, 0.3 + 3j)
+    assert len(bundles) <= 1
 
 
 def test_array_inversion_matches_the_pointwise_one():
@@ -240,8 +262,8 @@ def test_array_inversion_matches_the_pointwise_one():
     # interpolation, meets the scalar solve's residual tolerance, and the
     # slope and v it returns are the ones at its roots
     mu, t = FOUR_ATOMS, 0.5
-    omega, region = B._intervals(mu, t)
-    for (al, ar), (l, r) in zip(omega, region.intervals):
+    region = S.lambda_region(mu, t)
+    for (al, ar), (l, r) in zip(region.images, region.intervals):
         sw = B.lambda_sweep(mu, t, (l, r), 64)
         a = al + (ar - al) * np.array([1e-9, 1e-4, 0.1, 0.37, 0.5, 0.9, 1.0 - 1e-6])
         a0, slope, v = B._a0_solve_nodes(mu, t, a, (l, r), (al, ar), np.interp(a, sw["at"], sw["a0"]))
@@ -256,12 +278,12 @@ def test_array_inversion_matches_the_pointwise_one():
 
 
 def test_array_inversion_cap_is_loud(be23, monkeypatch):
-    omega, region = B._intervals(be23, 1.05)
-    lam_iv = region.intervals[0]
-    a = np.linspace(*omega[0], 9)[1:-1]
+    region = S.lambda_region(be23, 1.05)
+    lam_iv, omega_iv = region.intervals[0], region.images[0]
+    a = np.linspace(*omega_iv, 9)[1:-1]
     monkeypatch.setattr(B, "_A0_PASSES", 1)
     with pytest.raises(NoConvergenceError):
-        B._a0_solve_nodes(be23, 1.05, a, lam_iv, omega[0], np.full(a.size, lam_iv[0]))
+        B._a0_solve_nodes(be23, 1.05, a, lam_iv, omega_iv, np.full(a.size, lam_iv[0]))
 
 
 def test_profile_vertical_mass(sc_profile):
@@ -428,3 +450,56 @@ def test_region_and_mass_with_a_tiny_isolated_atom(mu, log_t):
     expect = 1 + int(np.sum(minima <= 1.0 / t))
     assert len(S.lambda_region(mu, t).intervals) == expect
     assert B.profile(mu, t, n_grid=64).mass == pytest.approx(1.0, abs=1e-9)
+
+
+@st.composite
+def laws_and_times_around_a_merge(draw):
+    """A 2-4-atom law and t within a factor 2 of the value at which one of
+    its gaps closes, on either side of it."""
+    xs = draw(st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=4))
+    ws = draw(st.lists(st.floats(0.1, 1.0), min_size=len(xs), max_size=len(xs)))
+    assume(min(abs(x - y) for i, x in enumerate(xs) for y in xs[i + 1 :]) > 0.2)
+    mu = M.atomic(list(zip(xs, ws)))
+    minima = gap_minima(*(np.array(a) for a in zip(*mu.atoms)))
+    gap = draw(st.integers(0, minima.size - 1))
+    factor = draw(st.floats(-1.0, 1.0).filter(lambda x: abs(x) > 0.01))
+    return mu, 2.0**factor / minima[gap]
+
+
+def located_tag(mu, t, lam):
+    """classify's tag from b_t at Re lam clamped onto the nearest interval of
+    the real section, and that clamped abscissa (None beyond the band)."""
+    band = 1e-9 * (1.0 + abs(lam))
+    a, b = lam.real, abs(lam.imag)
+    al, ar = min(B.omega_intervals(mu, t), key=lambda iv: max(iv[0] - a, 0.0, a - iv[1]))
+    if max(al - a, 0.0, a - ar) > band:
+        return "outside", None
+    x = min(max(a, al), ar)
+    margin = b - B.b_t(mu, t, x)
+    return ("inside" if margin < -band else "boundary" if margin <= band else "outside"), x
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(law=laws_and_times_around_a_merge())
+def test_locator_agrees_with_the_height_and_the_maps(law):
+    # inside, in the band, in a gap and far above each interval's image
+    mu, t = law
+    region = S.lambda_region(mu, t)
+    assert B.omega_intervals(mu, t) == region.images
+    top = 2.0 * math.sqrt(t) + 1.0
+    points = []
+    for k, (al, ar) in enumerate(region.images):
+        a = al + 0.3 * (ar - al)
+        h = B.b_t(mu, t, a)
+        points += [complex(a, 0.5 * h), complex(a, h + 1e-10), complex(a, -h - 1e-8)]
+        points += [complex(ar + 2e-10, 0.0), complex(al - 5e-10, 1e-10), complex(a, top)]
+        if k + 1 < len(region.images):
+            points.append(complex(0.5 * (ar + region.images[k + 1][0]), 0.01))
+    for lam in points:
+        tag, x = located_tag(mu, t, lam)
+        assert B.classify(mu, t, lam).tag == tag
+        if tag == "outside":
+            continue
+        q, z = P.q_t(mu, t, lam), P.u_t_inverse(mu, t, lam)
+        assert q == 2.0 * z.real - lam.real
+        assert abs(S.a_t(mu, t, z.real) - x) <= 1e-9 * (1.0 + abs(lam))

@@ -43,7 +43,7 @@ def test_lifetime_characterizes_region(sc):
     region = S.lambda_region(sc, t)
     for a0, expect_inside in ((0.0, True), (2.0, True), (2.3, False)):
         T = C.lifetime(sc, C.InitialData(complex(a0, 0.0), 0.0))
-        inside = region.locate(a0) is not None
+        inside = any(lo < a0 < hi for lo, hi in region.intervals)
         assert inside == expect_inside
         assert (T < t) == inside
 
@@ -315,7 +315,7 @@ def test_s_of_cost_in_bundles(sc, monkeypatch):
     for mod in (M, S, C):
         monkeypatch.setattr(mod, "transforms", counted)
     C.s_of(sc, t, 0.9 + 0.05j, 1e-4)
-    assert len(count) <= 60
+    assert len(count) <= 26
 
 
 def test_s_of_failure_is_loud_after_one_solve(sc, monkeypatch):

@@ -110,6 +110,18 @@ def test_qt_outside_raises(sc):
         P.q_t(sc, 1.0, 3.0 + 0j)
 
 
+def test_maps_take_classify_boundary_band_past_the_ends(sc):
+    # a point within the band past an end of the real section is "boundary",
+    # and Q_t and U_t^{-1} map it through the source interval's end
+    t = 1.0
+    region = S.lambda_region(sc, t)
+    (l, r), (al, ar) = region.intervals[0], region.images[0]
+    for lam, end in ((complex(ar + 1e-10, 0.0), r), (complex(al - 5e-10, 1e-10), l)):
+        assert B.classify(sc, t, lam).tag == "boundary"
+        assert P.q_t(sc, t, lam) == 2.0 * end - lam.real
+        assert P.u_t_inverse(sc, t, lam) == complex(end, 0.5 * lam.imag)
+
+
 def test_circular_density_elliptic(sc):
     expect = 2.0 / (3.0 * math.pi)
     for lam0 in (0.0 + 0j, 0.5 + 0.2j, -1.2 + 0.1j):
