@@ -17,10 +17,10 @@ from io import StringIO
 
 import numpy as np
 
-from .errors import NoConvergenceError, OutsideOmegaError, OutsideOnlyError
+from .errors import OutsideOmegaError, OutsideOnlyError
 from .measure import MeasureSpec, cauchy, log_potential
-from .numerics import bracket_newton
-from .subordination import _at_slope, _vt_solve_nodes, a_t, at_with_slope, j_t_inverse, lambda_region
+from .numerics import bracket_newton, bracket_newton_nodes
+from .subordination import _at_slope, _vt_solve_nodes, at_with_slope, j_t_inverse, lambda_region
 
 
 @dataclass(frozen=True)
@@ -142,72 +142,55 @@ def _a0_ftol(a, al, ar):
     return (1.0 + np.abs(a)) * np.maximum(np.minimum(1e-12, near), 1e-15)
 
 
+def _a0_xtol(lam_iv):
+    """Step and width tolerance in a0 of the inversion on the source interval
+    lam_iv: a root's Newton step is below it."""
+    l, r = lam_iv
+    return 1e-13 * (1.0 + abs(l) + abs(r))
+
+
 def _a0_solve(mu, t, a, lam_iv, omega_iv):
     """Invert a_t on one source interval: (a0, slope, v) with a_t(a0) = a.
 
-    Bracketed Newton on the fixed bracket lam_iv = [l, r], where f = a_t - a
-    is known at both ends from omega_iv = (a_t(l), a_t(r)). Each evaluation
-    hints v_t's solve with the v before, and the slope and v returned are the
-    ones evaluated at the root, not a second solve.
+    bracket_newton on the fixed bracket lam_iv = [l, r], where f = a_t - a
+    rises from f(l) = a_t(l) - a, known from omega_iv = (a_t(l), a_t(r)),
+    started at the linear interpolation between them. Each evaluation hints
+    v_t's solve with the v before, and the slope and v returned are the ones
+    evaluated at the root.
     """
     (l, r), (al, ar) = lam_iv, omega_iv
-    last: dict = {}
+    slope = v = None  # at the last iterate evaluated
 
     def fdf(a0):
-        at, slope, v = at_with_slope(mu, t, a0, v_hint=last.get("v"))
-        last.update(a0=a0, slope=slope, v=v)
-        return at - a, slope
+        nonlocal slope, v
+        at, slope, v = at_with_slope(mu, t, a0, v_hint=v)
+        return at - a, (at - a) / slope if slope > 0.0 else math.inf
 
-    root = bracket_newton(
-        fdf,
-        l,
-        r,
-        flo=al - a,
-        fhi=ar - a,
-        x0=l + (r - l) * (a - al) / (ar - al),
-        xtol=1e-15 * (1.0 + abs(l) + abs(r)),
-        ftol=float(_a0_ftol(a, al, ar)),
-    )
-    if last.get("a0") != root:
-        fdf(root)
-    return root, last["slope"], last["v"]
-
-
-#: passes of the array inversion; bisection alone closes any bracket to its
-#: xtol in under 60
-_A0_PASSES = 100
+    x0 = min(max(l + (r - l) * (a - al) / (ar - al), math.nextafter(l, r)), math.nextafter(r, l))
+    root = bracket_newton(fdf, l, r, x0, float(_a0_ftol(a, al, ar)), _a0_xtol(lam_iv))
+    return root, slope, v
 
 
 def _a0_solve_nodes(mu, t, a, lam_iv, omega_iv, x0):
     """_a0_solve at every node of the array a, strictly inside omega_iv, at
-    once: each node keeps its own bracket [l, r], starts at x0 and takes a
-    Newton step in it or else bisects, with _a0_solve's stopping rule. Each
-    pass is one array v_t solve and its slopes at the nodes still open.
+    once, through bracket_newton_nodes from x0. Each pass is one array v_t
+    solve and its slopes at the nodes still open.
 
     Returns arrays (a0, slope, v), the slope and v evaluated at each root.
     """
     (l, r), (al, ar) = lam_iv, omega_iv
-    ftol, xtol = _a0_ftol(a, al, ar), 1e-15 * (1.0 + abs(l) + abs(r))
-    lo, hi = np.full(a.size, float(l)), np.full(a.size, float(r))
-    x = np.clip(x0, np.nextafter(l, r), np.nextafter(r, l))
-    roots, slopes, vs = np.empty(a.size), np.empty(a.size), np.empty(a.size)
-    idx = np.arange(a.size)  # the nodes still open, their iterate in x
-    for _ in range(_A0_PASSES):
+    slopes, vs = np.empty(a.size), np.empty(a.size)
+
+    def fdf(x, idx):
         v, out = _vt_solve_nodes(mu, t, x)
-        at, slope = _at_slope(t, x, v, out)
+        at, slopes[idx] = _at_slope(t, x, v, out)
+        vs[idx] = v
         f = at - a[idx]
-        up = f > 0.0  # a_t is increasing: the root lies below x
-        lo[idx] = np.where(up, lo[idx], x)
-        hi[idx] = np.where(up, x, hi[idx])
-        done = (np.abs(f) <= ftol[idx]) | (hi[idx] - lo[idx] <= xtol)
-        roots[idx[done]], slopes[idx[done]], vs[idx[done]] = x[done], slope[done], v[done]
-        keep = ~done
-        idx, x, f, slope = idx[keep], x[keep], f[keep], slope[keep]
-        if not idx.size:
-            return roots, slopes, vs
-        xn = x - f / slope
-        x = np.where((lo[idx] < xn) & (xn < hi[idx]), xn, 0.5 * (lo[idx] + hi[idx]))
-    raise NoConvergenceError(f"a0(a) open at {idx.size} nodes after {_A0_PASSES} passes")
+        return f, f / slopes[idx]
+
+    x = np.clip(x0, math.nextafter(l, r), math.nextafter(r, l))
+    roots = bracket_newton_nodes(fdf, l, r, x, _a0_ftol(a, al, ar), _a0_xtol(lam_iv))
+    return roots, slopes, vs
 
 
 # ----------------------------------------------------------------------------
@@ -306,11 +289,18 @@ def s_outside(mu: MeasureSpec, t: float, lam: complex) -> float:
 MASS_NODES = 768
 
 
-def lambda_sweep(mu: MeasureSpec, t: float, interval: tuple[float, float], n: int = MASS_NODES):
+def lambda_sweep(
+    mu: MeasureSpec,
+    t: float,
+    interval: tuple[float, float],
+    image: tuple[float, float],
+    n: int = MASS_NODES,
+):
     """Sample v_t, a_t and the slope along one source interval at Chebyshev
     angles theta_j = j*pi/n (endpoints carry v = 0 and zero mass weight):
     one array v_t solve over the interior nodes, a_t and the slope from its
-    bundles, and a_t at the two ends.
+    bundles, and at the two ends a_t from image, the interval's entry of
+    lambda_region(mu, t).images.
 
     Returns dict of arrays: a0, v, at, slope (nan at the ends) and cdf, the
     planar-law mass from the interval's left end, by the trapezoid rule in
@@ -325,7 +315,7 @@ def lambda_sweep(mu: MeasureSpec, t: float, interval: tuple[float, float], n: in
     v, out = _vt_solve_nodes(mu, t, a0s[1:-1])
     at, slope = _at_slope(t, a0s[1:-1], v, out)
     vs = np.concatenate(([0.0], v, [0.0]))
-    ats = np.concatenate(([a_t(mu, t, l)], at, [a_t(mu, t, r)]))
+    ats = np.concatenate(([image[0]], at, [image[1]]))
     slopes = np.concatenate(([np.nan], slope, [np.nan]))
     g = np.zeros(n + 1)
     g[1:-1] = (2.0 / (math.pi * t)) * v * (1.0 - 0.5 * slope)
@@ -348,7 +338,10 @@ def profile(mu: MeasureSpec, t: float, n_grid: int = 1024) -> BrownProfile:
         raise ValueError("t must be positive")
     region = lambda_region(mu, t)
     k = -(-MASS_NODES // (n_grid + 1))
-    sweeps = [lambda_sweep(mu, t, lam_iv, k * (n_grid + 1)) for lam_iv in region.intervals]
+    sweeps = [
+        lambda_sweep(mu, t, lam_iv, omega_iv, k * (n_grid + 1))
+        for lam_iv, omega_iv in zip(region.intervals, region.images)
+    ]
     grid, a0, v, slope = (
         np.concatenate([sw[key][k:-1:k] for sw in sweeps]) for key in ("at", "a0", "v", "slope")
     )

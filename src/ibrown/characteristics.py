@@ -234,13 +234,14 @@ def _start(mu, t, lam, eps):
         out = transforms(mu, a0, v * v)
         s, ds = 1.0 - t * out.p0, 2.0 * t * v * out.q0
         if s <= 0.0:
-            return -math.inf, None  # below v_t: its solve may stop short of the root
+            return -math.inf, math.inf  # below v_t: its solve may stop short of the root
         f = v * v - b2 / (2.0 - s) ** 2 - eps / (s * s)
         df = 2.0 * v - 2.0 * b2 * ds / (2.0 - s) ** 3 + 2.0 * eps * ds / s**3
-        return s * f, ds * f + s * df
+        dsf = ds * f + s * df
+        return s * f, s * f / dsf if dsf != 0.0 else math.inf
 
-    hi2 = b2 + 4.0 * eps + 2.0 * t
-    v = bracket_newton(fdf, vt, math.sqrt(hi2), flo=-math.inf, fhi=math.inf, ftol=1e-15 * hi2)
+    lo, hi = vt, math.sqrt(b2 + 4.0 * eps + 2.0 * t)
+    v = bracket_newton(fdf, lo, hi, 0.5 * (lo + hi), 1e-15 * hi * hi, 1e-14 * (1.0 + lo + hi))
     s = 1.0 - t * p0(mu, a0, v)
     return a0, b / (2.0 - s), eps / (s * s)
 

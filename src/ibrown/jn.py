@@ -62,14 +62,19 @@ def solve_g(mu: MeasureSpec, t: float, a: float) -> complex:
     """Complex solution of g = G(a + t*conj(g)) with Im g > 0.
 
     Seeded from the subordination pipeline, g0 = (a0(a) - a + i v_t)/t;
-    raises NoConvergenceError when a lies outside the region's real section
-    or the solve collapses to the real line, either of which signals a point
+    raises NoConvergenceError when a lies outside the region's real section,
+    at an end of it (or within the locator's band past one), where the height
+    is 0, or when the solve collapses to the real line: each signals a point
     outside the support of the planar law.
     """
     try:
-        a0, _, v = _invert(mu, t, a)
+        a0, slope, v = _invert(mu, t, a)
     except OutsideOmegaError as exc:
         raise NoConvergenceError(f"no complex fixed point at a = {a}: {exc}") from exc
+    if math.isnan(slope):
+        # the fixed-point equation is degenerate there: a solve would only
+        # return its seed
+        raise NoConvergenceError(f"no complex fixed point at a = {a}, an end of the region's real section")
     g0 = complex((a0 - a) / t, max(v, 1e-8) / t)
     g = _fixed_point_newton(mu, t, a, g0, 1e-12 * (1.0 + abs(a)))
     if g is None or abs(g.imag) <= 1e-12:

@@ -124,22 +124,30 @@ def _v_crossings(mu, t, sweep, level):
 
     v_t > level exactly where p0(a0, level^2) > 1/t, so each crossing is a
     root of p0(., level^2) - 1/t, bracketed by neighbouring sweep nodes
-    (where v - level has its sign) and solved by Newton through
+    (where v - level has its sign) and solved by bracket_newton through
     d p0/d a0 = -2 q1, one bundle per step; a_t comes from the bundle at the
     root, where v_t = level.
     """
     a0s, d = sweep["a0"], sweep["v"] - level
     v2, inv_t = level * level, 1.0 / t
 
-    def fdf(a0):
-        out = transforms(mu, a0, v2)
-        return out.p0 - inv_t, -2.0 * out.q1
+    def crossing(lo, hi, rise):
+        out = None
+
+        def fdf(a0):
+            nonlocal out
+            out = transforms(mu, a0, v2)
+            f, df = out.p0 - inv_t, -2.0 * out.q1
+            return rise * f, f / df if df != 0.0 else math.inf
+
+        x = bracket_newton(fdf, lo, hi, 0.5 * (lo + hi), 1e-12 * inv_t, 1e-14 * (1.0 + abs(lo) + abs(hi)))
+        return x, _at_value(t, x, out)
 
     hits = [
-        bracket_newton(fdf, a0s[i], a0s[i + 1], flo=d[i], fhi=d[i + 1])
+        crossing(a0s[i], a0s[i + 1], 1.0 if d[i] < 0.0 else -1.0)
         for i in np.flatnonzero((d[:-1] != 0.0) & ((d[:-1] > 0.0) != (d[1:] > 0.0)))
     ]
-    return np.array(hits), np.array([_at_value(t, x, transforms(mu, x, v2)) for x in hits])
+    return np.array([h[0] for h in hits]), np.array([h[1] for h in hits])
 
 
 def _theta_nodes(interval, cuts, kinks):
@@ -200,7 +208,7 @@ def pushforward_check(mu: MeasureSpec, t: float) -> PushforwardReport:
     region = lambda_region(mu, t)
     rects, src, tgt, err = [], [], [], []
     for (al, ar), (l, r) in zip(region.images, region.intervals):
-        sweep = lambda_sweep(mu, t, (l, r), 64)
+        sweep = lambda_sweep(mu, t, (l, r), (al, ar), 64)
         bmax = 2.0 * float(sweep["v"].max())
         bands = [(-2.0 * bmax, 2.0 * bmax), (0.0, 0.45 * bmax), (-0.45 * bmax, 0.0)]
         cuts = np.linspace(al, ar, N_RECT + 1)

@@ -802,14 +802,7 @@ def cauchy(mu: MeasureSpec, z: complex) -> complex:
     """G(z) = int dmu(x)/(z - x); Im G < 0 on the upper half-plane."""
     z = complex(z)
     if z.imag == 0.0:
-        if on_support(mu, z.real):
-            raise OnSupportError(f"{z.real} lies on the support")
-        if mu.kind == "atomic":
-            xs, ws = mu.atom_arrays
-            return complex(np.sum(ws / (z.real - xs)))
-        if mu.kind == "semicircle":
-            return complex(_semicircle_g(mu.variance, z).real)
-        return complex(sum(_piece_cauchy_real(c, lo, hi, z.real) for lo, hi, c in mu.pieces))
+        return complex(real_cauchy(mu, z.real))
     if mu.kind == "atomic":
         xs, ws = mu.atom_arrays
         return complex(np.sum(ws / (z - xs)))
@@ -929,9 +922,9 @@ def quantile(mu: MeasureSpec, p: float) -> float:
         def fdf(x):
             f = _semicircle_cdf(r, x) - p
             df = 2.0 / (math.pi * r * r) * math.sqrt(max(r * r - x * x, 0.0))
-            return f, (df if df > 0.0 else None)
+            return f, f / df if df > 0.0 else math.inf
 
-        return bracket_newton(fdf, -r, r, flo=-p, fhi=1.0 - p, xtol=1e-15)
+        return bracket_newton(fdf, -r, r, 0.0, 1e-15, 1e-15 * (1.0 + 2.0 * r))
     acc = 0.0
     for lo, hi, coeffs in mu.pieces:
         mass = poly_definite(coeffs, lo, hi)
@@ -941,9 +934,9 @@ def quantile(mu: MeasureSpec, p: float) -> float:
             def fdf(x):
                 f = poly_definite(coeffs, lo, x) - target
                 df = float(poly_eval(coeffs, x))
-                return f, (df if df > 0.0 else None)
+                return f, f / df if df > 0.0 else math.inf
 
-            return bracket_newton(fdf, lo, hi, flo=-target, fhi=mass - target, xtol=1e-15)
+            return bracket_newton(fdf, lo, hi, 0.5 * (lo + hi), 1e-15, 1e-15 * (1.0 + abs(lo) + abs(hi)))
         acc += mass
     return mu.pieces[-1][1]
 

@@ -7,66 +7,72 @@ the pushforward check's rectangle masses take fixed rules of their own.
 
 from __future__ import annotations
 
-import math
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import NoConvergenceError
 
 
-#: evaluations of bracket_newton before it returns its bracket's midpoint
-_BRACKET_ITERS = 240
+#: passes of a bracketed Newton solve, one node or many: bisection alone
+#: closes any bracket these solves take to its tolerance in under 60
+_PASSES = 100
 
 
-def bracket_newton(
-    func: Callable[[float], tuple[float, float | None]],
-    lo: float,
-    hi: float,
-    flo: float | None = None,
-    fhi: float | None = None,
-    x0: float | None = None,
-    xtol: float = 1e-14,
-    ftol: float = 0.0,
-) -> float:
-    """Find a root on a sign-change bracket, taking Newton steps when safe.
+def bracket_newton(fdf, lo: float, hi: float, x: float, ftol: float, xtol: float) -> float:
+    """Root of f on [lo, hi], where f rises through it: f <= 0 below the
+    root and f > 0 above. Starts at x, strictly inside.
 
-    ``func(x)`` returns ``(f, df)``; ``df`` may be None to force bisection.
-    [lo, hi] must satisfy sign(f(lo)) != sign(f(hi)); zero endpoints are
-    returned directly. Returns the bracket's midpoint after _BRACKET_ITERS
-    evaluations.
+    ``fdf(x)`` returns f(x) and the Newton step, which is subtracted from x;
+    a step that is not finite forces bisection. The step is taken when it
+    lands inside the bracket and moves at most half as far as the move
+    before (the first move at most half the bracket), else the bracket is
+    bisected. Returns the last iterate evaluated once |f| <= ftol and
+    |step| <= xtol, or once the bracket is narrower than xtol. Raises
+    NoConvergenceError after _PASSES evaluations.
     """
-    if flo is None:
-        flo = func(lo)[0]
-    if flo == 0.0:
-        return lo
-    if fhi is None:
-        fhi = func(hi)[0]
-    if fhi == 0.0:
-        return hi
-    if (flo > 0.0) == (fhi > 0.0):
-        raise NoConvergenceError(f"root not bracketed on [{lo}, {hi}]")
-
-    x = x0 if (x0 is not None and lo < x0 < hi) else 0.5 * (lo + hi)
-    for _ in range(_BRACKET_ITERS):
-        f, df = func(x)
-        if f == 0.0 or (ftol > 0.0 and abs(f) <= ftol):
-            return x
-        if (f > 0.0) == (flo > 0.0):
-            lo, flo = x, f
+    move = hi - lo
+    for _ in range(_PASSES):
+        f, step = fdf(x)
+        if f > 0.0:
+            hi = x
         else:
-            hi, fhi = x, f
-        if hi - lo <= xtol * (1.0 + abs(lo) + abs(hi)):
-            return 0.5 * (lo + hi)
-        step_ok = False
-        if df is not None and df != 0.0 and math.isfinite(df):
-            xn = x - f / df
-            if lo < xn < hi:
-                x = xn
-                step_ok = True
-        if not step_ok:
-            x = 0.5 * (lo + hi)
-    return 0.5 * (lo + hi)
+            lo = x
+        if (abs(f) <= ftol and abs(step) <= xtol) or hi - lo <= xtol:
+            return x
+        xn = x - step
+        if not (lo < xn < hi and abs(step) <= 0.5 * move):
+            xn = 0.5 * (lo + hi)
+        move, x = abs(xn - x), xn
+    raise NoConvergenceError(f"bracketed root open on [{lo}, {hi}] after {_PASSES} passes")
+
+
+def bracket_newton_nodes(fdf, lo, hi, x: np.ndarray, ftol, xtol) -> np.ndarray:
+    """bracket_newton at every node of the array x at once, each node with
+    its own bracket, move and exit; lo, hi, ftol and xtol are numbers or
+    arrays like x. ``fdf(x, idx)`` is called on the nodes still open, idx
+    their indices into x, and returns arrays f and step for them. Raises
+    NoConvergenceError if a node is open after _PASSES passes.
+    """
+    lo, hi = (np.array(np.broadcast_to(e, x.shape), dtype=float) for e in (lo, hi))
+    ftol, xtol = np.broadcast_to(ftol, x.shape), np.broadcast_to(xtol, x.shape)
+    move, roots = hi - lo, np.empty(x.shape)
+    idx = np.arange(x.size)  # the nodes still open, their iterate in x
+    for _ in range(_PASSES):
+        f, step = fdf(x, idx)
+        up = f > 0.0
+        lo[idx] = l = np.where(up, lo[idx], x)
+        hi[idx] = h = np.where(up, x, hi[idx])
+        done = ((np.abs(f) <= ftol[idx]) & (np.abs(step) <= xtol[idx])) | (h - l <= xtol[idx])
+        roots[idx[done]] = x[done]
+        keep = ~done
+        idx, x, step, l, h = idx[keep], x[keep], step[keep], l[keep], h[keep]
+        if not idx.size:
+            return roots
+        xn = x - step
+        xn = np.where((l < xn) & (xn < h) & (np.abs(step) <= 0.5 * move[idx]), xn, 0.5 * (l + h))
+        move[idx], x = np.abs(xn - x), xn
+    raise NoConvergenceError(f"bracketed roots open at {idx.size} nodes after {_PASSES} passes")
 
 
 def _max_abs(r) -> float:

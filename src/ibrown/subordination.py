@@ -33,19 +33,17 @@ from .measure import (
     real_cauchy,
     transforms,
 )
-from .numerics import damped_newton
+from .numerics import bracket_newton, bracket_newton_nodes, damped_newton
 
 V_TOL = 1e-13
 
-# The stopping rule of the v_t solve, one node or many: a root where
-# |p0 - 1/t| <= _VT_FTOL/t and the Newton step is at most _VT_RTOL v; the
-# current v once a step would move it by at most _VT_STALL v; v = 0 once the
-# bracket's top falls to 4 V_TOL; and a bracket midpoint once the bracket is
-# narrower than _VT_RTOL of its top, or after _VT_PASSES evaluations.
-_VT_FTOL = 1e-12
+# The v_t solve, one node or many, is bracket_newton in s = log v on
+# [log V_TOL, log sqrt(t)]: a root where |1/t - p0| <= _VT_FTOL/t and the
+# step is at most _VT_RTOL, i.e. relative in v, as is the bracket's width
+# test, and its bisection is geometric in v. Away from the region's ends the
+# residual test binds, and 1e-14 leaves v_t about 1e-12 off.
+_VT_FTOL = 1e-14
 _VT_RTOL = 1e-10
-_VT_STALL = 1e-13
-_VT_PASSES = 120
 
 
 @dataclass(frozen=True)
@@ -59,133 +57,85 @@ class LambdaRegion:
     images: tuple[tuple[float, float], ...]
 
 
-def _vt_clamp(lo, hi, vmax):
-    # the bracket midpoint where the solve stops short of a root, kept inside
-    # (0, vmax)
-    return np.clip(0.5 * (lo + hi), vmax * 1e-18, vmax * (1.0 - 1e-15))
+def _vt_residual(t: float, v, out: Bundle):
+    """The v_t solve's residual 1/t - p0, which rises with v, and u'/u, where
+    u' is the iterate of Newton's method on 1/p0 - t in u = v^2, at one node
+    or elementwise at arrays of them.
+
+    1/p0 is linear in u for a point mass and, next to a region end, where
+    p0(a0, 0) is close to 1/t, to first order in u; Newton's method on p0 in
+    v only halves v there per step. Below 4 V_TOL a residual that puts the
+    root lower reads as the root: next to a zero of the density v_t falls
+    below what p0 = -Im G/v resolves, and it reads 0.
+    """
+    f = 1.0 / t - out.p0
+    ratio = 1.0 - t * out.p0 * f / (out.q0 * v * v)
+    low = (v <= 4.0 * V_TOL) & (f > 0.0)
+    return _pick(low, 0.0, f), _pick(low, 1.0, ratio)
 
 
 def _vt_solve(mu: MeasureSpec, t: float, a0: float, v_hint: float | None = None):
-    """Solve p0(a0, v) = 1/t on the guaranteed bracket (0, sqrt(t)).
+    """Solve p0(a0, v) = 1/t on the guaranteed bracket (0, sqrt(t)), from
+    v_hint or else sqrt(t)/2.
 
-    Bisection safeguards Newton steps through d p0/d v = -2 v q0; the bracket
-    holds because p0(a0, v) <= 1/v**2 strictly for a non-degenerate law.
-    Returns (v, bundle-at-v), or (0.0, None) outside the region. Inside it,
-    where v_t < 4 V_TOL, it returns 0.0 with the bundle at such a v.
+    The bracket holds because p0(a0, v) <= 1/v**2 strictly for a
+    non-degenerate law. Returns (v, bundle-at-v), or (0.0, None) outside the
+    region. Inside it, where v_t <= 4 V_TOL, it returns 0.0 with the bundle at
+    such a v.
     """
     if t <= 0.0:
         raise ValueError("t must be positive")
-    inv_t = 1.0 / t
-    if p0_zero(mu, a0) <= inv_t:
+    if p0_zero(mu, a0) <= 1.0 / t:
         return 0.0, None
     vmax = math.sqrt(t)
-    lo, hi = 0.0, vmax  # f(lo) > 0 and f(hi) < 0 by the bracket argument
-    v = v_hint if (v_hint is not None and V_TOL < v_hint < vmax) else 0.5 * vmax
+    v0 = v_hint if (v_hint is not None and V_TOL < v_hint < vmax) else 0.5 * vmax
     out = None
-    ftol = _VT_FTOL * inv_t
-    dv = vmax  # the step before, for the progress test
-    for _ in range(_VT_PASSES):
+
+    def fdf(s):
+        nonlocal out
+        v = math.exp(s)
         out = transforms(mu, a0, v * v)
-        f = out.p0 - inv_t
-        df = -2.0 * v * out.q0
-        step = f / df if df != 0.0 else math.inf
-        # near a region end dp0/dv vanishes like v, where ftol alone would
-        # leave v_t ~1e-8 off: the Newton step must be small as well
-        if abs(f) <= ftol and abs(step) <= _VT_RTOL * v:
-            return v, out
-        if f > 0.0:
-            lo = v
-        else:
-            hi = v
-            if hi <= 4.0 * V_TOL:
-                # next to a zero of the density v_t falls below what p0 =
-                # -Im G/v resolves: it reads 0, and callers take the v -> 0
-                # limits from the bundle at this v
-                return 0.0, out
-        # relative, like the step test: an absolute width would stop at a
-        # bracket midpoint several percent off where v_t is near V_TOL
-        if hi - lo <= _VT_RTOL * hi:
-            break
-        # Newton while it stays in the bracket and at least halves its step;
-        # from a hint far below the root, where p0 rises like 1/v, it would
-        # only double v per step. Else bisect, geometrically while the bracket
-        # spans more than a factor 4 above V_TOL: next to a zero of the density
-        # v_t is below V_TOL, and the kernels lose it there
-        floor = max(lo, V_TOL)
-        mid = math.sqrt(floor * hi) if hi > 4.0 * floor else 0.5 * (lo + hi)
-        vn = v - step if (floor < v - step < hi and abs(step) <= 0.5 * dv) else mid
-        if abs(vn - v) <= _VT_STALL * v:
-            # step below the relative v-tolerance: f sits at rounding level
-            return v, out
-        dv, v = abs(vn - v), vn
-    v = float(_vt_clamp(lo, hi, vmax))
-    return v, transforms(mu, a0, v * v)
+        f, ratio = _vt_residual(t, v, out)
+        return f, -0.5 * math.log(ratio) if ratio > 0.0 else math.inf
+
+    s = bracket_newton(fdf, math.log(V_TOL), math.log(vmax), math.log(v0), _VT_FTOL / t, _VT_RTOL)
+    v = math.exp(s)
+    return (v if v > 4.0 * V_TOL else 0.0), out
 
 
 def _vt_solve_nodes(mu: MeasureSpec, t: float, a0: np.ndarray):
-    """_vt_solve at every node of the array a0 at once: each node keeps its
-    own bracket [0, sqrt(t)], Newton step and stopping rule, and each pass
-    evaluates one array bundle at the nodes still open. Every node starts at
-    sqrt(t)/2.
+    """_vt_solve at every node of the array a0 at once, through
+    bracket_newton_nodes: each pass evaluates one array bundle at the nodes
+    still open. Every node starts at sqrt(t)/2.
 
     Returns (v, bundle) with an array in each: v_t, and the bundle at the v
-    each node stopped at; v is 0 where v_t < 4 V_TOL. Raises
+    each node stopped at; v is 0 where v_t <= 4 V_TOL. Raises
     OutsideLambdaError if a node lies outside the region, which shows as
-    p0(a0, 0) <= 1/t at a node whose bracket fell to 4 V_TOL.
+    p0(a0, 0) <= 1/t at a node where v reads 0.
     """
-    inv_t, vmax = 1.0 / t, math.sqrt(t)
-    ftol = _VT_FTOL * inv_t
-    v = np.full(a0.size, 0.5 * vmax)
-    lo, hi, dv = np.zeros(a0.size), np.full(a0.size, vmax), np.full(a0.size, vmax)
-    v_out, fields = np.zeros(a0.size), np.empty((len(Bundle._fields), a0.size))
-    idx = np.arange(a0.size)  # the nodes still open, their state at [idx]
-    zero, clamp = [], []  # nodes that read v = 0 and that stop at a midpoint
+    vmax = math.sqrt(t)
+    fields = np.empty((len(Bundle._fields), a0.size))
+
+    def fdf(s, idx):
+        v = np.exp(s)
+        out = transforms(mu, a0[idx], v * v)
+        fields[:, idx] = out
+        f, ratio = _vt_residual(t, v, out)
+        return f, -0.5 * np.log(np.maximum(ratio, 0.0))  # inf, a bisection, where ratio <= 0
+
+    start = np.full(a0.size, math.log(0.5 * vmax))
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(_VT_PASSES):
-            if not idx.size:
-                break
-            x = v[idx]
-            out = transforms(mu, a0[idx], x * x)
-            f = out.p0 - inv_t
-            df = -2.0 * x * out.q0
-            step = np.where(df != 0.0, f / df, np.inf)
-            root = (np.abs(f) <= ftol) & (np.abs(step) <= _VT_RTOL * x)
-            up = f > 0.0
-            lo[idx] = np.where(up, x, lo[idx])
-            hi[idx] = np.where(up, hi[idx], x)
-            low, top = lo[idx], hi[idx]
-            tiny = ~root & ~up & (top <= 4.0 * V_TOL)
-            narrow = ~root & ~tiny & (top - low <= _VT_RTOL * top)
-            floor = np.maximum(low, V_TOL)
-            mid = np.where(top > 4.0 * floor, np.sqrt(floor * top), 0.5 * (low + top))
-            cand = x - step
-            newton = (floor < cand) & (cand < top) & (np.abs(step) <= 0.5 * dv[idx])
-            vn = np.where(newton, cand, mid)
-            stall = ~(root | tiny | narrow) & (np.abs(vn - x) <= _VT_STALL * x)
-            done = root | tiny | stall
-            v_out[idx[root | stall]] = x[root | stall]
-            fields[:, idx[done]] = np.array(out)[:, done]
-            zero.append(idx[tiny])
-            clamp.append(idx[narrow])
-            keep = ~(done | narrow)
-            idx, vn, x = idx[keep], vn[keep], x[keep]
-            dv[idx], v[idx] = np.abs(vn - x), vn
-    for i in np.concatenate([idx[:0], *zero]):
-        if p0_zero(mu, float(a0[i])) <= inv_t:
+        s = bracket_newton_nodes(fdf, math.log(V_TOL), math.log(vmax), start, _VT_FTOL / t, _VT_RTOL)
+    v = np.exp(s)
+    zero = v <= 4.0 * V_TOL
+    for i in np.flatnonzero(zero):
+        if p0_zero(mu, float(a0[i])) <= 1.0 / t:
             raise OutsideLambdaError(f"v_t({a0[i]}) = 0")
-    ends = np.concatenate([*clamp, idx])  # stopped short of a root, or out of passes
-    if ends.size:
-        v_out[ends] = _vt_clamp(lo[ends], hi[ends], vmax)
-        fields[:, ends] = np.array(transforms(mu, a0[ends], v_out[ends] ** 2))
-    return v_out, Bundle(*fields)
+    return np.where(zero, 0.0, v), Bundle(*fields)
 
 
 def v_t(mu: MeasureSpec, t: float, a0: float) -> float:
-    """Half-height of the source region over a0 (0 outside).
-
-    Bisection on the guaranteed bracket [0, sqrt(t)] with Newton refinement
-    through d p0/d v = -2 v q0.
-    """
+    """Half-height of the source region over a0 (0 outside), by _vt_solve."""
     return _vt_solve(mu, t, a0)[0]
 
 
@@ -296,11 +246,11 @@ def _lambda_region_cached(mu: MeasureSpec, t: float) -> LambdaRegion:
         # f rises toward the hull on an end gap, and f <= 0 at distance sqrt(t)
         if f(edge) <= 0.0:
             return into(edge, k)
-        out = edge + step
-        for _ in range(3):  # widen if rounding bites
-            if f(out) > 0.0:
-                out += step
-        return _bisect_edge(f, edge, out)
+        for n in range(1, 5):  # widen if rounding bites
+            out = edge + n * step
+            if f(out) <= 0.0:
+                return _bisect_edge(f, edge, out)
+        raise NoConvergenceError(f"v_t > 0 still at {out}, 4 sqrt(t) past the support")
 
     lo, hi = end(0, parts[0][0], -root_t), end(-1, parts[-1][1], root_t)
     cuts = []

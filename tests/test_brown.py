@@ -9,6 +9,7 @@ import ibrown.brown as B
 import ibrown.characteristics as C
 import ibrown.maps as P
 import ibrown.measure as M
+import ibrown.numerics as N
 import ibrown.subordination as S
 from ibrown.errors import NoConvergenceError, OutsideOmegaError, OutsideOnlyError
 
@@ -156,7 +157,8 @@ def test_profile_sweeps_each_interval_once(n_grid, monkeypatch):
     # giving at least MASS_NODES: rows are every k-th interior node, and the
     # mass is that sweep's cdf
     mu, t = FOUR_ATOMS, 0.5
-    intervals = S.lambda_region(mu, t).intervals
+    region = S.lambda_region(mu, t)
+    intervals = region.intervals
     assert len(intervals) == 4
     sweep, calls = B.lambda_sweep, []
 
@@ -167,10 +169,11 @@ def test_profile_sweeps_each_interval_once(n_grid, monkeypatch):
     monkeypatch.setattr(B, "lambda_sweep", counted)
     p = B.profile(mu, t, n_grid=n_grid)
     k = -(-B.MASS_NODES // (n_grid + 1))
-    assert [c[2:] for c in calls] == [(iv, k * (n_grid + 1)) for iv in intervals]
+    pairs = list(zip(intervals, region.images))
+    assert [c[2:] for c in calls] == [(iv, im, k * (n_grid + 1)) for iv, im in pairs]
     acc = 0.0
-    for sl, iv, ends in zip(p.blocks(), intervals, p.end_cdf):
-        sw = sweep(mu, t, iv, k * (n_grid + 1))
+    for sl, (iv, im), ends in zip(p.blocks(), pairs, p.end_cdf):
+        sw = sweep(mu, t, iv, im, k * (n_grid + 1))
         assert np.array_equal(p.grid[sl], sw["at"][k:-1:k])
         assert np.array_equal(p.a0[sl], sw["a0"][k:-1:k])
         assert np.array_equal(p.halfheight[sl], 2.0 * sw["v"][k:-1:k])
@@ -179,14 +182,13 @@ def test_profile_sweeps_each_interval_once(n_grid, monkeypatch):
         assert np.array_equal(p.cdf[sl], acc + sw["cdf"][k:-1:k])
         assert ends == (acc, acc + sw["cdf"][-1])
         acc = ends[1]
-    fine = sum(sweep(mu, t, iv, 4 * B.MASS_NODES)["cdf"][-1] for iv in intervals)
+    fine = sum(sweep(mu, t, iv, im, 4 * B.MASS_NODES)["cdf"][-1] for iv, im in pairs)
     assert abs(p.mass - fine) < 1e-13
 
 
 def test_sweep_solves_its_interior_nodes_as_one_array(monkeypatch):
-    # no scalar v_t solve or at_with_slope for an interior node, and at most
-    # 40 (array) bundles per interval: a per-node loop would pass every
-    # value test
+    # no scalar v_t solve or at_with_slope, and at most 40 (array) bundles
+    # per interval: a per-node loop would pass every value test
     mu, t = FOUR_ATOMS, 0.5
     scalar, bundles = [], []
     vt_solve, transforms = S._vt_solve, S.transforms
@@ -202,11 +204,12 @@ def test_sweep_solves_its_interior_nodes_as_one_array(monkeypatch):
     monkeypatch.setattr(S, "transforms", lambda *args: bundles.append(args) or transforms(*args))
     monkeypatch.setattr(S, "at_with_slope", refuse)
     monkeypatch.setattr(B, "at_with_slope", refuse)
-    for iv in S.lambda_region(mu, t).intervals:
+    region = S.lambda_region(mu, t)
+    for iv, im in zip(region.intervals, region.images):
         scalar.clear()
         bundles.clear()
-        sw = B.lambda_sweep(mu, t, iv, 1026)
-        assert set(scalar) <= set(iv)
+        sw = B.lambda_sweep(mu, t, iv, im, 1026)
+        assert not scalar  # a_t at the ends is the region's image
         assert 0 < len(bundles) <= 40
         assert sum(np.size(args[1]) for args in bundles) >= 1025
         assert sw["cdf"][-1] > 0.0
@@ -264,7 +267,7 @@ def test_array_inversion_matches_the_pointwise_one():
     mu, t = FOUR_ATOMS, 0.5
     region = S.lambda_region(mu, t)
     for (al, ar), (l, r) in zip(region.images, region.intervals):
-        sw = B.lambda_sweep(mu, t, (l, r), 64)
+        sw = B.lambda_sweep(mu, t, (l, r), (al, ar), 64)
         a = al + (ar - al) * np.array([1e-9, 1e-4, 0.1, 0.37, 0.5, 0.9, 1.0 - 1e-6])
         a0, slope, v = B._a0_solve_nodes(mu, t, a, (l, r), (al, ar), np.interp(a, sw["at"], sw["a0"]))
         for i, x in enumerate(a):
@@ -278,12 +281,35 @@ def test_array_inversion_matches_the_pointwise_one():
 
 
 def test_array_inversion_cap_is_loud(be23, monkeypatch):
+    # the one pass cap of bracket_newton, which the inversion and its v_t
+    # solves share
     region = S.lambda_region(be23, 1.05)
     lam_iv, omega_iv = region.intervals[0], region.images[0]
     a = np.linspace(*omega_iv, 9)[1:-1]
-    monkeypatch.setattr(B, "_A0_PASSES", 1)
+    monkeypatch.setattr(N, "_PASSES", 1)
     with pytest.raises(NoConvergenceError):
         B._a0_solve_nodes(be23, 1.05, a, lam_iv, omega_iv, np.full(a.size, lam_iv[0]))
+
+
+def test_scalar_inversion_cap_is_loud(be23, monkeypatch):
+    region = S.lambda_region(be23, 1.05)
+    (l, r), (al, ar) = region.intervals[0], region.images[0]
+    monkeypatch.setattr(N, "_PASSES", 1)
+    with pytest.raises(NoConvergenceError):
+        B._a0_solve(be23, 1.05, 0.5 * (al + ar), (l, r), (al, ar))
+
+
+def test_inversion_exit_bounds_the_step():
+    # where da_t/da0 is small a residual test alone left a0 1e-11 off; the
+    # step test keeps it within 2e-12 of a Newton-polished root
+    mu, t = FOUR_ATOMS, 0.5
+    (al, ar) = S.lambda_region(mu, t).images[-1]
+    for a in np.linspace(al, ar, 52)[1:-1]:
+        a0 = x = B.a0_of_a(mu, t, float(a))
+        for _ in range(3):
+            at, slope, _ = S.at_with_slope(mu, t, x)
+            x -= (at - a) / slope
+        assert abs(a0 - x) <= 2e-12
 
 
 def test_profile_vertical_mass(sc_profile):

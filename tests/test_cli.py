@@ -123,6 +123,20 @@ def test_pushforward_outputs(tmp_path):
     assert rep["law_mass"] == pytest.approx(1.0, abs=1e-6)
 
 
+def test_pushforward_next_to_a_fourth_order_zero(tmp_path):
+    # (x - 0.3)^4 on [-1, 2]: at the profile rows where v_t reads 0, J_t is
+    # taken at a real point of the support where the density vanishes
+    law = tmp_path / "quartic.json"
+    law.write_text(
+        '{"type":"piecewise_poly","pieces":[{"lo":-1.0,"hi":2.0,'
+        '"coeffs":[0.0081,-0.108,0.54,-1.2,1.0]}]}'
+    )
+    assert run(["pushforward", "--measure", str(law), "--t", "0.3", "--out", str(tmp_path)]) == 0
+    rep = json.loads((tmp_path / "pushforward.json").read_text())
+    assert rep["boundary_agreement"] < 1e-9
+    assert rep["law_mass"] == pytest.approx(1.0, abs=1e-12)
+
+
 def test_jn_subcommand(tmp_path):
     code = run(
         [

@@ -126,3 +126,17 @@ def test_programming_error_is_not_swallowed(sc, monkeypatch):
     monkeypatch.setattr(J, "cauchy", broken)
     with pytest.raises(TypeError):
         J.solve_g(sc, 1.0, 0.3)
+
+
+def test_solve_g_raises_at_an_end_of_the_real_section(sc):
+    # at a_r, and within the locator's band past it, the height is 0 and the
+    # fixed-point equation degenerate: a solve there returned its seed
+    (_, ar), = B.omega_intervals(sc, 1.0)
+    for a in (ar, ar + 1e-13, ar + 1e-10):
+        with pytest.raises(NoConvergenceError):
+            J.solve_g(sc, 1.0, a)
+    # just inside, Im g is the height's b_t/(2t), about 8.4e-6
+    a = ar - 1e-10
+    g = J.solve_g(sc, 1.0, a)
+    assert g.imag == pytest.approx(B.b_t(sc, 1.0, a) / 2.0, rel=1e-9)
+    assert g.imag == pytest.approx(8.409e-6, rel=1e-3)

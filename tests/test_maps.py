@@ -262,8 +262,9 @@ def test_clip_kinks_sit_on_the_level(be23, quad):
     # the half bands' clip kinks: v_t equals the level there, and a_t there
     # is the kink's image
     for mu, t in ((be23, 1.05), (quad, 0.3), (FOUR_ATOMS, 0.5)):
-        for l, r in S.lambda_region(mu, t).intervals:
-            sw = B.lambda_sweep(mu, t, (l, r), 64)
+        region = S.lambda_region(mu, t)
+        for (l, r), image in zip(region.intervals, region.images):
+            sw = B.lambda_sweep(mu, t, (l, r), image, 64)
             level = 0.45 * float(sw["v"].max())
             kinks_a0, kinks_a = P._v_crossings(mu, t, sw, level)
             assert len(kinks_a0) >= 2

@@ -193,6 +193,15 @@ def test_cauchy_on_support_raises():
         M.cauchy(M.bernoulli(0.5), 1.0 + 0j)
 
 
+def test_cauchy_on_the_real_axis_is_real_cauchy():
+    # one real-axis path: off the support, and on it where the density
+    # vanishes, as at the fourth-order zero of (x - 0.3)^4
+    quartic = M.piecewise_poly([(-1.0, 2.0, tuple(np.polynomial.polynomial.polypow([-0.3, 1.0], 4)))])
+    for mu, x in ((quartic, 0.3), (quartic, 2.5), (M.semicircle(1.0), 2.0), (M.bernoulli(0.5), 0.2)):
+        assert M.cauchy(mu, x) == complex(M.real_cauchy(mu, x))
+    assert M.cauchy(M.semicircle(1.0), 2.0) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_cauchy_prime_matches_rational_derivative():
     mu = M.atomic([(1.0, 0.5), (-1.0, 0.5)])
     z = 2j

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import ibrown.numerics as N
+from ibrown.errors import NoConvergenceError
 from ibrown.numerics import damped_newton
 
 
@@ -53,3 +55,85 @@ def test_damped_newton_iteration_cap():
 
     assert damped_newton(residual, step, 2.0, 1e-12, 3, 30) is None
     assert damped_newton(residual, step, 2.0, 1e-12, 60, 30) == pytest.approx(1.0, abs=1e-12)
+
+
+# problems (fdf, lo, hi, x0, ftol, xtol) for bracket_newton, f rising through
+# the root; each fdf takes a float or an array
+def _cube(x):
+    return x**3 - 2.0, (x**3 - 2.0) / (3.0 * x * x)
+
+
+def _atan(x):
+    return np.arctan(x) - 0.3, (np.arctan(x) - 0.3) * (1.0 + x * x)
+
+
+def _exp(x):
+    return np.exp(x) - 5.0, 1.0 - 5.0 * np.exp(-x)
+
+
+def _bisect_only(x):
+    return x - 1.0 / 3.0, np.inf + 0.0 * x
+
+
+def _root_at_end(x):
+    # root at the bracket's lower end, 0
+    return np.expm1(x), -np.expm1(-x)
+
+
+BRACKET_PROBLEMS = {
+    "cube": (_cube, 0.5, 3.0, 2.5, 1e-14, 1e-13),
+    "atan": (_atan, -4.0, 10.0, 9.0, 1e-15, 1e-14),
+    "exp": (_exp, -2.0, 5.0, -1.5, 1e-14, 1e-13),
+    "bisection only": (_bisect_only, 0.0, 1.0, 0.5, 1e-15, 1e-14),
+    "root at the end": (_root_at_end, 0.0, 2.0, 1.5, 1e-15, 1e-14),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BRACKET_PROBLEMS))
+def test_bracket_newton_twins_take_the_same_iterates(name):
+    fdf, lo, hi, x0, ftol, xtol = BRACKET_PROBLEMS[name]
+    scalar, nodes = [], []
+
+    def scalar_fdf(x):
+        scalar.append(x)
+        return tuple(float(v) for v in fdf(x))
+
+    def nodes_fdf(x, idx):
+        nodes.append((x.copy(), idx.copy()))
+        return fdf(x)
+
+    root = N.bracket_newton(scalar_fdf, lo, hi, x0, ftol, xtol)
+    # three copies of the problem as one array, each node its own solve
+    roots = N.bracket_newton_nodes(nodes_fdf, lo, hi, np.full(3, x0), ftol, xtol)
+    assert [x[0] for x, _ in nodes] == scalar
+    assert all(np.array_equal(idx, np.arange(3)) and np.all(x == x[0]) for x, idx in nodes)
+    assert np.all(roots == root)
+    f, _ = fdf(root)
+    assert abs(f) <= ftol or len(scalar) > 30  # a root, or bisected to its xtol
+    assert lo <= root <= hi
+
+
+def test_bracket_newton_nodes_calls_fdf_on_the_open_nodes():
+    # a node whose start is its root closes after one pass, and later passes
+    # skip it; the others keep their own brackets and roots
+    seen = []
+
+    def fdf(x, idx):
+        seen.append(idx.copy())
+        c = np.array([2.0, 8.0, 27.0])[idx]
+        f = x**3 - c
+        return f, f / (3.0 * x * x)
+
+    roots = N.bracket_newton_nodes(fdf, 0.5, 4.0, np.array([1.0, 2.0, 1.0]), 1e-13, 1e-13)
+    assert roots[1] == 2.0
+    assert list(seen[0]) == [0, 1, 2] and all(1 not in idx for idx in seen[1:])
+    assert roots == pytest.approx([2.0 ** (1.0 / 3.0), 2.0, 3.0], rel=1e-13)
+
+
+def test_bracket_newton_cap_is_loud(monkeypatch):
+    monkeypatch.setattr(N, "_PASSES", 1)
+    fdf, lo, hi, x0, ftol, xtol = BRACKET_PROBLEMS["cube"]
+    with pytest.raises(NoConvergenceError):
+        N.bracket_newton(fdf, lo, hi, x0, ftol, xtol)
+    with pytest.raises(NoConvergenceError):
+        N.bracket_newton_nodes(lambda x, idx: fdf(x), lo, hi, np.full(2, x0), ftol, xtol)

@@ -5,8 +5,9 @@ import pytest
 
 import ibrown.brown as B
 import ibrown.measure as M
+import ibrown.numerics as N
 import ibrown.subordination as S
-from ibrown.errors import DegenerateJacobianError, OutsideLambdaError
+from ibrown.errors import DegenerateJacobianError, NoConvergenceError, OutsideLambdaError
 
 
 def elliptic_vt(s, t, a0):
@@ -338,7 +339,7 @@ def test_array_vt_solve_raises_outside_the_region():
     with pytest.raises(OutsideLambdaError):
         S._vt_solve_nodes(mu, t, a0)
     with pytest.raises(OutsideLambdaError):
-        B.lambda_sweep(mu, t, (lo, hi + 0.05), 64)
+        B.lambda_sweep(mu, t, (lo, hi + 0.05), S.lambda_region(mu, t).images[0], 64)
 
 
 def test_sweep_raises_where_q0_is_not_positive(monkeypatch):
@@ -351,6 +352,54 @@ def test_sweep_raises_where_q0_is_not_positive(monkeypatch):
         out = transforms(mu, a0, v2)
         return out._replace(q0=-np.abs(out.q0)) if isinstance(a0, np.ndarray) else out
 
+    region = S.lambda_region(mu, t)
     monkeypatch.setattr(S, "transforms", flipped)
     with pytest.raises(DegenerateJacobianError):
-        B.lambda_sweep(mu, t, S.lambda_region(mu, t).intervals[0], 64)
+        B.lambda_sweep(mu, t, region.intervals[0], region.images[0], 64)
+
+
+#: array bundles of lambda_sweep(mu, t, interval, image, 1026), summed over
+#: the intervals, that the solve kept to before it shared bracket_newton's rule
+SWEEP_PASSES = [
+    ("semicircle(0.6)", M.semicircle(0.6), 1.5, 11),
+    ("two pieces", M.piecewise_poly([(-1.0, 0.2, (0.5, 0.3)), (0.2, 1.1, (0.3, 1.0, -1.0))]), 1.0, 11),
+    ("uniform", M.uniform(-1.0, 1.0), 0.1, 11),
+    ("bernoulli", M.bernoulli(2.0 / 3.0), 1.05, 11),
+    ("four atoms", M.atomic([(-2.0, 0.25), (-0.5, 0.25), (0.7, 0.25), (2.5, 0.25)]), 0.5, 45),
+    ("3x^2", M.piecewise_poly([(0.0, 1.0, (0.0, 0.0, 3.0))]), 0.3, 14),
+]
+
+
+@pytest.mark.parametrize("name, mu, t, passes", SWEEP_PASSES, ids=[p[0] for p in SWEEP_PASSES])
+def test_sweep_passes_held(name, mu, t, passes, monkeypatch):
+    # each pass of the array v_t solve is one array bundle; compute pays for
+    # every one of them
+    transforms, bundles = S.transforms, []
+
+    def counted(mu, a0, v2):
+        if isinstance(a0, np.ndarray):
+            bundles.append(a0.size)
+        return transforms(mu, a0, v2)
+
+    region = S.lambda_region(mu, t)
+    monkeypatch.setattr(S, "transforms", counted)
+    for iv, im in zip(region.intervals, region.images):
+        B.lambda_sweep(mu, t, iv, im, 1026)
+    assert len(bundles) <= passes
+
+
+def test_vt_solve_caps_are_loud(monkeypatch):
+    mu, t = SWEEP_LAWS["four_atoms"]
+    (l, r) = S.lambda_region(mu, t).intervals[0]
+    monkeypatch.setattr(N, "_PASSES", 1)
+    with pytest.raises(NoConvergenceError):
+        S._vt_solve(mu, t, 0.5 * (l + r))
+    with pytest.raises(NoConvergenceError):
+        S._vt_solve_nodes(mu, t, np.linspace(l, r, 9)[1:-1])
+
+
+def test_lambda_region_end_search_is_loud(monkeypatch):
+    # p0(., 0) > 1/t however far past the hull: no end where v_t = 0
+    monkeypatch.setattr(S, "p0_zero", lambda mu, x: math.inf)
+    with pytest.raises(NoConvergenceError):
+        S.lambda_region(M.bernoulli(0.25), 0.8125)
