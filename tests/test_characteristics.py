@@ -72,10 +72,13 @@ def test_flow_lifetime_endpoint(be12):
     assert st.lam.real == pytest.approx(t * m.p1, abs=1e-8)
     assert st.lam.imag == pytest.approx(2.0 * b0, abs=1e-8)
     assert st.eps == pytest.approx(0.0, abs=1e-12)
-    # the lifetime 1/p0 is t to the solve's residual, which may leave it on
-    # either side of t by a rounding: step past it as far as s stops short
+    # at the lifetime itself, 1/p0, which is t to the solve's residual: the
+    # first float at or past it, on whichever side of t the solve left it
+    t_life = 1.0 / m.p0
+    if t_life * m.p0 < 1.0:
+        t_life = math.nextafter(t_life, math.inf)
     with pytest.raises(PastLifetimeError):
-        C.flow(be12, init, t * (1.0 + 1e-10))
+        C.flow(be12, init, t_life)
 
 
 def test_flow_small_eps_limit_is_j(sc, be23):

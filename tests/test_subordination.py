@@ -9,6 +9,8 @@ import ibrown.numerics as N
 import ibrown.subordination as S
 from ibrown.errors import DegenerateJacobianError, NoConvergenceError, OutsideLambdaError
 
+from conftest import FOUR_ATOMS
+
 
 def elliptic_vt(s, t, a0):
     # boundary ellipse semi-axes (2s+t)/sqrt(s+t) and t/sqrt(s+t)
@@ -290,7 +292,7 @@ SWEEP_LAWS = {
     "uniform": (M.uniform(-1.0, 1.0), 0.1),
     "bernoulli": (M.bernoulli(0.6667), 1.05),
     "3x^2": (M.piecewise_poly([(0.0, 1.0, (0.0, 0.0, 3.0))]), 0.3),
-    "four_atoms": (M.atomic([(-2.0, 0.25), (-0.5, 0.25), (0.7, 0.25), (2.5, 0.25)]), 0.5),
+    "four_atoms": (FOUR_ATOMS, 0.5),
     # next to the fourth-order zero at 0.3 v_t falls below 4 V_TOL
     "(x-0.3)^4": (X4, 0.3),
 }
@@ -360,20 +362,21 @@ def test_sweep_raises_where_q0_is_not_positive(monkeypatch):
 
 #: array bundles of lambda_sweep(mu, t, interval, image, 1026), summed over
 #: the intervals, that the solve kept to before it shared bracket_newton's rule
-SWEEP_PASSES = [
-    ("semicircle(0.6)", M.semicircle(0.6), 1.5, 11),
-    ("two pieces", M.piecewise_poly([(-1.0, 0.2, (0.5, 0.3)), (0.2, 1.1, (0.3, 1.0, -1.0))]), 1.0, 11),
-    ("uniform", M.uniform(-1.0, 1.0), 0.1, 11),
-    ("bernoulli", M.bernoulli(2.0 / 3.0), 1.05, 11),
-    ("four atoms", M.atomic([(-2.0, 0.25), (-0.5, 0.25), (0.7, 0.25), (2.5, 0.25)]), 0.5, 45),
-    ("3x^2", M.piecewise_poly([(0.0, 1.0, (0.0, 0.0, 3.0))]), 0.3, 14),
-]
+SWEEP_PASSES = {
+    "semicircle(0.6)": ((M.semicircle(0.6), 1.5), 11),
+    "two pieces": ((M.piecewise_poly([(-1.0, 0.2, (0.5, 0.3)), (0.2, 1.1, (0.3, 1.0, -1.0))]), 1.0), 11),
+    "uniform": (SWEEP_LAWS["uniform"], 11),
+    "bernoulli": (SWEEP_LAWS["bernoulli"], 11),
+    "four_atoms": (SWEEP_LAWS["four_atoms"], 45),
+    "3x^2": (SWEEP_LAWS["3x^2"], 14),
+}
 
 
-@pytest.mark.parametrize("name, mu, t, passes", SWEEP_PASSES, ids=[p[0] for p in SWEEP_PASSES])
-def test_sweep_passes_held(name, mu, t, passes, monkeypatch):
+@pytest.mark.parametrize("name", sorted(SWEEP_PASSES))
+def test_sweep_passes_held(name, monkeypatch):
     # each pass of the array v_t solve is one array bundle; compute pays for
     # every one of them
+    (mu, t), passes = SWEEP_PASSES[name]
     transforms, bundles = S.transforms, []
 
     def counted(mu, a0, v2):
