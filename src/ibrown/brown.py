@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from io import StringIO
 
 import numpy as np
 
@@ -113,14 +112,8 @@ class BrownProfile:
         return np.interp(np.asarray(p, dtype=float), cdf, self._a_knots())
 
     def to_csv(self) -> str:
-        buf = StringIO()
-        buf.write("a,a0,b_t,w_t,flag\n")
-        for i in range(self.grid.size):
-            buf.write(
-                "%.17g,%.17g,%.17g,%.17g,%s\n"
-                % (self.grid[i], self.a0[i], self.halfheight[i], self.density[i], self.flags[i])
-            )
-        return buf.getvalue()
+        rows = zip(*(c.tolist() for c in (self.grid, self.a0, self.halfheight, self.density)), self.flags)
+        return "a,a0,b_t,w_t,flag\n" + "".join("%.17g,%.17g,%.17g,%.17g,%s\n" % r for r in rows)
 
 
 # ----------------------------------------------------------------------------

@@ -78,7 +78,8 @@ def check_jn(mu, t, prof) -> list[CheckResult]:
     density_dev = 0.0
     re_identity = 0.0
     poisson = 0.0
-    rows = _interior_rows(prof, per_interval=max(8, JN_POINTS // max(len(prof.omega_intervals), 1)))
+    per_interval = max(8, JN_POINTS // max(len(prof.omega_intervals), 1))
+    rows = [i for i in _interior_rows(prof, per_interval) if prof.halfheight[i] > 0]  # else no complex g
     for i in rows:
         a = float(prof.grid[i])
         g = jn.solve_g(mu, t, a)

@@ -689,9 +689,9 @@ def p0_zero(mu: MeasureSpec, a0: float) -> float:
     if mu.kind == "atomic":
         xs, ws = mu.atom_arrays
         d = a0 - xs
-        if np.min(np.abs(d)) <= 1e-13 * (1.0 + abs(a0)):
+        if np.abs(d).min() <= 1e-13 * (1.0 + abs(a0)):
             return math.inf
-        return float(np.sum(ws / (d * d)))
+        return float((ws / (d * d)).sum())
     if mu.kind == "semicircle":
         if abs(a0) <= mu.support.hi + 1e-13 * (1.0 + abs(a0)):
             return math.inf
@@ -780,9 +780,9 @@ def real_cauchy(mu: MeasureSpec, a0: float) -> float:
     if mu.kind == "atomic":
         xs, ws = mu.atom_arrays
         d = a0 - xs
-        if np.min(np.abs(d)) <= 1e-13 * (1.0 + abs(a0)):
+        if np.abs(d).min() <= 1e-13 * (1.0 + abs(a0)):
             raise OnSupportError(f"atom at {a0}")
-        return float(np.sum(ws / d))
+        return float((ws / d).sum())
     if mu.kind == "semicircle":
         if abs(a0) < mu.support.hi - 1e-13:
             raise OnSupportError(f"{a0} inside the semicircle support")

@@ -138,10 +138,6 @@ def poly_shift(coeffs: Sequence[float], c: float) -> list[float]:
     return out
 
 
-def poly_antiderivative(coeffs: Sequence[float]) -> list[float]:
-    return [0.0] + [c / (k + 1) for k, c in enumerate(coeffs)]
-
-
 def poly_definite(coeffs: Sequence[float], lo: float, hi: float) -> float:
-    anti = poly_antiderivative(coeffs)
+    anti = [0.0] + [c / (k + 1) for k, c in enumerate(coeffs)]
     return float(poly_eval(anti, hi) - poly_eval(anti, lo))

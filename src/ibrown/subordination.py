@@ -9,6 +9,7 @@ with equality only for a point mass.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -139,63 +140,93 @@ def v_t(mu: MeasureSpec, t: float, a0: float) -> float:
     return _vt_solve(mu, t, a0)[0]
 
 
-#: inverse golden ratio, the shrink factor of a golden-section search
-_GOLD = 0.5 * (math.sqrt(5.0) - 1.0)
+#: a region end's secant solve bisects once it lags bisection by _SLACK
+#: evaluations, or when a walk of _WALK floats from its last step falls short
+_SLACK = _WALK = 8
 
 
-def _bisect_edge(f, inside: float, outside: float) -> float:
-    """Where f changes sign between f(inside) > 0 and f(outside) <= 0: the
-    outside end of a bracket bisected down to adjacent floats (or to width
-    1e-17 near zero), so that f <= 0, i.e. v_t = 0, at the returned point."""
+def _bisect_edge(h, inside: float, outside: float) -> float:
+    """Where h changes sign between h(inside) < 0 and h(outside) >= 0: the
+    outside end of a bracket bisected to adjacent floats (near zero to width
+    1e-17, then walked to them if at most _WALK apart), where h >= 0: v_t = 0."""
     while abs(inside - outside) > 1e-17 * (1.0 + abs(inside) + abs(outside)):
-        mid = 0.5 * (inside + outside)
-        if mid == inside or mid == outside:
+        if not inside != (mid := 0.5 * (inside + outside)) != outside:
             break
-        if f(mid) > 0.0:
-            inside = mid
-        else:
-            outside = mid
+        inside, outside = (mid, outside) if h(mid) < 0.0 else (inside, mid)
+    y = math.nextafter(outside, inside)
+    while abs(inside - outside) <= _WALK * math.ulp(outside) and h(y) >= 0.0:
+        outside, y = y, math.nextafter(y, inside)
     return outside
 
 
-def _gap_dip(f, a: float, b: float) -> float | None:
-    """A point of (a, b) where the convex f is <= 0, or None when f > 0 on all
-    of it: golden-section search that stops at the first such point."""
-    c, d = b - _GOLD * (b - a), a + _GOLD * (b - a)
-    fc, fd = f(c), f(d)
-    while fc > 0.0 and fd > 0.0:
-        if not a < c < d < b:
-            return None
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLD * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLD * (b - a)
-            fd = f(d)
-    return c if fc <= 0.0 else d
+def _edge(h, inside: float, outside: float) -> float:
+    """_bisect_edge(h, inside, outside), sooner: bracket_newton on h, which
+    rises outward, in u = s x (s the outward sign), by secant steps from a
+    regula falsi start; its last step taken, a walk of at most _WALK floats
+    to the sign change, else bisection of the bracket that they leave."""
+    s, ends, its = math.copysign(1.0, outside - inside), [inside, outside], []
+
+    def stalled():
+        return len(its) >= _SLACK + math.log2(abs(outside - inside) / abs(ends[1] - ends[0]))
+
+    def fdf(u):
+        x = s * u
+        out = h(x) >= 0.0
+        px = its[-1][0] if its else ends[out]  # first, the end that x replaces
+        ends[out], dh = x, h(x) - h(px)
+        its.append((x, x if stalled() else x - (h(x) * (x - px) / dh if dh else math.inf)))
+        return (1.0 if out else -1.0), s * (x - its[-1][1])
+
+    x = inside + (outside - inside) * h(inside) / (h(inside) - h(outside))
+    if not min(ends) < x < max(ends):
+        x = 0.5 * (inside + outside)
+    bracket_newton(fdf, s * inside, s * outside, s * x, math.inf, 4.0 * math.ulp(max(map(abs, ends))))
+    x = its[-1][1] if min(ends) < its[-1][1] < max(ends) else its[-1][0]  # the last step, taken
+    walk = len(its) + _WALK  # a walk's steps count as the secant's do
+    while len(its) < walk and not stalled():
+        its.append((x, x))
+        ends[out := h(x) >= 0.0] = x
+        if (h(y := math.nextafter(x, ends[not out])) >= 0.0) != out:
+            return x if out else y
+        x = y
+    return _bisect_edge(h, *ends)
 
 
-def _gap_cut(f, g0: float, g1: float) -> tuple[float, float] | None:
-    """The closed part [c, d] of the gap [g0, g1] of the support where f <= 0.
+def _tent(xs, chords, i):
+    """Upper bound of concave h on [xs[i], xs[i+1]] from the chords next to it, and where to sample next."""
+    a, b = xs[i], xs[i + 1]
+    lines = [chords[j] for j in (i - 1, i + 1) if 0 <= j < len(chords)]
+    (y1, s1, x1), (y2, s2, x2) = (lines * 2)[:2]
+    c = (y2 - y1 + s1 * x1 - s2 * x2) / (s1 - s2) if s1 != s2 else a
+    bound, at = max((min(y + sl * (x - x0) for y, sl, x0 in lines), x) for x in (a, b, c) if a <= x <= b)
+    return bound, (at if a < at < b else 0.5 * (a + b))
 
-    On a gap f(a0) = p0(a0, 0) - 1/t is a sum of convex terms, so that part is
-    one interval (or empty); g1 <= g0 is two pieces that touch.
-    """
-    f0, f1 = f(g0), f(g1)
-    if f0 <= 0.0 and f1 <= 0.0:
+
+def _gap_cut(h, g0: float, g1: float) -> tuple[float, float] | None:
+    """The closed part [c, d] of the gap [g0, g1] of the support where h >= 0:
+    one interval, or none, as h is concave there; g1 <= g0 is two pieces that
+    touch. Samples at the top of the chords' tent by the best sample find it,
+    or bound h below 0, or within rounding of the best sample: none."""
+    h0, h1 = h(g0), h(g1)
+    if h0 >= 0.0 and h1 >= 0.0:
         return (min(g0, g1), max(g0, g1))
     if g1 <= g0:
         return None
-    if f0 <= 0.0:
-        return (g0, _bisect_edge(f, g1, g0))
-    if f1 <= 0.0:
-        return (_bisect_edge(f, g0, g1), g1)
-    m = _gap_dip(f, g0, g1)
-    if m is None:
-        return None
-    return (_bisect_edge(f, g0, m), _bisect_edge(f, g1, m))
+    if h0 >= 0.0:
+        return (g0, _edge(h, g1, g0))
+    if h1 >= 0.0:
+        return (_edge(h, g0, g1), g1)
+    xs, m = [g0, g1], 0.5 * (g0 + g1)
+    while h(m) < 0.0:
+        bisect.insort(xs, m)
+        hs = [h(x) for x in xs]
+        chords = [(hs[j], (hs[j + 1] - hs[j]) / (xs[j + 1] - xs[j]), xs[j]) for j in range(len(xs) - 1)]
+        k = max(range(len(xs)), key=hs.__getitem__)  # the max of h is next to it
+        bound, m = max(_tent(xs, chords, i) for i in (k - 1, k) if 0 <= i < len(chords))
+        if bound < -1e-15 or bound - hs[k] <= 1e-15 or m in xs:
+            return None
+    i = bisect.bisect(xs, m)
+    return (_edge(h, xs[i - 1], m), _edge(h, xs[i], m))
 
 
 def _even_zeros(lo: float, hi: float, coeffs) -> list[float]:
@@ -221,8 +252,12 @@ def _lambda_region_cached(mu: MeasureSpec, t: float) -> LambdaRegion:
     inv_t = 1.0 / t
     root_t = math.sqrt(t)
 
-    def f(x):
-        return p0_zero(mu, x) - inv_t  # +inf on the support where p0 diverges
+    @lru_cache(maxsize=None)
+    def h(x):
+        # (t p0(x, 0))^(-1/2) - 1 without its cancellation at an end: -1 on the
+        # support, >= 0 exactly where p0 <= 1/t, rising outward, concave on gaps
+        f = (p := p0_zero(mu, x)) - inv_t
+        return -t * f / (r * (1.0 + r)) if (r := math.sqrt(t * p)) < math.inf else -1.0
 
     if mu.kind == "atomic":
         parts = [(x, x) for x, _ in mu.atoms]
@@ -240,23 +275,22 @@ def _lambda_region_cached(mu: MeasureSpec, t: float) -> LambdaRegion:
         # a cut that ends on part k, where the density vanishes to order >= 2,
         # also covers the band next to it where p0_zero still reads finite
         mid = 0.5 * (parts[k][0] + parts[k][1])
-        return _bisect_edge(f, mid, edge) if f(mid) > 0.0 else edge
+        return _bisect_edge(h, mid, edge) if h(mid) < 0.0 else edge
 
     def end(k, edge, step):
-        # f rises toward the hull on an end gap, and f <= 0 at distance sqrt(t)
-        if f(edge) <= 0.0:
+        # h rises toward the hull on an end gap, and h >= 0 at distance sqrt(t)
+        if h(edge) >= 0.0:
             return into(edge, k)
         for n in range(1, 5):  # widen if rounding bites
-            out = edge + n * step
-            if f(out) <= 0.0:
-                return _bisect_edge(f, edge, out)
-        raise NoConvergenceError(f"v_t > 0 still at {out}, 4 sqrt(t) past the support")
+            if h(edge + n * step) >= 0.0:
+                return _edge(h, edge + (n - 1) * step, edge + n * step)
+        raise NoConvergenceError(f"v_t > 0 still at {edge + 4 * step}, 4 sqrt(t) past the support")
 
     lo, hi = end(0, parts[0][0], -root_t), end(-1, parts[-1][1], root_t)
     cuts = []
     for k in range(len(parts) - 1):
         g0, g1 = parts[k][1], parts[k + 1][0]
-        if cut := _gap_cut(f, g0, g1):
+        if cut := _gap_cut(h, g0, g1):
             c, d = cut
             cuts.append((into(c, k) if c == g0 else c, into(d, k + 1) if d == g1 else d))
     intervals = []
@@ -273,16 +307,12 @@ def _lambda_region_cached(mu: MeasureSpec, t: float) -> LambdaRegion:
 def lambda_region(mu: MeasureSpec, t: float) -> LambdaRegion:
     """The source region {v_t > 0} = {a0 : p0(a0, 0) > 1/t}, built from the law.
 
-    The support's interior lies inside, because p0(., 0) diverges there. Each
-    gap of the support gets one convex search and at most two bisections, each
-    end gap one bisection within sqrt(t) of the hull, and each even-order zero
-    of a polynomial density, where p0(., 0) is finite, a check that may split
-    the region there. No component is missed, however narrow. A cut that ends
-    where the density vanishes to order >= 2 is bisected on into the support
-    to the end of the band where p0_zero reads finite, so that v_t > 0 holds
-    on the open intervals as _vt_solve computes it. The record also carries
-    a_t at each interval's ends, so that it is the whole region, source and
-    planar, built once per (mu, t).
+    Its ends off the support are roots of h = (t p0(., 0))^(-1/2) - 1 (_edge),
+    and a gap of the support is cut where the concave h reaches 0 (_gap_cut),
+    so no component is missed, however narrow. A polynomial piece may split at
+    an even-order zero, where p0(., 0) is finite; a cut ending there is bisected
+    on to the end of the band where p0_zero reads finite, so that v_t > 0 on the
+    open intervals as _vt_solve computes it. a_t at the ends completes it.
     """
     if t <= 0.0:
         raise ValueError("t must be positive")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import ibrown.brown as B
+import ibrown.checks as C
 import ibrown.jn as J
 import ibrown.measure as M
 from ibrown.errors import NoConvergenceError, OutsideOmegaError
@@ -140,3 +141,13 @@ def test_solve_g_raises_at_an_end_of_the_real_section(sc):
     g = J.solve_g(sc, 1.0, a)
     assert g.imag == pytest.approx(B.b_t(sc, 1.0, a) / 2.0, rel=1e-9)
     assert g.imag == pytest.approx(8.409e-6, rel=1e-3)
+
+
+def test_verify_suites_run_next_to_a_fourth_order_zero():
+    # (x - 0.3)^4 on [-1, 2] at t = 0.3: 7 of the 512 rows of the profile
+    # read v_t = 0 next to the zero, where g = G(a + t conj(g)) has no complex
+    # solution; check_jn takes only rows with a positive height
+    mu = M.piecewise_poly([(-1.0, 2.0, (0.0081, -0.108, 0.54, -1.2, 1.0))])
+    rows = {(r.suite, r.name): r for r in C.run_all(mu, 0.3)}
+    assert {suite for suite, _ in rows} == {"subordination", "pushforward", "jn", "pde"}
+    assert rows["jn", "density equivalence"].passed and rows["jn", "t*Re g = a0 - a"].passed

@@ -91,16 +91,22 @@ def gap_law():
     return M.piecewise_poly([(-1.0, 0.0, (1.0,)), (0.5, 1.5, (0.25, -1.0, 1.0))])
 
 
-def test_lambda_region_endpoint_condition(be23, un, quad):
+def assert_end_contract(mu, t):
     # every end is a point where v_t = 0, and p0(., 0) > 1/t at the next float
     # inside, so no point of an open interval reads v_t = 0 from p0_zero
+    for lo, hi in S.lambda_region(mu, t).intervals:
+        for e, inward in ((lo, hi), (hi, lo)):
+            assert M.p0_zero(mu, e) <= 1.0 / t, (mu, t, e)
+            assert M.p0_zero(mu, np.nextafter(e, inward)) > 1.0 / t, (mu, t, e)
+
+
+def test_lambda_region_endpoint_condition(be23, un, quad, be12):
     cases = [(be23, 1.05), (un, 0.1), (quad, 0.3), (quad, 0.25)]
     cases += [(gap_law(), t) for t in (0.05, 0.2, 0.6)]
+    # a gap cut near its tangent, a gap just uncut, and a fourth-order zero
+    cases += [(FOUR_ATOMS, 0.5), (be12, 0.999), (be12, 1.001), (X4, 0.3)]
     for mu, t in cases:
-        for lo, hi in S.lambda_region(mu, t).intervals:
-            for e, inward in ((lo, hi), (hi, lo)):
-                assert M.p0_zero(mu, e) <= 1.0 / t
-                assert M.p0_zero(mu, np.nextafter(e, inward)) > 1.0 / t
+        assert_end_contract(mu, t)
     # p0(0, 0) = 3 < 1/t on the quad law: the region starts exactly on the
     # double zero, not where p0_zero's noise floor flips just inside it
     for t in (0.25, 0.3):
@@ -134,6 +140,96 @@ def test_lambda_region_splits_at_interior_double_zero(order, band):
     (l0, r0), (l1, r1) = S.lambda_region(mu, 0.3).intervals
     assert 0.3 - band < r0 < 0.3 < l1 < 0.3 + band
     assert l0 < -1.0 and r1 > 2.0
+
+
+def _gap_minima(xs, ws):
+    """The minimum of sum w/(a0 - x)^2 over each gap between atoms, sampled."""
+    s = np.linspace(0.0, 1.0, 2003)[1:-1]
+    return np.array([
+        (ws / ((lo + (hi - lo) * s)[:, None] - xs) ** 2).sum(axis=1).min() for lo, hi in zip(xs[:-1], xs[1:])
+    ])
+
+
+def _drawn_law(rng, n_atoms, gap, weight):
+    """Centred atoms with gaps U[gap] and weights U[weight], normalised."""
+    xs = np.cumsum(rng.uniform(*gap, n_atoms))
+    xs -= xs.mean()
+    ws = rng.uniform(*weight, n_atoms)
+    ws /= ws.sum()
+    return xs, ws, _gap_minima(xs, ws)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_region_ends_on_drawn_atomic_laws(seed):
+    # drawn as the benchmark draws its compute-atomic laws: t a fraction
+    # U[0.4, 0.8] of the largest t at which every gap still splits the region
+    rng = np.random.default_rng([seed, 17])
+    xs, ws, minima = _drawn_law(rng, 4, (1.0, 2.0), (0.15, 0.35))
+    t = rng.uniform(0.4, 0.8) / minima.max()
+    mu = M.atomic(list(zip(xs.tolist(), ws.tolist())))
+    assert len(S.lambda_region(mu, t).intervals) == 4
+    assert_end_contract(mu, t)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_gaps_inside_the_region_leave_one_interval(seed):
+    # drawn as the benchmark's crosscheck laws: t is U[1.3, 2] times the
+    # smallest t at which every gap lies inside the region
+    rng = np.random.default_rng([seed, 29])
+    xs, ws, minima = _drawn_law(rng, 3, (1.5, 2.5), (0.2, 0.4))
+    t = rng.uniform(1.3, 2.0) / minima.min()
+    mu = M.atomic(list(zip(xs.tolist(), ws.tolist())))
+    (lo, hi), = S.lambda_region(mu, t).intervals
+    assert lo < xs[0] and hi > xs[-1]
+    assert_end_contract(mu, t)
+
+
+@pytest.mark.parametrize("alpha", [2.0 / 3.0, 0.3, 0.2])
+@pytest.mark.parametrize("rel", [-1e-9, 1e-9])
+def test_region_at_a_gap_split_threshold(alpha, rel):
+    # on the gap of a Bernoulli law p0(., 0) is least at x*, where
+    # ((1 - x*)/(1 + x*))^3 = alpha/(1 - alpha): the gap splits the region
+    # for t <= 1/p0(x*, 0), here 1e-9 relative either side of it. (Not alpha
+    # = 1/2, whose x* = 0: next to 0 the ends are resolved to 1e-17, not to
+    # adjacent floats)
+    r = (alpha / (1.0 - alpha)) ** (1.0 / 3.0)
+    x_min = (1.0 - r) / (1.0 + r)
+    t = (1.0 + rel) / ((1.0 - alpha) / (1.0 + x_min) ** 2 + alpha / (1.0 - x_min) ** 2)
+    mu = M.bernoulli(alpha)
+    ivs = S.lambda_region(mu, t).intervals
+    if rel < 0:
+        (_, c), (d, _) = ivs
+        assert c < x_min < d and d - c < 1e-3
+    else:
+        assert len(ivs) == 1
+    assert_end_contract(mu, t)
+
+
+def test_region_end_survives_a_stalled_secant(monkeypatch):
+    # a secant that stops after its first step leaves the end to the walk,
+    # which cannot reach it, and then to the bisection of what is left
+    mu, t = FOUR_ATOMS, 0.5
+    expected = S._lambda_region_cached.__wrapped__(mu, t).intervals
+    bisections = []
+    bisect_edge = S._bisect_edge
+
+    def one_pass(fdf, lo, hi, x, ftol, xtol):
+        fdf(x)
+        return x
+
+    def counted(*args):
+        bisections.append(args)
+        return bisect_edge(*args)
+
+    monkeypatch.setattr(S, "bracket_newton", one_pass)
+    monkeypatch.setattr(S, "_bisect_edge", counted)
+    got = S._lambda_region_cached.__wrapped__(mu, t).intervals
+    assert len(bisections) == 8
+    for (lo, hi), (elo, ehi) in zip(got, expected):
+        assert abs(lo - elo) <= 4 * math.ulp(elo) and abs(hi - ehi) <= 4 * math.ulp(ehi)
+    for lo, hi in got:
+        for e, inward in ((lo, hi), (hi, lo)):
+            assert M.p0_zero(mu, e) <= 1.0 / t < M.p0_zero(mu, np.nextafter(e, inward))
 
 
 @pytest.mark.parametrize(
@@ -389,6 +485,38 @@ def test_sweep_passes_held(name, monkeypatch):
     for iv, im in zip(region.intervals, region.images):
         B.lambda_sweep(mu, t, iv, im, 1026)
     assert len(bundles) <= passes
+
+
+#: scalar p0_zero calls of one lambda_region, a_t at the ends included. The
+#: bisections to adjacent floats and the golden-section gap search that the
+#: edges' secant solve replaced made 108 / 106 / 195 / 113 / 441 / 221 of them
+#: on the first six, 235, 221 and 250 on the last three. On the last, the
+#: secant lags bisection near a double root and hands its bracket over
+REGION_CALLS = {
+    "semicircle": (SWEEP_LAWS["semicircle"], 24),
+    "uniform": (SWEEP_LAWS["uniform"], 26),
+    "bernoulli": (SWEEP_LAWS["bernoulli"], 26),
+    "3x^2": (SWEEP_LAWS["3x^2"], 68),
+    "four_atoms": (SWEEP_LAWS["four_atoms"], 87),
+    "(x-0.3)^4": (SWEEP_LAWS["(x-0.3)^4"], 134),
+    "bernoulli(0.5) cut near its tangent": ((M.bernoulli(0.5), 0.999), 117),
+    "bernoulli(0.5) just uncut": ((M.bernoulli(0.5), 1.001), 30),
+    "bernoulli(0.5) 1e-9 below its split threshold": ((M.bernoulli(0.5), 1.0 - 1e-9), 151),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REGION_CALLS))
+def test_region_p0_zero_calls_held(name, monkeypatch):
+    (mu, t), budget = REGION_CALLS[name]
+    calls, p0_zero = [], S.p0_zero
+
+    def counted(mu, x):
+        calls.append(x)
+        return p0_zero(mu, x)
+
+    monkeypatch.setattr(S, "p0_zero", counted)
+    S._lambda_region_cached.__wrapped__(mu, t)
+    assert len(calls) <= budget
 
 
 def test_vt_solve_caps_are_loud(monkeypatch):
