@@ -36,7 +36,6 @@ from .measure import (
     semicircle,
     to_json,
     uniform,
-    validate,
 )
 from .rmt import CompareReport, EigenCloud, SimConfig, compare, deterministic_x, sample_gue, simulate
 from .subordination import LambdaRegion, a_t, da_t_da0, h_t, j_t, j_t_inverse, lambda_region, v_t

@@ -22,6 +22,16 @@ from .numerics import bracket_newton, bracket_newton_nodes
 from .subordination import _at_slope, _vt_solve_nodes, at_with_slope, j_t_inverse, lambda_region
 
 
+def _planar_density(t, slope):
+    """w_t from the slope da_t/da0 at the source point (elementwise too)."""
+    return (1.0 / (2.0 * math.pi * t)) * (1.0 / slope - 0.5)
+
+
+def _circular_density(t, slope):
+    """The rotation-invariant model's density from the slope (see maps)."""
+    return (1.0 / (math.pi * t)) * (1.0 - 0.5 * slope)
+
+
 @dataclass(frozen=True)
 class RegionVerdict:
     """Classification of a point against the closed support region.
@@ -73,6 +83,11 @@ class BrownProfile:
     @property
     def f(self) -> np.ndarray:
         return self.halfheight / (2.0 * math.pi * self.t)
+
+    @property
+    def rho(self) -> np.ndarray:
+        """Density of the rotation-invariant model at each row's source point."""
+        return _circular_density(self.t, self.slope)
 
     def blocks(self):
         for i in range(len(self.block_edges) - 1):
@@ -250,7 +265,7 @@ def w_t(mu: MeasureSpec, t: float, a: float) -> float:
     slope = _invert(mu, t, a)[1]
     if math.isnan(slope):
         raise OutsideOmegaError(f"{a} is not strictly inside the region's real section")
-    return (1.0 / (2.0 * math.pi * t)) * (1.0 / slope - 0.5)
+    return _planar_density(t, slope)
 
 
 def classify(mu: MeasureSpec, t: float, lam: complex) -> RegionVerdict:
@@ -345,7 +360,7 @@ def profile(mu: MeasureSpec, t: float, n_grid: int = 1024) -> BrownProfile:
         acc = end_cdf[-1][1]
     cdf = np.concatenate(cdf)
     halfheight = 2.0 * v
-    density = (1.0 / (2.0 * math.pi * t)) * (1.0 / slope - 0.5)
+    density = _planar_density(t, slope)
     for arr in (grid, a0, halfheight, density, slope, cdf):
         arr.setflags(write=False)
     flags = ("near_boundary",) + ("ok",) * (n_grid - 2) + ("near_boundary",)

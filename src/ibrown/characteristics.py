@@ -25,7 +25,7 @@ import numpy as np
 from .brown import _locate
 from .errors import NoConvergenceError, PastLifetimeError
 from .measure import MeasureSpec, log_potential, p0, p0_zero, transforms
-from .numerics import bracket_newton, damped_newton
+from .numerics import _attempt, bracket_newton, damped_newton
 from .subordination import j_t_inverse, v_t
 
 
@@ -179,20 +179,17 @@ def _solve_flow(mu, t, target, start, tol):
     def step(u, fu):
         if u[2] <= 1e-300:
             return None  # the clamp caught a step out of eps0 > 0: give up
-        try:
-            return np.linalg.solve(_flow_jacobian(mu, t, u), fu)
-        except np.linalg.LinAlgError:
-            return None
+        return np.linalg.solve(_flow_jacobian(mu, t, u), fu)
 
     u = np.array(start, dtype=float)
     u[2] = max(u[2], 1e-14)
-    u = damped_newton(residual, step, u, tol, max_iter=100, halvings=45)
+    u = damped_newton(residual, step, u, tol)
     if u is None:
         return None
     # the solve stops at the first max|r| <= tol; one more full step, kept
     # where it lowers max|r|, takes the quadratic convergence to rounding level
     r = residual(u)
-    du = step(u, r)
+    du = _attempt(step, u, r)
     un = u if du is None else u - du
     return un if np.max(np.abs(residual(un))) < np.max(np.abs(r)) else u
 

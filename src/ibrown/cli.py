@@ -3,29 +3,20 @@
 Subcommands: compute, pushforward, simulate, jn, characteristics, verify.
 Measures come from --measure FILE (JSON schema) or --preset NAME[:params]
 with presets semicircle[:variance], uniform[:lo,hi], bernoulli[:alpha].
-Exit codes: 2 for validation errors, 3 for convergence failures.
+Exit codes: 2 for validation errors, 3 for any other failure of a computation.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import brown, characteristics, checks, jn, maps, measure, rmt, subordination, svg
-from .errors import (
-    DiracMeasureError,
-    EmptyMeasureError,
-    IBrownError,
-    MeasureFormatError,
-    NegativeMassError,
-    NoConvergenceError,
-    EigenFailureError,
-)
+from . import brown, checks, jn, maps, measure, rmt, svg
+from .errors import DiracMeasureError, EmptyMeasureError, IBrownError, MeasureFormatError, NegativeMassError
 
 _VALIDATION_ERRORS = (
     MeasureFormatError,
@@ -34,19 +25,16 @@ _VALIDATION_ERRORS = (
     EmptyMeasureError,
     ValueError,
 )
-_CONVERGENCE_ERRORS = (NoConvergenceError, EigenFailureError)
+
+
+_PRESETS = {"semicircle": measure.semicircle, "uniform": measure.uniform, "bernoulli": measure.bernoulli}
 
 
 def _parse_preset(text: str) -> measure.MeasureSpec:
     name, _, params = text.partition(":")
-    args = [float(p) for p in params.split(",") if p] if params else []
-    if name == "semicircle":
-        return measure.semicircle(*args) if args else measure.semicircle()
-    if name == "uniform":
-        return measure.uniform(*args) if args else measure.uniform()
-    if name == "bernoulli":
-        return measure.bernoulli(*args) if args else measure.bernoulli()
-    raise MeasureFormatError(f"unknown preset {name!r}")
+    if name not in _PRESETS:
+        raise MeasureFormatError(f"unknown preset {name!r}")
+    return _PRESETS[name](*(float(p) for p in params.split(",") if p))
 
 
 def _load_measure(ns) -> measure.MeasureSpec:
@@ -74,26 +62,10 @@ def _fmt(x) -> float:
     return float("%.17g" % x)
 
 
-def cmd_compute(ns) -> int:
-    mu = _load_measure(ns)
-    prof = brown.profile(mu, ns.t, n_grid=ns.grid)
-    out = _out_dir(ns)
-    _write(out / "profile.csv", prof.to_csv())
-    summary = {
-        "schema": 1,
-        "t": ns.t,
-        "measure": mu.label,
-        "digest": mu.digest(),
-        "omega_intervals": [[_fmt(a), _fmt(b)] for a, b in prof.omega_intervals],
-        "mass": _fmt(prof.mass),
-        "min_density": _fmt(float(prof.density.min())),
-        "max_density": _fmt(float(prof.density.max())),
-    }
-    _write(out / "summary.json", json.dumps(summary, indent=2))
-    if ns.svg:
-        title = f"t={ns.t:g}  {mu.label}  [{mu.digest()}]"
-        _write(out / "figure.svg", svg.render_profile_svg(prof, title))
-    return 0
+def _summary(path: Path, ns, mu, **fields):
+    """Write a JSON summary: the schema, t, the law's label and digest, then fields."""
+    summary = {"schema": 1, "t": ns.t, "measure": mu.label, "digest": mu.digest(), **fields}
+    _write(path, json.dumps(summary, indent=2))
 
 
 def _csv(header: str, *columns) -> str:
@@ -102,35 +74,50 @@ def _csv(header: str, *columns) -> str:
     return "\n".join(lines) + "\n"
 
 
+def cmd_compute(ns) -> int:
+    mu = _load_measure(ns)
+    prof = brown.profile(mu, ns.t, n_grid=ns.grid)
+    out = _out_dir(ns)
+    _write(out / "profile.csv", prof.to_csv())
+    _summary(
+        out / "summary.json",
+        ns,
+        mu,
+        omega_intervals=[[_fmt(a), _fmt(b)] for a, b in prof.omega_intervals],
+        mass=_fmt(prof.mass),
+        min_density=_fmt(float(prof.density.min())),
+        max_density=_fmt(float(prof.density.max())),
+    )
+    if ns.svg:
+        title = f"t={ns.t:g}  {mu.label}  [{mu.digest()}]"
+        _write(out / "figure.svg", svg.render_profile_svg(prof, title))
+    return 0
+
+
 def cmd_pushforward(ns) -> int:
     mu = _load_measure(ns)
     out = _out_dir(ns)
     prof = brown.profile(mu, ns.t, n_grid=ns.grid)
     v = 0.5 * prof.halfheight
-    rho = (1.0 / (math.pi * ns.t)) * (1.0 - 0.5 * prof.slope)  # maps.circular_density
-    _write(out / "rho.csv", _csv("a0,v_t,rho_t", prof.a0, v, rho))
+    _write(out / "rho.csv", _csv("a0,v_t,rho_t", prof.a0, v, prof.rho))
     _write(out / "law.csv", _csv("u,f", prof.u, prof.f))
     _write(out / "qt_curve.csv", _csv("a,q", prof.grid, prof.u))
 
-    # boundary correspondence of the vertical-affine map vs the holomorphic map
-    jv = np.array([subordination.j_t(mu, ns.t, complex(x, y)) for x, y in zip(prof.a0, v)])
-    diff = np.abs(prof.grid + 1j * prof.halfheight - jv)
+    jv, gap = checks.boundary_gap(mu, ns.t, prof)
     header = "a0,v_t,u_re,u_im,j_re,j_im,abs_diff"
-    cols = (prof.a0, v, prof.grid, prof.halfheight, jv.real, jv.imag, diff)
+    cols = (prof.a0, v, prof.grid, prof.halfheight, jv.real, jv.imag, gap)
     _write(out / "ut_boundary.csv", _csv(header, *cols))
 
     rep = maps.pushforward_check(mu, ns.t)
-    summary = {
-        "schema": 1,
-        "t": ns.t,
-        "measure": mu.label,
-        "digest": mu.digest(),
-        "rectangle_max_discrepancy": _fmt(rep.max_discrepancy),
-        "rectangle_max_error_estimate": _fmt(max(rep.error_estimates, default=0.0)),
-        "boundary_agreement": _fmt(float(diff.max())),
-        "law_mass": _fmt(prof.mass),
-    }
-    _write(out / "pushforward.json", json.dumps(summary, indent=2))
+    _summary(
+        out / "pushforward.json",
+        ns,
+        mu,
+        rectangle_max_discrepancy=_fmt(rep.max_discrepancy),
+        rectangle_max_error_estimate=_fmt(max(rep.error_estimates, default=0.0)),
+        boundary_agreement=_fmt(float(gap.max())),
+        law_mass=_fmt(prof.mass),
+    )
     return 0
 
 
@@ -142,9 +129,8 @@ def cmd_simulate(ns) -> int:
     _write(out / "cloud.csv", cloud.to_csv())
     prof = brown.profile(mu, ns.t, n_grid=ns.grid)
     rep = rmt.compare(cloud, prof, mu, ns.t)
-    summary = {"schema": 1, "t": ns.t, "measure": mu.label, "digest": mu.digest()}
-    summary.update({k: _fmt(v) if isinstance(v, float) else v for k, v in rep.to_dict().items()})
-    _write(out / "compare.json", json.dumps(summary, indent=2))
+    fields = {k: _fmt(v) if isinstance(v, float) else v for k, v in rep.to_dict().items()}
+    _summary(out / "compare.json", ns, mu, **fields)
     if ns.svg:
         title = f"t={ns.t:g}  {mu.label}  [{mu.digest()}]  n={ns.n} reps={ns.reps}"
         _write(out / "figure.svg", svg.render_profile_svg(prof, title, cloud=cloud.points))
@@ -155,50 +141,33 @@ def cmd_jn(ns) -> int:
     mu = _load_measure(ns)
     out = _out_dir(ns)
     prof = brown.profile(mu, ns.t, n_grid=max(ns.grid, 64))
-    rows = ["a,w_main,w_jn,abs_diff"]
-    worst = 0.0
-    for sl in prof.blocks():
-        idx = np.linspace(1, prof.grid[sl].size - 2, min(prof.grid[sl].size - 2, 200)).astype(int)
-        for a, w in zip(prof.grid[sl][idx], prof.density[sl][idx]):
-            wj = jn.jn_density(mu, ns.t, float(a))
-            worst = max(worst, abs(wj - w))
-            rows.append("%.17g,%.17g,%.17g,%.17g" % (a, w, wj, abs(wj - w)))
-    _write(out / "jn.csv", "\n".join(rows) + "\n")
-    summary = {
-        "schema": 1,
-        "t": ns.t,
-        "measure": mu.label,
-        "digest": mu.digest(),
-        "max_abs_diff": _fmt(worst),
-    }
-    _write(out / "jn.json", json.dumps(summary, indent=2))
+    rows = []
+    for sl in prof.blocks():  # up to 200 rows of each block, its ends excepted
+        size = sl.stop - sl.start
+        rows.extend(sl.start + np.linspace(1, size - 2, min(size - 2, 200)).astype(int))
+    a, w = prof.grid[rows], prof.density[rows]
+    wj = np.array([jn.jn_density(mu, ns.t, float(x)) for x in a])
+    diff = np.abs(wj - w)
+    _write(out / "jn.csv", _csv("a,w_main,w_jn,abs_diff", a, w, wj, diff))
+    _summary(out / "jn.json", ns, mu, max_abs_diff=_fmt(float(diff.max(initial=0.0))))
     return 0
 
 
 def cmd_characteristics(ns) -> int:
     mu = _load_measure(ns)
     out = _out_dir(ns)
-    rng = np.random.default_rng(ns.seed)
-    span = max(abs(mu.support.lo), abs(mu.support.hi))
-    samples = []
-    worst = 0.0
-    for _ in range(12):
-        lam = complex(rng.uniform(-span - 2, span + 2), rng.uniform(-1.5, 1.5))
-        eps = rng.uniform(0.1, 1.0)
-        res = characteristics.pde_residual(mu, ns.t, lam, eps)
-        worst = max(worst, res)
-        samples.append({"re": _fmt(lam.real), "im": _fmt(lam.imag), "eps": _fmt(eps), "residual": _fmt(res)})
-    conserved = checks.check_pde(mu, ns.t, n_points=0)[1]
-    summary = {
-        "schema": 1,
-        "t": ns.t,
-        "measure": mu.label,
-        "digest": mu.digest(),
-        "max_pde_residual": _fmt(worst),
-        "constants_of_motion": _fmt(conserved.value),
-        "samples": samples,
-    }
-    _write(out / "characteristics.json", json.dumps(summary, indent=2))
+    samples = checks.pde_samples(mu, ns.t, ns.seed, 12)
+    _summary(
+        out / "characteristics.json",
+        ns,
+        mu,
+        max_pde_residual=_fmt(max((res for _, _, res in samples), default=0.0)),
+        constants_of_motion=_fmt(checks.constants_of_motion(mu)),
+        samples=[
+            {"re": _fmt(lam.real), "im": _fmt(lam.imag), "eps": _fmt(eps), "residual": _fmt(res)}
+            for lam, eps, res in samples
+        ],
+    )
     return 0
 
 
@@ -252,9 +221,6 @@ def main(argv=None) -> int:
     except _VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _CONVERGENCE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except IBrownError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -63,6 +63,6 @@ class EigenFailureError(IBrownError):
     """Dense eigensolver failed to converge."""
 
 
-#: failures of one numerical trial that send a multi-start solver to its next
-#: start; anything else (a TypeError, a KeyError) is a bug and propagates
+#: failures of one numerical trial that make damped_newton treat its point as
+#: inadmissible; anything else (a TypeError, a KeyError) is a bug and propagates
 NUMERIC_FAILURES = (IBrownError, ArithmeticError, np.linalg.LinAlgError)

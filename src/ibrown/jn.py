@@ -17,8 +17,8 @@ from __future__ import annotations
 import math
 
 from .brown import _invert
-from .errors import NUMERIC_FAILURES, DegenerateJacobianError, NoConvergenceError, OutsideOmegaError
-from .measure import MeasureSpec, cauchy, cauchy_prime
+from .errors import DegenerateJacobianError, NoConvergenceError, OutsideOmegaError
+from .measure import MeasureSpec, cauchy, cauchy_prime, p0
 from .numerics import damped_newton
 
 
@@ -43,19 +43,12 @@ def _fixed_point_newton(mu, t, a, g0, tol):
         z = a + t * g.conjugate()
         if z.imag == 0.0:
             z = complex(z.real, -1e-300)
-        try:
-            return g - cauchy(mu, z)
-        except NUMERIC_FAILURES:
-            return None
+        return g - cauchy(mu, z)
 
     def step(g, fg):
-        try:
-            gp = cauchy_prime(mu, a + t * g.conjugate())
-        except NUMERIC_FAILURES:
-            return None
-        return _fixed_point_jacobian_solve(t, gp, fg)
+        return _fixed_point_jacobian_solve(t, cauchy_prime(mu, a + t * g.conjugate()), fg)
 
-    return damped_newton(residual, step, complex(g0), tol, max_iter=80, halvings=45)
+    return damped_newton(residual, step, complex(g0), tol)
 
 
 def solve_g(mu: MeasureSpec, t: float, a: float) -> complex:
@@ -107,7 +100,5 @@ def jn_boundary_gap(mu: MeasureSpec, t: float, a: float, b: float) -> float:
 
 def poisson_identity_residual(mu: MeasureSpec, t: float, a: float) -> float:
     """|p0(a + t Re g, t Im g) - 1/t| for the solved fixed point."""
-    from .measure import p0
-
     g = solve_g(mu, t, a)
     return abs(p0(mu, a + t * g.real, t * abs(g.imag)) - 1.0 / t)

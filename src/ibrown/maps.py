@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .brown import _a0_solve_nodes, _locate, lambda_sweep, profile
+from .brown import _a0_solve_nodes, _circular_density, _locate, _planar_density, lambda_sweep, profile
 from .errors import OutsideLambdaError, OutsideOmegaError
 from .measure import MeasureSpec, transforms
 from .numerics import bracket_newton
@@ -68,7 +68,7 @@ def circular_density(mu: MeasureSpec, t: float, lam0: complex) -> float:
     tol = 1e-9 * (1.0 + abs(lam0))
     if v <= 0.0 or abs(b0) >= v - tol:
         raise OutsideLambdaError(f"{lam0} is not strictly inside the source region")
-    return (1.0 / (math.pi * t)) * (1.0 - 0.5 * slope)
+    return _circular_density(t, slope)
 
 
 def sample_planar(mu: MeasureSpec, t: float, n: int, seed: int = 0) -> np.ndarray:
@@ -221,12 +221,12 @@ def pushforward_check(mu: MeasureSpec, t: float) -> PushforwardReport:
         start = np.interp(inv, sweep["at"], sweep["a0"])
         a0, slope, v_a = _a0_solve_nodes(mu, t, inv, (l, r), (al, ar), start)
         cuts_a0 = np.concatenate(([l], a0[a.size :], [r]))
-        w = (1.0 / (2.0 * math.pi * t)) * (1.0 / slope[: a.size] - 0.5)
+        w = _planar_density(t, slope[: a.size])
         v_a = v_a[: a.size]
 
         x, w_x, which_x = _theta_nodes((l, r), cuts_a0, kinks_a0)
         v, out = _vt_solve_nodes(mu, t, x)
-        rho = (1.0 / (math.pi * t)) * (1.0 - 0.5 * _at_slope(t, x, v, out)[1])
+        rho = _circular_density(t, _at_slope(t, x, v, out)[1])
 
         for b_lo, b_hi in bands:
             s = _cut_sums(which_x, w_x, rho * _clipped(v, 0.5 * b_lo, 0.5 * b_hi))

@@ -40,7 +40,7 @@ import cmath
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
@@ -84,7 +84,8 @@ class Support:
 
 @dataclass(frozen=True)
 class MeasureSpec:
-    """Validated, unit-mass law. Build through :func:`validate` or the preset helpers.
+    """Validated, unit-mass law. Build through the preset helpers, :func:`atomic`,
+    :func:`piecewise_poly` or :func:`from_json`.
 
     kind is one of ``atomic``, ``piecewise_poly``, ``semicircle``; presets
     (uniform, bernoulli) normalize to one of these and keep their name in
@@ -245,21 +246,6 @@ def atomic(pairs: Iterable[tuple[float, float]]) -> MeasureSpec:
 
 def piecewise_poly(pieces: Iterable[tuple[float, float, Sequence[float]]]) -> MeasureSpec:
     return _validate_pieces([(lo, hi, tuple(c)) for lo, hi, c in pieces], "piecewise_poly")
-
-
-def validate(spec) -> MeasureSpec:
-    """Normalize a raw description (dict in the file schema, or MeasureSpec)."""
-    if isinstance(spec, MeasureSpec):
-        if spec.kind == "atomic":
-            return replace(_validate_atomic(spec.atoms, spec.label), rescale=spec.rescale)
-        if spec.kind == "piecewise_poly":
-            return replace(_validate_pieces(spec.pieces, spec.label), rescale=spec.rescale)
-        if spec.kind == "semicircle":
-            return semicircle(spec.variance)
-        raise MeasureFormatError(f"unknown kind {spec.kind!r}")
-    if isinstance(spec, dict):
-        return _from_dict(spec)
-    raise MeasureFormatError(f"cannot validate {type(spec).__name__}")
 
 
 _SCHEMAS = {
@@ -833,7 +819,9 @@ def cauchy_prime(mu: MeasureSpec, z: complex) -> complex:
 
 
 def log_potential(mu: MeasureSpec, a0: float, c: float) -> float:
-    """int log((x-a0)^2 + c) dmu(x) for c >= 0."""
+    """int log((x-a0)^2 + c) dmu(x) for c >= 0: a sum over atoms, else
+    2 Re int log(x - z) dmu(x) at z = a0 + i sqrt(c), on the real line as
+    off it, by the closed form or the multipole far field."""
     if c < 0.0:
         raise ValueError("c must be nonnegative")
     if mu.kind == "atomic":
@@ -842,19 +830,6 @@ def log_potential(mu: MeasureSpec, a0: float, c: float) -> float:
         if np.min(d2) <= 0.0 or (c == 0.0 and np.min(np.abs(xs - a0)) <= 1e-300):
             raise DivergentLogError(f"atom at {a0} with zero regularization")
         return float(np.sum(ws * np.log(d2)))
-    if c == 0.0 and mu.kind == "piecewise_poly":
-        total = 0.0
-        for lo, hi, coeffs in mu.pieces:
-            b = poly_shift(coeffs, a0)
-            for k, bk in enumerate(b):
-                total += 2.0 * bk * _uk_log_integral(k, lo - a0, hi - a0)
-        return total
-    return _log_energy(mu, a0, c)
-
-
-def _log_energy(mu: MeasureSpec, a0: float, c: float) -> float:
-    """2 Re int log(x - z) dmu(x) at z = a0 + i sqrt(c), c > 0 for a
-    piecewise law and c >= 0 for a semicircle."""
     z = complex(a0, math.sqrt(c))
     if mu.kind == "semicircle":
         # int log(z - x) dmu = z G/2 + log((z + root)/2) - 1/2, root = sqrt(z^2 - 4s)
@@ -875,30 +850,17 @@ def _log_energy(mu: MeasureSpec, a0: float, c: float) -> float:
                 power *= inv
                 total -= moments[k] * power / k
             continue
-        # int u^k log u du = u^(k+1) (log u/(k+1) - 1/(k+1)^2), u = x - z
+        # int u^k log u du = u^(k+1) (log u/(k+1) - 1/(k+1)^2), u = x - z;
+        # at c = 0 the real part is that of log|u|, and u^(k+1) log u is
+        # taken as its limit 0 where a0 is a piece end, u = 0
         u0, u1 = lo - z, hi - z
-        l0, l1 = cmath.log(u0), cmath.log(u1)
+        l0, l1 = (cmath.log(u) if u else 0j for u in (u0, u1))
         w0, w1 = u0, u1  # u**(k+1)
         for k, bk in enumerate(poly_shift(coeffs, z)):
             m = k + 1.0
             total += bk * (w1 * (l1 / m - 1.0 / (m * m)) - w0 * (l0 / m - 1.0 / (m * m)))
             w0, w1 = w0 * u0, w1 * u1
     return 2.0 * total.real
-
-
-def _uk_log_integral(k: int, u0: float, u1: float) -> float:
-    """int u^k log|u| du over [u0, u1], splitting at 0 (integrable there)."""
-    if u0 > u1:
-        return -_uk_log_integral(k, u1, u0)
-    if u0 < 0.0 < u1:
-        return _uk_log_integral(k, u0, 0.0) + _uk_log_integral(k, 0.0, u1)
-
-    def anti(u):
-        if u == 0.0:
-            return 0.0
-        return u ** (k + 1) * (math.log(abs(u)) / (k + 1) - 1.0 / (k + 1) ** 2)
-
-    return anti(u1) - anti(u0)
 
 
 # ----------------------------------------------------------------------------
@@ -938,7 +900,6 @@ def quantile(mu: MeasureSpec, p: float) -> float:
 
             return bracket_newton(fdf, lo, hi, 0.5 * (lo + hi), 1e-15, 1e-15 * (1.0 + abs(lo) + abs(hi)))
         acc += mass
-    return mu.pieces[-1][1]
 
 
 def _semicircle_cdf(r: float, x: float) -> float:

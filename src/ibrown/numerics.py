@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NoConvergenceError
+from .errors import NUMERIC_FAILURES, NoConvergenceError
 
 
 #: passes of a bracketed Newton solve, one node or many: bisection alone
@@ -80,29 +80,44 @@ def _max_abs(r) -> float:
     return float(a.max()) if isinstance(a, np.ndarray) else a
 
 
-def damped_newton(residual, newton_step, x0, tol: float, max_iter: int, halvings: int):
+#: Newton steps of a damped Newton solve, and halvings of each step: the
+#: most any caller needs
+_NEWTON_STEPS = 100
+_HALVINGS = 50
+
+
+def _attempt(fn, *args):
+    """fn(*args), or None where it raises one of NUMERIC_FAILURES."""
+    try:
+        return fn(*args)
+    except NUMERIC_FAILURES:
+        return None
+
+
+def damped_newton(residual, newton_step, x0, tol: float):
     """Newton iteration with step halving until the residual norm max|r| drops.
 
-    ``residual(x)`` returns r (a complex scalar or an array), or None where x
-    is inadmissible; ``newton_step(x, r)`` returns the full step, subtracted
-    from x, or None. Returns the first x with max|r| <= tol, or None when the
-    residual is None at x0, a step is None, no halving lowers the norm or
-    max_iter steps do not reach tol.
+    ``residual(x)`` returns r (a complex scalar or an array) and
+    ``newton_step(x, r)`` the full step, subtracted from x; either makes x
+    inadmissible by returning None or raising one of NUMERIC_FAILURES.
+    Returns the first x with max|r| <= tol, or None when x0 or a step is
+    inadmissible, no one of _HALVINGS halvings lowers the norm or
+    _NEWTON_STEPS steps do not reach tol.
     """
-    r = residual(x0)
+    r = _attempt(residual, x0)
     if r is None:
         return None
     x, norm = x0, _max_abs(r)
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_STEPS):
         if norm <= tol:
             return x
-        step = newton_step(x, r)
+        step = _attempt(newton_step, x, r)
         if step is None:
             return None
         factor = 1.0
-        for _ in range(halvings):
+        for _ in range(_HALVINGS):
             xn = x - factor * step
-            rn = residual(xn)
+            rn = _attempt(residual, xn)
             if rn is not None:
                 nn = _max_abs(rn)
                 if nn < norm:

@@ -17,7 +17,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (
-    NUMERIC_FAILURES,
     DegenerateJacobianError,
     NoConvergenceError,
     OutsideLambdaError,
@@ -386,20 +385,11 @@ def _outside_lambda_closure(mu: MeasureSpec, t: float, z: complex) -> bool:
 
 
 def _newton_jt(mu, t, target, z0, tol):
-    def residual(z):
-        try:
-            return j_t(mu, t, z) - target
-        except NUMERIC_FAILURES:
-            return None
-
     def step(z, fz):
-        try:
-            d = 1.0 - t * cauchy_prime(mu, z)
-        except NUMERIC_FAILURES:
-            return None
+        d = 1.0 - t * cauchy_prime(mu, z)
         return fz / (d if d != 0.0 else 1e-30)
 
-    return damped_newton(residual, step, complex(z0), tol, max_iter=80, halvings=50)
+    return damped_newton(lambda z: j_t(mu, t, z) - target, step, complex(z0), tol)
 
 
 def j_t_inverse(mu: MeasureSpec, t: float, lam: complex) -> complex:

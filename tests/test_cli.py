@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from ibrown import brown, cli, maps
+from ibrown.errors import EigenFailureError, NoConvergenceError
 
 
 def run(args):
@@ -98,6 +99,13 @@ def test_simulate_outputs_and_reproducibility(tmp_path):
         assert key in rep
     assert rep["n_points"] == 120
     assert (a / "cloud.csv").read_text().splitlines()[0] == "re,im,rep"
+
+
+def test_simulate_svg_draws_the_cloud(tmp_path):
+    args = ["simulate", "--preset", "bernoulli:0.5", "--t", "0.8", "--n", "40", "--grid", "32"]
+    assert run(args + ["--out", str(tmp_path), "--svg"]) == 0
+    figure = (tmp_path / "figure.svg").read_text()
+    assert figure.startswith("<svg") and figure.count("<circle") > 0
 
 
 def test_pushforward_outputs(tmp_path):
@@ -251,3 +259,14 @@ def test_verify_dirac_fails_fast(tmp_path):
     mfile = tmp_path / "dirac.json"
     mfile.write_text('{"type":"atomic","atoms":[{"x":1.0,"w":2.0}]}')
     assert run(["verify", "--measure", str(mfile), "--t", "1"]) == 2
+
+
+@pytest.mark.parametrize("error", [NoConvergenceError, EigenFailureError])
+def test_numerical_failure_exits_3(tmp_path, monkeypatch, capsys, error):
+    def failing(*args, **kwargs):
+        raise error("stalled")
+
+    monkeypatch.setattr(brown, "profile", failing)
+    args = ["compute", "--preset", "semicircle:1", "--t", "1", "--out", str(tmp_path)]
+    assert run(args) == 3
+    assert "error: stalled" in capsys.readouterr().err.splitlines()

@@ -26,6 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ibrown.measure as M
+from ibrown.brown import s_outside
 from ibrown.characteristics import _momenta_values
 from ibrown.subordination import lambda_region
 
@@ -480,3 +481,34 @@ def test_array_bundle_matches_scalar_bundles(name, monkeypatch):
         for k in FIELDS:
             err = abs(getattr(got, k)[i] - getattr(ref, k)) / scale[k]
             assert err <= 1e-14, (k, a0[i], v[i], err)
+
+
+#: piecewise laws whose log energy on the real line (c = 0) takes the same
+#: closed form and multipole far field as off it
+REAL_LOG_LAWS = {
+    "uniform": M.uniform(-1.0, 1.0),
+    "3x^2": M.piecewise_poly([(0.0, 1.0, (0.0, 0.0, 3.0))]),
+    "two pieces": M.piecewise_poly([(-1.0, 0.2, (0.5, 0.3)), (0.2, 1.1, (0.3, 1.0, -1.0))]),
+    "(x-0.3)^4": M.piecewise_poly([(-1.0, 2.0, tuple(np.polynomial.polynomial.polypow([-0.3, 1.0], 4)))]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REAL_LOG_LAWS))
+def test_real_axis_log_energy_matches_quadrature(name):
+    # far on both sides, where the pieces are summed as multipoles, on a
+    # piece, where log|x - a0| is singular, and at each piece end
+    mu = REAL_LOG_LAWS[name]
+    lo, hi, _ = mu.pieces[0]
+    a0s = [-40.0, 40.0, 1000.0, lo + 0.3 * (hi - lo)]
+    a0s += sorted({e for lo, hi, _ in mu.pieces for e in (lo, hi)})
+    for a0 in a0s:
+        got = M.log_potential(mu, a0, 0.0)
+        ref = direct(mu, a0, 0.0, lambda x, u, d: mp.log(d), dps=30)
+        assert abs(got - float(ref)) <= 1e-13 * (1.0 + abs(got)), (name, a0, got, float(ref))
+
+
+def test_log_potential_continuous_onto_the_real_axis():
+    # s_t outside the region at lam = 40 takes z0 = J_t^{-1}(40) on the real
+    # line, and at 40 + 1e-9 i a point just off it
+    quartic = REAL_LOG_LAWS["(x-0.3)^4"]
+    assert abs(s_outside(quartic, 0.3, 40.0) - s_outside(quartic, 0.3, 40.0 + 1e-9j)) <= 1e-9

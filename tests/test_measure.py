@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -241,6 +242,35 @@ def test_quantile_round_trip_piecewise():
     for p in (0.1, 0.5, 0.9):
         x = M.quantile(mu, p)
         assert x **3 == pytest.approx(p, abs=1e-12)  # CDF is x^3
+
+
+def _exact_cdf(mu, x):
+    # the piece antiderivatives in rational arithmetic on the law's floats
+    total = Fraction(0)
+    for lo, hi, coeffs in mu.pieces:
+        top = Fraction(min(max(x, lo), hi))
+        total += sum(
+            Fraction(c) * (top ** (k + 1) - Fraction(lo) ** (k + 1)) / (k + 1) for k, c in enumerate(coeffs)
+        )
+    return total
+
+
+@pytest.mark.parametrize(
+    "pieces",
+    [
+        # the two-piece law of the sweep tests, and a flat piece, a gap and a
+        # piece with a second-order zero at the gap's right edge
+        [(-1.0, 0.2, (0.5, 0.3)), (0.2, 1.1, (0.3, 1.0, -1.0))],
+        [(-1.0, 0.0, (1.0,)), (0.5, 1.5, (0.25, -1.0, 1.0))],
+    ],
+)
+def test_quantile_beyond_the_first_piece(pieces):
+    mu = M.piecewise_poly(pieces)
+    first = float(_exact_cdf(mu, mu.pieces[0][1]))
+    for p in np.linspace(first, 1.0, 7)[1:-1]:
+        q = M.quantile(mu, float(p))
+        assert mu.pieces[1][0] <= q <= mu.pieces[1][1]
+        assert abs(float(_exact_cdf(mu, q)) - p) <= 1e-14, (p, q)
 
 
 # ---------------------------------------------------------------------------

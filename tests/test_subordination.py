@@ -91,6 +91,12 @@ def gap_law():
     return M.piecewise_poly([(-1.0, 0.0, (1.0,)), (0.5, 1.5, (0.25, -1.0, 1.0))])
 
 
+def mirrored_gap_law():
+    # gap_law() under x -> -x: the gap's left end is now the one where p0(., 0)
+    # is finite, and so the end that may already lie outside the region
+    return M.piecewise_poly([(-1.5, -0.5, (0.25, 1.0, 1.0)), (0.0, 1.0, (1.0,))])
+
+
 def assert_end_contract(mu, t):
     # every end is a point where v_t = 0, and p0(., 0) > 1/t at the next float
     # inside, so no point of an open interval reads v_t = 0 from p0_zero
@@ -102,7 +108,7 @@ def assert_end_contract(mu, t):
 
 def test_lambda_region_endpoint_condition(be23, un, quad, be12):
     cases = [(be23, 1.05), (un, 0.1), (quad, 0.3), (quad, 0.25)]
-    cases += [(gap_law(), t) for t in (0.05, 0.2, 0.6)]
+    cases += [(law, t) for law in (gap_law(), mirrored_gap_law()) for t in (0.05, 0.2, 0.6)]
     # a gap cut near its tangent, a gap just uncut, and a fourth-order zero
     cases += [(FOUR_ATOMS, 0.5), (be12, 0.999), (be12, 1.001), (X4, 0.3)]
     for mu, t in cases:
