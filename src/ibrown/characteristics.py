@@ -138,60 +138,57 @@ def hj_value(mu: MeasureSpec, init: InitialData, t: float) -> float:
 # flow inversion
 
 
-def _flow_residual(mu, t, u, target):
+def _flow_fdf(mu, t, u, target):
+    """Flow residual at u = (a0, b0, eps0) and its Newton step from one bundle at
+    v^2 = b0^2 + eps0, by dp0 = -2 q1 da0 - q0 dv^2 and dpa = 2 (p0 - 2 q2) da0 -
+    2 q1 dv^2; None where p0 is not finite, no step where eps0 is clamped."""
     a0, b0, eps0 = u
-    p0v, _, pav, _ = _momenta_values(mu, a0, b0, eps0)
+    out = transforms(mu, a0, b0 * b0 + eps0)
+    p0v, q0, q1, q2 = out.p0, out.q0, out.q1, out.q2
     if not math.isfinite(p0v):
         return None
-    decay = 1.0 - p0v * t
-    return np.array(
+    decay = 1.0 - t * p0v
+    r = np.array(
         [
-            a0 - 0.5 * t * pav - target[0],
+            a0 - t * out.c1 - target[0],
             b0 * (1.0 + t * p0v) - target[1],
             eps0 * decay * decay - target[2],
         ]
     )
-
-
-def _flow_jacobian(mu, t, u):
-    """Jacobian of _flow_residual in (a0, b0, eps0) from one bundle at v^2 = b0^2 + eps0,
-    by dp0 = -2 q1 da0 - q0 dv^2 and dpa = 2 (p0 - 2 q2) da0 - 2 q1 dv^2."""
-    a0, b0, eps0 = u
-    out = transforms(mu, a0, b0 * b0 + eps0)
-    p0v, q0, q1, q2 = out.p0, out.q0, out.q1, out.q2
-    decay = 1.0 - t * p0v
+    if eps0 <= 1e-300:
+        return r, None
     dp0 = np.array([-2.0 * q1, -2.0 * b0 * q0, -q0])
     dpa = np.array([2.0 * (p0v - 2.0 * q2), -4.0 * b0 * q1, -2.0 * q1])
     jac = np.diag([1.0, 1.0 + t * p0v, decay * decay])
     jac[0] -= 0.5 * t * dpa
     jac[1] += t * b0 * dp0
     jac[2] -= 2.0 * t * eps0 * decay * dp0
-    return jac
+    return r, np.linalg.solve(jac, r)
 
 
 def _solve_flow(mu, t, target, start, tol):
     """Damped Newton with the analytic Jacobian on the flow map; keeps eps0 > 0."""
+    ev = None  # fdf's last evaluation, at the point a converged solve returns
 
-    def residual(u):
+    def fdf(u):
+        nonlocal ev
         u[2] = max(u[2], 1e-300)  # a trial point is a fresh array: clamp in place
-        return _flow_residual(mu, t, u, target)
-
-    def step(u, fu):
-        if u[2] <= 1e-300:
-            return None  # the clamp caught a step out of eps0 > 0: give up
-        return np.linalg.solve(_flow_jacobian(mu, t, u), fu)
+        ev = _flow_fdf(mu, t, u, target)
+        return ev
 
     u = np.array(start, dtype=float)
     u[2] = max(u[2], 1e-14)
-    u = damped_newton(residual, step, u, tol)
+    u = damped_newton(fdf, u, tol)
     if u is None:
         return None
     # the solve stops at the first max|r| <= tol; one more full step, kept
     # where it lowers max|r|, takes the quadratic convergence to rounding level
-    r = residual(u)
-    du = _attempt(step, u, r)
-    un = u if du is None else u - du
-    return un if np.max(np.abs(residual(un))) < np.max(np.abs(r)) else u
+    r, du = ev
+    if du is None:
+        return u
+    un = u - du
+    rn = _attempt(fdf, un)
+    return un if rn is not None and np.max(np.abs(rn[0])) < np.max(np.abs(r)) else u
 
 
 def _admissible(mu, t, u) -> bool:
@@ -226,8 +223,10 @@ def _start(mu, t, lam, eps):
         a0, _, vt = inv
     b = lam.imag
     b2 = b * b
+    s = None  # fdf's last s, at the iterate bracket_newton returns
 
     def fdf(v):
+        nonlocal s
         out = transforms(mu, a0, v * v)
         s, ds = 1.0 - t * out.p0, 2.0 * t * v * out.q0
         if s <= 0.0:
@@ -238,8 +237,7 @@ def _start(mu, t, lam, eps):
         return s * f, s * f / dsf if dsf != 0.0 else math.inf
 
     lo, hi = vt, math.sqrt(b2 + 4.0 * eps + 2.0 * t)
-    v = bracket_newton(fdf, lo, hi, 0.5 * (lo + hi), 1e-15 * hi * hi, 1e-14 * (1.0 + lo + hi))
-    s = 1.0 - t * p0(mu, a0, v)
+    bracket_newton(fdf, lo, hi, 0.5 * (lo + hi), 1e-15 * hi * hi, 1e-14 * (1.0 + lo + hi))
     return a0, b / (2.0 - s), eps / (s * s)
 
 

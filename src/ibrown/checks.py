@@ -4,7 +4,7 @@ Each suite returns a list of CheckResult rows; a row passes when value <=
 threshold (or the boolean holds). Suites cover the subordination identities,
 fixed-point equivalence, flow/PDE residuals, and the pushforward structure.
 The pushforward and characteristics subcommands report the suites' boundary
-gap, PDE samples and constants of motion from here.
+maps, PDE samples and constants of motion from here.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import brown, characteristics, jn, maps, subordination
+from .measure import cauchy
 
 
 @dataclass(frozen=True)
@@ -43,12 +44,20 @@ def _interior_rows(profile, per_interval):
     return rows
 
 
-def check_subordination(mu, t, prof) -> list[CheckResult]:
+def boundary_maps(mu, t, prof) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """J_t and H_t at each row's source point z = a0 + i v_t from one G there,
+    and the gap |U_t - J_t|, J_t's distance from the row's point a + i b_t."""
+    z = prof.a0 + 1j * (0.5 * prof.halfheight)
+    g = np.array([cauchy(mu, x) for x in z])
+    jv = z - t * g
+    return jv, z + t * g, np.abs(prof.grid + 1j * prof.halfheight - jv)
+
+
+def check_subordination(mu, t, prof, jv, hv) -> list[CheckResult]:
     root_t = math.sqrt(t)
     v = 0.5 * prof.halfheight
-    z = prof.a0 + 1j * v
-    j_identity = max(abs(subordination.j_t(mu, t, x).imag - 2.0 * y) for x, y in zip(z, v))
-    h_real = max(abs(subordination.h_t(mu, t, x).imag) for x in z)
+    j_identity = float(np.max(np.abs(jv.imag - 2.0 * v)))
+    h_real = float(np.max(np.abs(hv.imag)))
     rows = [
         CheckResult("subordination", "v_t < sqrt(t)", max(float(v.max()) - root_t, 0.0), 0.0),
         CheckResult(
@@ -141,17 +150,9 @@ def check_pde(mu, t) -> list[CheckResult]:
     ]
 
 
-def boundary_gap(mu, t, prof) -> tuple[np.ndarray, np.ndarray]:
-    """J_t at each row's source point a0 + i v_t, and the gap |U_t - J_t|
-    there: its distance from the row's boundary point a + i b_t."""
-    v = 0.5 * prof.halfheight
-    jv = np.array([subordination.j_t(mu, t, complex(x, y)) for x, y in zip(prof.a0, v)])
-    return jv, np.abs(prof.grid + 1j * prof.halfheight - jv)
-
-
-def check_pushforward(mu, t, prof) -> list[CheckResult]:
+def check_pushforward(mu, t, prof, gap) -> list[CheckResult]:
     rep = maps.pushforward_check(mu, t)
-    worst = float(boundary_gap(mu, t, prof)[1].max())
+    worst = float(gap.max())
     (l, r), (_, ar) = prof.lambda_intervals[-1], prof.omega_intervals[-1]
     return [
         CheckResult("pushforward", "rectangle masses", rep.max_discrepancy, 1e-5),
@@ -169,9 +170,10 @@ def check_pushforward(mu, t, prof) -> list[CheckResult]:
 
 def run_all(mu, t) -> list[CheckResult]:
     prof = brown.profile(mu, t, n_grid=256)
+    jv, hv, gap = boundary_maps(mu, t, prof)
     rows = []
-    rows += check_subordination(mu, t, prof)
-    rows += check_pushforward(mu, t, prof)
+    rows += check_subordination(mu, t, prof, jv, hv)
+    rows += check_pushforward(mu, t, prof, gap)
     rows += check_jn(mu, t, prof)
     rows += check_pde(mu, t)
     return rows

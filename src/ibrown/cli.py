@@ -103,7 +103,7 @@ def cmd_pushforward(ns) -> int:
     _write(out / "law.csv", _csv("u,f", prof.u, prof.f))
     _write(out / "qt_curve.csv", _csv("a,q", prof.grid, prof.u))
 
-    jv, gap = checks.boundary_gap(mu, ns.t, prof)
+    jv, _, gap = checks.boundary_maps(mu, ns.t, prof)
     header = "a0,v_t,u_re,u_im,j_re,j_im,abs_diff"
     cols = (prof.a0, v, prof.grid, prof.halfheight, jv.real, jv.imag, gap)
     _write(out / "ut_boundary.csv", _csv(header, *cols))

@@ -18,7 +18,7 @@ import math
 
 from .brown import _invert
 from .errors import DegenerateJacobianError, NoConvergenceError, OutsideOmegaError
-from .measure import MeasureSpec, cauchy, cauchy_prime, p0
+from .measure import MeasureSpec, _cauchy_pair, cauchy, cauchy_prime, p0
 from .numerics import damped_newton
 
 
@@ -39,16 +39,13 @@ def _fixed_point_jacobian_solve(t: float, gp: complex, rhs: complex) -> complex 
 def _fixed_point_newton(mu, t, a, g0, tol):
     """Damped Newton on F(g) = g - G(a + t*conj(g)) as a 2-real-variable system."""
 
-    def residual(g):
+    def fdf(g):
         z = a + t * g.conjugate()
-        if z.imag == 0.0:
-            z = complex(z.real, -1e-300)
-        return g - cauchy(mu, z)
+        gz, gp = (cauchy(mu, z), cauchy_prime(mu, z)) if z.imag == 0.0 else _cauchy_pair(mu, z)
+        r = g - gz
+        return r, _fixed_point_jacobian_solve(t, gp, r)
 
-    def step(g, fg):
-        return _fixed_point_jacobian_solve(t, cauchy_prime(mu, a + t * g.conjugate()), fg)
-
-    return damped_newton(residual, step, complex(g0), tol)
+    return damped_newton(fdf, complex(g0), tol)
 
 
 def solve_g(mu: MeasureSpec, t: float, a: float) -> complex:

@@ -353,9 +353,14 @@ def _pick(cond, x, y):
 
 
 def _cauchy_pair(mu: MeasureSpec, z):
-    """G(z) and G'(z) off the real line for a semicircle or piecewise law, at
-    one z or elementwise at an array of them. Each piece is summed as its
-    multipole series where z is far from it and in closed form elsewhere."""
+    """G(z) and G'(z) off the real line, at one z or, for a semicircle or
+    piecewise law, elementwise at an array of them. Atoms are summed; each
+    piece is summed as its multipole series where z is far from it and in
+    closed form elsewhere."""
+    if mu.kind == "atomic":
+        xs, ws = mu.atom_arrays
+        d = z - xs
+        return complex((ws / d).sum()), complex(-(ws / d**2).sum())
     if mu.kind == "semicircle":
         # as _semicircle_g and _semicircle_gprime, sharing one root
         root = _semicircle_root(mu.variance, z)
@@ -789,28 +794,16 @@ def cauchy(mu: MeasureSpec, z: complex) -> complex:
     z = complex(z)
     if z.imag == 0.0:
         return complex(real_cauchy(mu, z.real))
-    if mu.kind == "atomic":
-        xs, ws = mu.atom_arrays
-        return complex(np.sum(ws / (z - xs)))
-    if mu.kind == "semicircle":
-        return _semicircle_g(mu.variance, z)
     return _cauchy_pair(mu, z)[0]
 
 
 def cauchy_prime(mu: MeasureSpec, z: complex) -> complex:
-    """G'(z) = -int dmu(x)/(z - x)^2."""
+    """G'(z) = -int dmu(x)/(z - x)^2; -p0(Re z, 0) on the real line off the support."""
     z = complex(z)
     if z.imag == 0.0:
         if on_support(mu, z.real):
             raise OnSupportError(f"{z.real} lies on the support")
-        if mu.kind == "semicircle":
-            return complex(_semicircle_gprime(mu.variance, z).real)
         return complex(-p0_zero(mu, z.real))
-    if mu.kind == "atomic":
-        xs, ws = mu.atom_arrays
-        return complex(-np.sum(ws / (z - xs) ** 2))
-    if mu.kind == "semicircle":
-        return _semicircle_gprime(mu.variance, z)
     return _cauchy_pair(mu, z)[1]
 
 

@@ -94,35 +94,34 @@ def _attempt(fn, *args):
         return None
 
 
-def damped_newton(residual, newton_step, x0, tol: float):
+def damped_newton(fdf, x0, tol: float):
     """Newton iteration with step halving until the residual norm max|r| drops.
 
-    ``residual(x)`` returns r (a complex scalar or an array) and
-    ``newton_step(x, r)`` the full step, subtracted from x; either makes x
-    inadmissible by returning None or raising one of NUMERIC_FAILURES.
-    Returns the first x with max|r| <= tol, or None when x0 or a step is
-    inadmissible, no one of _HALVINGS halvings lowers the norm or
-    _NEWTON_STEPS steps do not reach tol.
+    ``fdf(x)`` returns r (a complex scalar or an array) and the full Newton
+    step at x, subtracted from x, from one evaluation there, the shape of
+    bracket_newton's fdf. x is inadmissible where fdf returns None or raises
+    one of NUMERIC_FAILURES: a trial point is then halved past, and x0 ends
+    the solve. A step of None ends it unless max|r| <= tol already holds.
+    Returns the first x with max|r| <= tol, the point fdf was last evaluated
+    at; None when x0 is inadmissible, a step is None, no one of _HALVINGS
+    halvings lowers the norm or _NEWTON_STEPS steps do not reach tol.
     """
-    r = _attempt(residual, x0)
-    if r is None:
+    ev = _attempt(fdf, x0)
+    if ev is None:
         return None
-    x, norm = x0, _max_abs(r)
+    x, norm, step = x0, _max_abs(ev[0]), ev[1]
     for _ in range(_NEWTON_STEPS):
         if norm <= tol:
             return x
-        step = _attempt(newton_step, x, r)
         if step is None:
             return None
         factor = 1.0
         for _ in range(_HALVINGS):
             xn = x - factor * step
-            rn = _attempt(residual, xn)
-            if rn is not None:
-                nn = _max_abs(rn)
-                if nn < norm:
-                    x, r, norm = xn, rn, nn
-                    break
+            ev = _attempt(fdf, xn)
+            if ev is not None and _max_abs(ev[0]) < norm:
+                x, norm, step = xn, _max_abs(ev[0]), ev[1]
+                break
             factor *= 0.5
         else:
             return None

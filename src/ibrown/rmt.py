@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from io import StringIO
 
 import numpy as np
 
@@ -57,11 +56,8 @@ class EigenCloud:
     config: SimConfig
 
     def to_csv(self) -> str:
-        buf = StringIO()
-        buf.write("re,im,rep\n")
-        for p, r in zip(self.points, self.rep):
-            buf.write("%.17g,%.17g,%d\n" % (p.real, p.imag, r))
-        return buf.getvalue()
+        rows = zip(self.points.real.tolist(), self.points.imag.tolist(), self.rep.tolist())
+        return "re,im,rep\n" + "".join("%.17g,%.17g,%d\n" % r for r in rows)
 
 
 def _rng(seed: int, rep: int) -> np.random.Generator:

@@ -25,6 +25,7 @@ from .errors import (
 from .measure import (
     Bundle,
     MeasureSpec,
+    _cauchy_pair,
     _pick,
     cauchy,
     cauchy_prime,
@@ -385,11 +386,13 @@ def _outside_lambda_closure(mu: MeasureSpec, t: float, z: complex) -> bool:
 
 
 def _newton_jt(mu, t, target, z0, tol):
-    def step(z, fz):
-        d = 1.0 - t * cauchy_prime(mu, z)
-        return fz / (d if d != 0.0 else 1e-30)
+    def fdf(z):
+        g, gp = (cauchy(mu, z), cauchy_prime(mu, z)) if z.imag == 0.0 else _cauchy_pair(mu, z)
+        r = z - t * g - target
+        d = 1.0 - t * gp
+        return r, r / (d if d != 0.0 else 1e-30)
 
-    return damped_newton(lambda z: j_t(mu, t, z) - target, step, complex(z0), tol)
+    return damped_newton(fdf, complex(z0), tol)
 
 
 def j_t_inverse(mu: MeasureSpec, t: float, lam: complex) -> complex:

@@ -258,7 +258,7 @@ def test_s_of_start_finds_the_preimage_of_every_start(sc):
     target, tol = (lam.real, lam.imag, eps), 1e-10 * (1.0 + abs(lam) + eps)
     start = C._start(sc, t, lam, eps)
     # the start meets the b and eps equations; only the a-equation is open
-    r = C._flow_residual(sc, t, np.array(start), target)
+    r, _ = C._flow_fdf(sc, t, np.array(start), target)
     assert abs(r[1]) <= 1e-13 and abs(r[2]) <= 1e-12 * eps
     u = C._solve_flow(sc, t, target, start, tol)
     value = C.s_of(sc, t, lam, eps)

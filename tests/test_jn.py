@@ -121,10 +121,10 @@ def test_no_fixed_point_outside_the_region():
 
 
 def test_programming_error_is_not_swallowed(sc, monkeypatch):
-    def broken(mu, z, tol=None):
+    def broken(mu, z):
         raise TypeError("bug")
 
-    monkeypatch.setattr(J, "cauchy", broken)
+    monkeypatch.setattr(J, "_cauchy_pair", broken)
     with pytest.raises(TypeError):
         J.solve_g(sc, 1.0, 0.3)
 

@@ -26,6 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ibrown.measure as M
+from conftest import FOUR_ATOMS
 from ibrown.brown import s_outside
 from ibrown.characteristics import _momenta_values
 from ibrown.subordination import lambda_region
@@ -90,6 +91,9 @@ def _mp_pieces(mu):
 
 def oracle_g(mu, z):
     """(G(z), G'(z)) at 50 digits."""
+    if mu.kind == "atomic":
+        terms = [(mp.mpf(w), z - mp.mpf(x)) for x, w in mu.atoms]
+        return sum(w / d for w, d in terms), -sum(w / d**2 for w, d in terms)
     if mu.kind == "semicircle":
         r = mp.mpf(mu.support.hi)  # the float radius the law carries
         s = r * r / 4
@@ -146,6 +150,8 @@ def direct(mu, a0, v, kernel, dps=30):
 
 def oracle_log(mu, a0, v):
     """int log((x-a0)^2 + v^2) dmu at 50 digits (by parts for pieces)."""
+    if mu.kind == "atomic":
+        return sum(mp.mpf(w) * mp.log((mp.mpf(x) - a0) ** 2 + mp.mpf(v) ** 2) for x, w in mu.atoms)
     if mu.kind == "semicircle":
         return direct(mu, a0, v, lambda x, u, d: mp.log(d), dps=20)
     z = mp.mpc(a0, v)
@@ -220,9 +226,14 @@ def cauchy_points(mu, t):
     return pts
 
 
-@pytest.mark.parametrize("name", sorted(LAWS))
+#: the piecewise laws and an atomic one, whose G and G' the solvers also sum
+#: through _cauchy_pair
+CAUCHY_LAWS = {**LAWS, "four_atoms": (FOUR_ATOMS, 0.5)}
+
+
+@pytest.mark.parametrize("name", sorted(CAUCHY_LAWS))
 def test_cauchy_and_log_potential_match_oracle(name):
-    mu, t = LAWS[name]
+    mu, t = CAUCHY_LAWS[name]
     for a0, b in cauchy_points(mu, t):
         g, gp = oracle_g(mu, mp.mpc(a0, b))
         assert rel_err(abs(M.cauchy(mu, complex(a0, b)) - g), 0, abs(g)) <= TOL

@@ -10,86 +10,101 @@ from ibrown.numerics import damped_newton
 
 def test_damped_newton_complex_scalar_root():
     # z^2 = -4 from the upper half-plane lands on 2i
-    z = damped_newton(lambda z: z * z + 4.0, lambda z, r: r / (2.0 * z), 1.0 + 1.0j, 1e-14)
+    z = damped_newton(lambda z: (z * z + 4.0, (z * z + 4.0) / (2.0 * z)), 1.0 + 1.0j, 1e-14)
     assert z == pytest.approx(2.0j, abs=1e-14)
 
 
 def test_damped_newton_three_vector_needs_halving(monkeypatch):
     # the full Newton step on atan overshoots from 2 (to -3.5); halving rescues it
-    def residual(u):
-        return np.arctan(u) - np.array([0.0, 0.1, -0.2])
-
-    def step(u, r):
-        return r * (1.0 + u * u)
+    def fdf(u):
+        r = np.arctan(u) - np.array([0.0, 0.1, -0.2])
+        return r, r * (1.0 + u * u)
 
     trials = []
 
     def counted(u):
         trials.append(u)
-        return residual(u)
+        return fdf(u)
 
     monkeypatch.setattr(N, "_NEWTON_STEPS", 50)
     monkeypatch.setattr(N, "_HALVINGS", 30)
-    u = damped_newton(counted, step, np.array([2.0, 2.0, 2.0]), 1e-13)
+    u = damped_newton(counted, np.array([2.0, 2.0, 2.0]), 1e-13)
     assert u is not None
     assert np.max(np.abs(u - np.tan([0.0, 0.1, -0.2]))) <= 1e-12
     assert np.max(np.abs(trials[1])) > 3.0  # the first full step was refused
     monkeypatch.setattr(N, "_HALVINGS", 1)
-    full = damped_newton(residual, step, np.array([2.0, 2.0, 2.0]), 1e-13)
+    full = damped_newton(fdf, np.array([2.0, 2.0, 2.0]), 1e-13)
     assert full is None  # without halving no step lowers the norm
 
 
 def test_damped_newton_inadmissible_start():
     calls = []
 
-    def step(x, r):
+    def fdf(x):
         calls.append(x)
-        return r
+        return None
 
-    assert damped_newton(lambda x: None, step, 1.0, 1e-12) is None
-    assert not calls
+    assert damped_newton(fdf, 1.0, 1e-12) is None
+    assert calls == [1.0]  # x0 alone was evaluated
+
+
+def log_fdf(x):
+    # log(x) = 1 with eight times Newton's step: from 5 the full step lands
+    # below 0, where the log raises an ArithmeticError
+    if x <= 0.0:
+        raise ZeroDivisionError("log of a nonpositive x")
+    r = math.log(x) - 1.0
+    return r, 8.0 * r * x
 
 
 def test_damped_newton_failed_trial_point_is_inadmissible():
-    # log(x) = 1 from 5 with eight times Newton's step: the full step lands
-    # below 0, where the residual raises an ArithmeticError; that refuses the
-    # trial point as a None would, and halving goes on
+    # a trial point where fdf raises is refused as a None would be, and
+    # halving goes on
     trials = []
 
-    def residual(x):
+    def counted(x):
         trials.append(x)
-        if x <= 0.0:
-            raise ZeroDivisionError("log of a nonpositive x")
-        return math.log(x) - 1.0
+        return log_fdf(x)
 
-    x = damped_newton(residual, lambda x, r: 8.0 * r * x, 5.0, 1e-13)
+    x = damped_newton(counted, 5.0, 1e-13)
     assert x == pytest.approx(math.e, rel=1e-12)
     assert trials[1] < 0.0  # the first full step was refused
 
-    def singular(x, r):
+
+def test_damped_newton_singular_step():
+    # a step of None ends the solve; a Jacobian solve that raises at x0 ends
+    # it too, and at a trial point it only refuses that point
+    assert damped_newton(lambda x: (math.log(x) - 1.0, None), 5.0, 1e-13) is None
+    assert damped_newton(lambda x: (1.0, None), 5.0, 1.0) == 5.0  # converged at x0
+
+    def singular(x):
         raise np.linalg.LinAlgError("singular Jacobian")
 
-    assert damped_newton(residual, singular, 5.0, 1e-13) is None
+    assert damped_newton(singular, 5.0, 1e-13) is None
 
-    def buggy(x, r):
+    def singular_below_zero(x):
+        if x <= 0.0:
+            raise np.linalg.LinAlgError("singular Jacobian")
+        return log_fdf(x)
+
+    assert damped_newton(singular_below_zero, 5.0, 1e-13) == pytest.approx(math.e, rel=1e-12)
+
+    def buggy(x):
         raise TypeError("a programming error")
 
     with pytest.raises(TypeError):  # not a numerical failure: it propagates
-        damped_newton(residual, buggy, 5.0, 1e-13)
+        damped_newton(buggy, 5.0, 1e-13)
 
 
 def test_damped_newton_iteration_cap(monkeypatch):
     # a step of half the residual only halves the error: three steps fall short
-    def residual(x):
-        return x - 1.0
-
-    def step(x, r):
-        return 0.5 * r
+    def fdf(x):
+        return x - 1.0, 0.5 * (x - 1.0)
 
     monkeypatch.setattr(N, "_NEWTON_STEPS", 3)
-    assert damped_newton(residual, step, 2.0, 1e-12) is None
+    assert damped_newton(fdf, 2.0, 1e-12) is None
     monkeypatch.setattr(N, "_NEWTON_STEPS", 60)
-    assert damped_newton(residual, step, 2.0, 1e-12) == pytest.approx(1.0, abs=1e-12)
+    assert damped_newton(fdf, 2.0, 1e-12) == pytest.approx(1.0, abs=1e-12)
 
 
 # problems (fdf, lo, hi, x0, ftol, xtol) for bracket_newton, f rising through
