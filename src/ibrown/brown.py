@@ -293,72 +293,83 @@ def s_outside(mu: MeasureSpec, t: float, lam: complex) -> float:
 # ----------------------------------------------------------------------------
 # profile assembly
 
-#: Chebyshev angles per source interval of the mass integral
-MASS_NODES = 768
+#: Chebyshev angles per source interval of the mass integral, at least
+MASS_NODES = 512
 
 
-def lambda_sweep(
-    mu: MeasureSpec,
-    t: float,
-    interval: tuple[float, float],
-    image: tuple[float, float],
-    n: int = MASS_NODES,
-):
-    """Sample v_t, a_t and the slope along one source interval at Chebyshev
+def _cumulative_mass(h):
+    """The integral of h from theta = 0 to each node theta_j = j pi/n, per row
+    of h, its samples at the n + 1 nodes. h is the restriction to [0, pi] of an
+    even, 2 pi-periodic function, so its cosine series, from the FFT of the
+    even extension, integrates term by term: the sines' sum at the nodes is
+    one inverse FFT. The series interpolates h at the nodes, its last term
+    integrates to 0 at every node, and the total is the trapezoid sum. Where
+    h vanishes over a stretch (v_t reads 0 there) the series' rounding would
+    dip by 1e-17, so the running maximum keeps the integral of h >= 0
+    non-decreasing, as a CDF is."""
+    n = h.shape[1] - 1
+    coef = np.fft.rfft(np.concatenate((h, h[:, -2:0:-1]), axis=1), axis=1).real
+    sines = np.zeros(coef.shape, dtype=complex)
+    sines[:, 1:-1] = -1j * coef[:, 1:-1] / np.arange(1, n)
+    cdf = np.fft.irfft(sines, 2 * n, axis=1)[:, : n + 1]
+    cdf[:, [0, -1]] = 0.0  # where every sin(m theta) vanishes
+    return np.maximum.accumulate(cdf + coef[:, :1] * np.linspace(0.0, 0.5 * math.pi / n, n + 1), axis=1)
+
+
+def lambda_sweep(mu: MeasureSpec, t: float, intervals, images, n: int = MASS_NODES):
+    """Sample v_t, a_t and the slope along source intervals at Chebyshev
     angles theta_j = j*pi/n (endpoints carry v = 0 and zero mass weight):
-    one array v_t solve over the interior nodes, a_t and the slope from its
-    bundles, and at the two ends a_t from image, the interval's entry of
-    lambda_region(mu, t).images.
+    one array v_t solve over the interior nodes of every interval at once,
+    a_t and the slope from its bundles, and at each interval's two ends a_t
+    from images, the intervals' entries of lambda_region(mu, t).images. A
+    node's iterates are its own, so its values do not depend on the other
+    intervals swept with it.
 
-    Returns dict of arrays: a0, v, at, slope (nan at the ends) and cdf, the
-    planar-law mass from the interval's left end, by the trapezoid rule in
-    theta on the weight half sin(theta) (2/(pi t)) v (1 - slope/2), which
-    is 2 b_t w_t da in the source variable, smooth at the square-root ends.
+    Returns dict of arrays with one row per interval: a0, v, at, slope (nan
+    at the ends) and cdf, the planar-law mass from the interval's left end
+    of the weight h = half sin(theta) (2/(pi t)) v (1 - slope/2) in theta,
+    which is 2 b_t w_t da in the source variable. With v of the order of
+    sin(theta) at the square-root ends, h extends to an even, smooth,
+    2 pi-periodic function, and the cumulative integral of its cosine
+    series converges as fast as the trapezoid rule does for the total.
     """
-    l, r = interval
-    mid, half = 0.5 * (l + r), 0.5 * (r - l)
+    ends = np.array(intervals, dtype=float)
+    mid, half = 0.5 * (ends[:, :1] + ends[:, 1:]), 0.5 * (ends[:, 1:] - ends[:, :1])
     theta = np.linspace(0.0, np.pi, n + 1)
     a0s = mid - half * np.cos(theta)
-    a0s[0], a0s[-1] = l, r
-    v, out = _vt_solve_nodes(mu, t, a0s[1:-1])
-    at, slope = _at_slope(t, a0s[1:-1], v, out)
-    vs = np.concatenate(([0.0], v, [0.0]))
-    ats = np.concatenate(([image[0]], at, [image[1]]))
-    slopes = np.concatenate(([np.nan], slope, [np.nan]))
-    g = np.zeros(n + 1)
-    g[1:-1] = (2.0 / (math.pi * t)) * v * (1.0 - 0.5 * slope)
-    h = half * np.sin(theta) * g
-    inc = 0.5 * (math.pi / n) * (h[:-1] + h[1:])
-    cdf = np.concatenate(([0.0], np.cumsum(inc)))
-    return {"a0": a0s, "v": vs, "at": ats, "slope": slopes, "cdf": cdf}
+    a0s[:, 0], a0s[:, -1] = ends[:, 0], ends[:, 1]
+    inner = a0s[:, 1:-1].ravel()
+    v, out = _vt_solve_nodes(mu, t, inner)
+    at, slope = _at_slope(t, inner, v, out)
+    v, at, slope = (x.reshape(len(ends), n - 1) for x in (v, at, slope))
+    vs, ats, h = np.zeros(a0s.shape), np.empty(a0s.shape), np.zeros(a0s.shape)
+    slopes = np.full(a0s.shape, np.nan)
+    vs[:, 1:-1], ats[:, 1:-1], slopes[:, 1:-1] = v, at, slope
+    ats[:, [0, -1]] = images
+    h[:, 1:-1] = half * np.sin(theta[1:-1]) * ((2.0 / (math.pi * t)) * v * (1.0 - 0.5 * slope))
+    return {"a0": a0s, "v": vs, "at": ats, "slope": slopes, "cdf": _cumulative_mass(h)}
 
 
 def profile(mu: MeasureSpec, t: float, n_grid: int = 1024) -> BrownProfile:
-    """Assemble the sampled region from one source sweep per interval, at
-    k (n_grid + 1) Chebyshev angles with k the least factor that gives the
-    mass at least MASS_NODES of them: every k-th interior node gives a row,
-    the grid a_t(a0), the source abscissa a0, the height 2 v_t and the
-    density, at the angles j pi/(n_grid + 1); the sweep's cdf gives the
-    planar mass left of each row and of each interval's ends."""
+    """Assemble the sampled region from one source sweep of all of its
+    intervals, at k (n_grid + 1) Chebyshev angles each, with k the least
+    factor that gives at least MASS_NODES of them: every k-th interior node
+    gives a row, the grid a_t(a0), the source abscissa a0, the height 2 v_t
+    and the density, at the angles j pi/(n_grid + 1). The sweep's cdf, from
+    the cosine series of its mass weight, gives the planar mass left of each
+    row and of each interval's ends, and is exact at the rows to the
+    series' own convergence, as the total is."""
     if n_grid < 16:
         raise ValueError("n_grid must be at least 16")
     if t <= 0.0:
         raise ValueError("t must be positive")
     region = lambda_region(mu, t)
     k = -(-MASS_NODES // (n_grid + 1))
-    sweeps = [
-        lambda_sweep(mu, t, lam_iv, omega_iv, k * (n_grid + 1))
-        for lam_iv, omega_iv in zip(region.intervals, region.images)
-    ]
-    grid, a0, v, slope = (
-        np.concatenate([sw[key][k:-1:k] for sw in sweeps]) for key in ("at", "a0", "v", "slope")
-    )
-    cdf, end_cdf, acc = [], [], 0.0
-    for sw in sweeps:
-        cdf.append(acc + sw["cdf"][k:-1:k])
-        end_cdf.append((acc, acc + float(sw["cdf"][-1])))
-        acc = end_cdf[-1][1]
-    cdf = np.concatenate(cdf)
+    sweep = lambda_sweep(mu, t, region.intervals, region.images, k * (n_grid + 1))
+    acc = np.concatenate(([0.0], np.cumsum(sweep["cdf"][:, -1])))
+    end_cdf = tuple(zip(acc[:-1].tolist(), acc[1:].tolist()))
+    sweep["cdf"] += acc[:-1, None]  # from the region's left end
+    grid, a0, v, slope, cdf = (sweep[key][:, k:-1:k].ravel() for key in ("at", "a0", "v", "slope", "cdf"))
     halfheight = 2.0 * v
     density = _planar_density(t, slope)
     for arr in (grid, a0, halfheight, density, slope, cdf):
@@ -372,9 +383,9 @@ def profile(mu: MeasureSpec, t: float, n_grid: int = 1024) -> BrownProfile:
         density=density,
         slope=slope,
         cdf=cdf,
-        flags=flags * len(sweeps),
+        flags=flags * len(end_cdf),
         omega_intervals=region.images,
         lambda_intervals=region.intervals,
-        block_edges=tuple(range(0, n_grid * len(sweeps) + 1, n_grid)),
-        end_cdf=tuple(end_cdf),
+        block_edges=tuple(range(0, n_grid * len(end_cdf) + 1, n_grid)),
+        end_cdf=end_cdf,
     )

@@ -37,15 +37,41 @@ def _fixed_point_jacobian_solve(t: float, gp: complex, rhs: complex) -> complex 
 
 
 def _fixed_point_newton(mu, t, a, g0, tol):
-    """Damped Newton on F(g) = g - G(a + t*conj(g)) as a 2-real-variable system."""
+    """Damped Newton on F(g) = g - G(a + t*conj(g)) as a 2-real-variable
+    system: (g, G'(a + t*conj(g))), G' from the solve's last evaluation, the
+    one at g; None where the solve fails."""
+    gp = None  # at the last iterate evaluated
 
     def fdf(g):
+        nonlocal gp
         z = a + t * g.conjugate()
         gz, gp = (cauchy(mu, z), cauchy_prime(mu, z)) if z.imag == 0.0 else _cauchy_pair(mu, z)
         r = g - gz
         return r, _fixed_point_jacobian_solve(t, gp, r)
 
-    return damped_newton(fdf, complex(g0), tol)
+    g = damped_newton(fdf, complex(g0), tol)
+    return None if g is None else (g, gp)
+
+
+def _solve_g(mu: MeasureSpec, t: float, a: float) -> tuple[complex, complex]:
+    """solve_g's g with Im g > 0, and G'(a + t*conj(g)) from its solve."""
+    try:
+        a0, slope, v = _invert(mu, t, a)
+    except OutsideOmegaError as exc:
+        raise NoConvergenceError(f"no complex fixed point at a = {a}: {exc}") from exc
+    if math.isnan(slope):
+        # the fixed-point equation is degenerate there: a solve would only
+        # return its seed
+        raise NoConvergenceError(f"no complex fixed point at a = {a}, an end of the region's real section")
+    g0 = complex((a0 - a) / t, max(v, 1e-8) / t)
+    solved = _fixed_point_newton(mu, t, a, g0, 1e-12 * (1.0 + abs(a)))
+    if solved is None or abs(solved[0].imag) <= 1e-12:
+        raise NoConvergenceError(
+            f"no complex fixed point at a = {a}; the point lies outside the planar support"
+        )
+    g, gp = solved
+    # G(conj z) = conj G(z): the conjugate root is the conjugate point's
+    return (g, gp) if g.imag > 0.0 else (g.conjugate(), gp.conjugate())
 
 
 def solve_g(mu: MeasureSpec, t: float, a: float) -> complex:
@@ -57,31 +83,17 @@ def solve_g(mu: MeasureSpec, t: float, a: float) -> complex:
     is 0, or when the solve collapses to the real line: each signals a point
     outside the support of the planar law.
     """
-    try:
-        a0, slope, v = _invert(mu, t, a)
-    except OutsideOmegaError as exc:
-        raise NoConvergenceError(f"no complex fixed point at a = {a}: {exc}") from exc
-    if math.isnan(slope):
-        # the fixed-point equation is degenerate there: a solve would only
-        # return its seed
-        raise NoConvergenceError(f"no complex fixed point at a = {a}, an end of the region's real section")
-    g0 = complex((a0 - a) / t, max(v, 1e-8) / t)
-    g = _fixed_point_newton(mu, t, a, g0, 1e-12 * (1.0 + abs(a)))
-    if g is None or abs(g.imag) <= 1e-12:
-        raise NoConvergenceError(
-            f"no complex fixed point at a = {a}; the point lies outside the planar support"
-        )
-    return g if g.imag > 0.0 else g.conjugate()
+    return _solve_g(mu, t, a)[0]
 
 
 def jn_density(mu: MeasureSpec, t: float, a: float) -> float:
     """Density (1/(4 pi)) (1/t + 2 d(Re g)/da) at the solved fixed point.
 
     With F(g, a) = g - G(a + t*conj(g)), dF/da = -G'(z), so dg/da solves
-    J dg = G'(z) with the Newton Jacobian J of the fixed-point solve.
+    J dg = G'(z) with the Newton Jacobian J of the fixed-point solve, and
+    G'(z) is the one its last evaluation took.
     """
-    g = solve_g(mu, t, a)
-    gp = cauchy_prime(mu, a + t * g.conjugate())
+    g, gp = _solve_g(mu, t, a)
     dg = _fixed_point_jacobian_solve(t, gp, gp)
     if dg is None:
         raise DegenerateJacobianError(f"singular fixed-point Jacobian at a = {a}")

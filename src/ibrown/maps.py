@@ -201,14 +201,17 @@ def pushforward_check(mu: MeasureSpec, t: float) -> PushforwardReport:
     of its whole interval, which makes the square-root ends smooth, and is
     split at the cuts and at the clip kinks, where v_t crosses the half
     bands' top. Each piece takes a fixed Gauss-Legendre rule of RULE_NODES
-    nodes and an embedded one of CHECK_NODES for the error estimate. Per
-    interval, the source nodes take one array v_t solve, and the target
-    nodes with the inner cuts appended one array inversion a -> a0.
+    nodes and an embedded one of CHECK_NODES for the error estimate. One
+    coarse sweep of every interval gives the bands, the kinks' brackets and
+    the inversion's start. Per interval, the source nodes take one array v_t
+    solve, and the target nodes with the inner cuts appended one array
+    inversion a -> a0.
     """
     region = lambda_region(mu, t)
     rects, src, tgt, err = [], [], [], []
-    for (al, ar), (l, r) in zip(region.images, region.intervals):
-        sweep = lambda_sweep(mu, t, (l, r), (al, ar), 64)
+    sweeps = lambda_sweep(mu, t, region.intervals, region.images, 64)
+    for i, ((al, ar), (l, r)) in enumerate(zip(region.images, region.intervals)):
+        sweep = {key: rows[i] for key, rows in sweeps.items()}
         bmax = 2.0 * float(sweep["v"].max())
         bands = [(-2.0 * bmax, 2.0 * bmax), (0.0, 0.45 * bmax), (-0.45 * bmax, 0.0)]
         cuts = np.linspace(al, ar, N_RECT + 1)

@@ -29,7 +29,6 @@ from .measure import (
     _pick,
     cauchy,
     cauchy_prime,
-    p0,
     p0_zero,
     real_cauchy,
     transforms,
@@ -380,19 +379,28 @@ def j_t(mu: MeasureSpec, t: float, z: complex) -> complex:
     return complex(z) - t * cauchy(mu, z)
 
 
-def _outside_lambda_closure(mu: MeasureSpec, t: float, z: complex) -> bool:
-    # off the closed source region, up to a relative slack of 1e-9
-    return p0(mu, z.real, abs(z.imag)) <= (1.0 + 1e-9) / t
+def _outside_lambda_closure(t: float, z: complex, g: complex, gp: complex) -> bool:
+    # off the closed source region, up to a relative slack of 1e-9, by
+    # p0(Re z, |Im z|) = -Im G/Im z, or -G' on the real line, from (G, G') at z
+    p0z = -gp.real if z.imag == 0.0 else -g.imag / z.imag
+    return p0z <= (1.0 + 1e-9) / t
 
 
 def _newton_jt(mu, t, target, z0, tol):
+    """Damped Newton on J_t(z) = target: (z, G(z), G'(z)) from the solve's
+    last evaluation, the one at z; None where the solve fails."""
+    pair = None  # at the last iterate evaluated
+
     def fdf(z):
-        g, gp = (cauchy(mu, z), cauchy_prime(mu, z)) if z.imag == 0.0 else _cauchy_pair(mu, z)
+        nonlocal pair
+        pair = (cauchy(mu, z), cauchy_prime(mu, z)) if z.imag == 0.0 else _cauchy_pair(mu, z)
+        g, gp = pair
         r = z - t * g - target
         d = 1.0 - t * gp
         return r, r / (d if d != 0.0 else 1e-30)
 
-    return damped_newton(fdf, complex(z0), tol)
+    z = damped_newton(fdf, complex(z0), tol)
+    return None if z is None else (z, *pair)
 
 
 def j_t_inverse(mu: MeasureSpec, t: float, lam: complex) -> complex:
@@ -405,9 +413,9 @@ def j_t_inverse(mu: MeasureSpec, t: float, lam: complex) -> complex:
     """
     lam = complex(lam)
     tol = 1e-12 * (1.0 + abs(lam))
-    z = _newton_jt(mu, t, lam, lam, tol)
-    if z is not None and _outside_lambda_closure(mu, t, z):
-        return z
+    solved = _newton_jt(mu, t, lam, lam, tol)
+    if solved is not None and _outside_lambda_closure(t, *solved):
+        return solved[0]
 
     sgn = 1.0 if lam.imag >= 0.0 else -1.0
     height = max(abs(mu.support.lo), abs(mu.support.hi)) + 10.0 * math.sqrt(t) + 10.0
@@ -416,14 +424,14 @@ def j_t_inverse(mu: MeasureSpec, t: float, lam: complex) -> complex:
     h = height
     while h > max(tol, 1e-14):
         target = lam + 1j * sgn * h
-        zn = _newton_jt(mu, t, target, guess, 1e-12 * (1.0 + abs(target)))
-        if zn is None:
+        solved = _newton_jt(mu, t, target, guess, 1e-12 * (1.0 + abs(target)))
+        if solved is None:
             raise NoConvergenceError(f"J_t continuation stalled at height {h}")
-        guess = zn
+        guess = solved[0]
         h *= 0.5
-    z = _newton_jt(mu, t, lam, guess, tol)
-    if z is None:
+    solved = _newton_jt(mu, t, lam, guess, tol)
+    if solved is None:
         raise NoConvergenceError(f"J_t inversion failed at {lam}")
-    if not _outside_lambda_closure(mu, t, z):
+    if not _outside_lambda_closure(t, *solved):
         raise WrongBasinError(f"inverse of {lam} landed inside the source region")
-    return z
+    return solved[0]

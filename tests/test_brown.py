@@ -13,7 +13,7 @@ import ibrown.numerics as N
 import ibrown.subordination as S
 from ibrown.errors import NoConvergenceError, OutsideOmegaError, OutsideOnlyError
 
-from conftest import FOUR_ATOMS
+from conftest import FOUR_ATOMS, semicircle_cdf
 
 
 def bernoulli_quartic(al, t, a):
@@ -152,38 +152,90 @@ def test_profile_needs_no_a0_inversion(sc, un, be23, monkeypatch):
 
 
 @pytest.mark.parametrize("n_grid", [16, 100, 767, 1024])
-def test_profile_sweeps_each_interval_once(n_grid, monkeypatch):
-    # one sweep per interval at k (n_grid + 1) angles, k the least factor
-    # giving at least MASS_NODES: rows are every k-th interior node, and the
-    # mass is that sweep's cdf
+def test_profile_solves_every_interval_at_once(n_grid, monkeypatch):
+    # one sweep of the region's intervals at k (n_grid + 1) angles each, k
+    # the least factor giving at least MASS_NODES, and in it one array v_t
+    # solve: rows are every k-th interior node, and the mass is the sweep's cdf
     mu, t = FOUR_ATOMS, 0.5
     region = S.lambda_region(mu, t)
-    intervals = region.intervals
-    assert len(intervals) == 4
-    sweep, calls = B.lambda_sweep, []
+    assert len(region.intervals) == 4
+    solve, calls = B._vt_solve_nodes, []
 
     def counted(*args):
         calls.append(args)
-        return sweep(*args)
+        return solve(*args)
 
-    monkeypatch.setattr(B, "lambda_sweep", counted)
+    monkeypatch.setattr(B, "_vt_solve_nodes", counted)
     p = B.profile(mu, t, n_grid=n_grid)
+    assert len(calls) == 1
     k = -(-B.MASS_NODES // (n_grid + 1))
-    pairs = list(zip(intervals, region.images))
-    assert [c[2:] for c in calls] == [(iv, im, k * (n_grid + 1)) for iv, im in pairs]
+    sw = B.lambda_sweep(mu, t, region.intervals, region.images, k * (n_grid + 1))
+    assert sw["a0"].shape == (4, k * (n_grid + 1) + 1)
     acc = 0.0
-    for sl, (iv, im), ends in zip(p.blocks(), pairs, p.end_cdf):
-        sw = sweep(mu, t, iv, im, k * (n_grid + 1))
-        assert np.array_equal(p.grid[sl], sw["at"][k:-1:k])
-        assert np.array_equal(p.a0[sl], sw["a0"][k:-1:k])
-        assert np.array_equal(p.halfheight[sl], 2.0 * sw["v"][k:-1:k])
-        assert np.array_equal(p.slope[sl], sw["slope"][k:-1:k])
-        # the same sweep's cumulative mass, from the region's left end
-        assert np.array_equal(p.cdf[sl], acc + sw["cdf"][k:-1:k])
-        assert ends == (acc, acc + sw["cdf"][-1])
+    for i, (sl, ends) in enumerate(zip(p.blocks(), p.end_cdf)):
+        assert np.array_equal(p.grid[sl], sw["at"][i, k:-1:k])
+        assert np.array_equal(p.a0[sl], sw["a0"][i, k:-1:k])
+        assert np.array_equal(p.halfheight[sl], 2.0 * sw["v"][i, k:-1:k])
+        assert np.array_equal(p.slope[sl], sw["slope"][i, k:-1:k])
+        # the sweep's cumulative mass, from the region's left end
+        assert np.array_equal(p.cdf[sl], acc + sw["cdf"][i, k:-1:k])
+        assert ends == (acc, acc + sw["cdf"][i, -1])
         acc = ends[1]
-    fine = sum(sweep(mu, t, iv, im, 4 * B.MASS_NODES)["cdf"][-1] for iv, im in pairs)
-    assert abs(p.mass - fine) < 1e-13
+
+
+def test_profile_sweep_passes_are_the_slowest_intervals(monkeypatch):
+    # the intervals share their passes: the profile's array bundles at the
+    # benchmark's grid are those of its slowest interval swept alone, not
+    # their sum
+    mu, t = FOUR_ATOMS, 0.5
+    region = S.lambda_region(mu, t)
+    transforms, bundles = S.transforms, []
+
+    def counted(mu, a0, v2):
+        if isinstance(a0, np.ndarray):
+            bundles.append(a0.size)
+        return transforms(mu, a0, v2)
+
+    monkeypatch.setattr(S, "transforms", counted)
+    alone = []
+    for iv, im in zip(region.intervals, region.images):
+        bundles.clear()
+        B.lambda_sweep(mu, t, (iv,), (im,), 513)
+        alone.append(len(bundles))
+    bundles.clear()
+    B.profile(mu, t, n_grid=512)
+    assert bundles[0] == 4 * 512
+    assert len(bundles) <= max(alone) < sum(alone)
+
+
+@pytest.mark.parametrize("n_grid", [32, 256, 512, 1024])
+def test_profile_row_cdf_is_exact_on_the_semicircle(n_grid):
+    # the additive law of semicircle(1) at t = 1 is the semicircle of
+    # variance 2: the sweep's cosine series integrates its mass exactly at
+    # every row, where a cumulative trapezoid sum was 5e-7 off
+    p = B.profile(M.semicircle(1.0), 1.0, n_grid=n_grid)
+    exact = np.array([semicircle_cdf(2.0, u) for u in p.u])
+    assert np.max(np.abs(p.cdf - exact)) < 1e-13
+    assert p.mass == pytest.approx(1.0, abs=1e-13)
+
+
+@pytest.mark.parametrize(
+    "law, t, rows_tol, mass_tol",
+    [(FOUR_ATOMS, 0.5, 1e-13, 1e-13), (M.bernoulli(0.5), 1.001, 1e-9, 1e-11)],
+    ids=["four_atoms", "bernoulli_neck"],
+)
+def test_profile_cdf_against_a_finer_sweep(law, t, rows_tol, mass_tol):
+    # at the rows' own angles in a sweep four times finer; Bernoulli 1/2 at
+    # t = 1.001 has a narrow neck at 0, where the series converges slowest
+    region = S.lambda_region(law, t)
+    for n_grid in (64, 512):
+        p = B.profile(law, t, n_grid=n_grid)
+        k = -(-B.MASS_NODES // (n_grid + 1))
+        fine = B.lambda_sweep(law, t, region.intervals, region.images, 4 * k * (n_grid + 1))
+        acc = np.concatenate(([0.0], np.cumsum(fine["cdf"][:, -1])))
+        rows = (acc[:-1, None] + fine["cdf"][:, 4 * k : -1 : 4 * k]).ravel()
+        assert np.max(np.abs(p.cdf - rows)) < rows_tol
+        assert abs(p.mass - acc[-1]) < mass_tol
 
 
 def test_sweep_solves_its_interior_nodes_as_one_array(monkeypatch):
@@ -208,11 +260,11 @@ def test_sweep_solves_its_interior_nodes_as_one_array(monkeypatch):
     for iv, im in zip(region.intervals, region.images):
         scalar.clear()
         bundles.clear()
-        sw = B.lambda_sweep(mu, t, iv, im, 1026)
+        sw = B.lambda_sweep(mu, t, (iv,), (im,), 1026)
         assert not scalar  # a_t at the ends is the region's image
         assert 0 < len(bundles) <= 40
         assert sum(np.size(args[1]) for args in bundles) >= 1025
-        assert sw["cdf"][-1] > 0.0
+        assert sw["cdf"][0, -1] > 0.0
 
 
 def test_pointwise_queries_invert_once(be23, sc, monkeypatch):
@@ -266,10 +318,10 @@ def test_array_inversion_matches_the_pointwise_one():
     # slope and v it returns are the ones at its roots
     mu, t = FOUR_ATOMS, 0.5
     region = S.lambda_region(mu, t)
-    for (al, ar), (l, r) in zip(region.images, region.intervals):
-        sw = B.lambda_sweep(mu, t, (l, r), (al, ar), 64)
+    sw = B.lambda_sweep(mu, t, region.intervals, region.images, 64)
+    for (al, ar), (l, r), at_row, a0_row in zip(region.images, region.intervals, sw["at"], sw["a0"]):
         a = al + (ar - al) * np.array([1e-9, 1e-4, 0.1, 0.37, 0.5, 0.9, 1.0 - 1e-6])
-        a0, slope, v = B._a0_solve_nodes(mu, t, a, (l, r), (al, ar), np.interp(a, sw["at"], sw["a0"]))
+        a0, slope, v = B._a0_solve_nodes(mu, t, a, (l, r), (al, ar), np.interp(a, at_row, a0_row))
         for i, x in enumerate(a):
             ftol = B._a0_ftol(x, al, ar)
             at, slope_at, v_at = S.at_with_slope(mu, t, float(a0[i]))
@@ -429,10 +481,12 @@ def test_profile_mass_with_interior_double_zero():
 )
 def test_profile_next_to_a_high_order_zero(pieces):
     # next to these zeros v_t drops below what the kernels resolve (it reads
-    # 0 there), and every row still solves: a0 increases, a_t round-trips
+    # 0 there), and every row still solves: a0 increases, a_t round-trips,
+    # and the mass left of each row, flat where v_t reads 0, never falls
     mu, t = M.piecewise_poly(pieces), 0.3
     p = B.profile(mu, t)
     assert p.mass == pytest.approx(1.0, abs=1e-9)
+    assert np.all(np.diff(p._knots(p.cdf, p.end_cdf)) >= 0.0)
     for sl in p.blocks():
         assert np.all(np.diff(p.a0[sl]) > 0.0)
     assert np.all(np.isfinite(p.density)) and np.all(p.density > 0.0)

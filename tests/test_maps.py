@@ -263,8 +263,9 @@ def test_clip_kinks_sit_on_the_level(be23, quad):
     # is the kink's image
     for mu, t in ((be23, 1.05), (quad, 0.3), (FOUR_ATOMS, 0.5)):
         region = S.lambda_region(mu, t)
-        for (l, r), image in zip(region.intervals, region.images):
-            sw = B.lambda_sweep(mu, t, (l, r), image, 64)
+        sweeps = B.lambda_sweep(mu, t, region.intervals, region.images, 64)
+        for i in range(len(region.intervals)):
+            sw = {key: rows[i] for key, rows in sweeps.items()}
             level = 0.45 * float(sw["v"].max())
             kinks_a0, kinks_a = P._v_crossings(mu, t, sw, level)
             assert len(kinks_a0) >= 2

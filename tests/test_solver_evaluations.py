@@ -18,9 +18,10 @@ LAWS = {"four_atoms": (FOUR_ATOMS, 0.5), "uniform": (M.uniform(-1.0, 1.0), 0.1)}
 def evaluations(monkeypatch):
     """Law evaluations made by each fdf call that a damped Newton solve
     receives, in call order, per solving module (subordination, jn,
-    characteristics). A _cauchy_pair inside transforms is part of that one
-    evaluation."""
-    per_call, state = {}, {"fdf": None, "in_law": False}
+    characteristics), and under "outside" one entry per evaluation made
+    outside every fdf call. A _cauchy_pair inside transforms is part of that
+    one evaluation."""
+    per_call, state = {"outside": []}, {"fdf": None, "in_law": False}
 
     def law(fn):
         def counted(*args):
@@ -30,6 +31,8 @@ def evaluations(monkeypatch):
             try:
                 if state["fdf"] is not None:
                     state["fdf"][-1] += 1
+                else:
+                    per_call["outside"].append(fn.__name__)
                 return fn(*args)
             finally:
                 state["in_law"] = False
@@ -78,3 +81,33 @@ def test_one_law_evaluation_per_flow_trial_point(name, evaluations):
     for lam, eps in ((0.4 + 0.3j, 0.2), (3.0 + 0.5j, 0.05)):
         C.s_of(mu, t, lam, eps)
     assert set(evaluations["characteristics"]) == {1}
+
+
+def _total(evaluations):
+    return sum(sum(calls) for key, calls in evaluations.items() if key != "outside") + len(
+        evaluations["outside"]
+    )
+
+
+@pytest.mark.parametrize("name", sorted(LAWS))
+def test_jt_inverse_evaluates_the_law_only_in_its_solves(name, evaluations):
+    # the test against the source region reads p0 = -Im G / Im z from the
+    # solve's last G
+    mu, t = LAWS[name]
+    for lam in (0.3 + 2.0j, -2.5 - 0.4j, 3.0 + 0.1j):
+        S.j_t_inverse(mu, t, lam)
+    assert evaluations["outside"] == []
+    assert evaluations["subordination"]
+
+
+@pytest.mark.parametrize("name", sorted(LAWS))
+def test_jn_density_evaluates_the_law_as_often_as_its_solve(name, evaluations):
+    # G' at the solved g is the one the solve's last evaluation took
+    mu, t = LAWS[name]
+    for al, ar in B.omega_intervals(mu, t):
+        a = al + 0.4 * (ar - al)
+        before = _total(evaluations)
+        J.solve_g(mu, t, a)
+        solve = _total(evaluations) - before
+        J.jn_density(mu, t, a)
+        assert _total(evaluations) - before == 2 * solve > 0

@@ -443,7 +443,7 @@ def test_array_vt_solve_raises_outside_the_region():
     with pytest.raises(OutsideLambdaError):
         S._vt_solve_nodes(mu, t, a0)
     with pytest.raises(OutsideLambdaError):
-        B.lambda_sweep(mu, t, (lo, hi + 0.05), S.lambda_region(mu, t).images[0], 64)
+        B.lambda_sweep(mu, t, ((lo, hi + 0.05),), S.lambda_region(mu, t).images, 64)
 
 
 def test_sweep_raises_where_q0_is_not_positive(monkeypatch):
@@ -459,11 +459,12 @@ def test_sweep_raises_where_q0_is_not_positive(monkeypatch):
     region = S.lambda_region(mu, t)
     monkeypatch.setattr(S, "transforms", flipped)
     with pytest.raises(DegenerateJacobianError):
-        B.lambda_sweep(mu, t, region.intervals[0], region.images[0], 64)
+        B.lambda_sweep(mu, t, region.intervals[:1], region.images[:1], 64)
 
 
-#: array bundles of lambda_sweep(mu, t, interval, image, 1026), summed over
-#: the intervals, that the solve kept to before it shared bracket_newton's rule
+#: array bundles of lambda_sweep(mu, t, (interval,), (image,), 1026), summed
+#: over the intervals, that the solve kept to before it shared bracket_newton's
+#: rule
 SWEEP_PASSES = {
     "semicircle(0.6)": ((M.semicircle(0.6), 1.5), 11),
     "two pieces": ((M.piecewise_poly([(-1.0, 0.2, (0.5, 0.3)), (0.2, 1.1, (0.3, 1.0, -1.0))]), 1.0), 11),
@@ -489,7 +490,7 @@ def test_sweep_passes_held(name, monkeypatch):
     region = S.lambda_region(mu, t)
     monkeypatch.setattr(S, "transforms", counted)
     for iv, im in zip(region.intervals, region.images):
-        B.lambda_sweep(mu, t, iv, im, 1026)
+        B.lambda_sweep(mu, t, (iv,), (im,), 1026)
     assert len(bundles) <= passes
 
 
