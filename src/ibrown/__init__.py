@@ -17,7 +17,7 @@ from .characteristics import (
     s_of,
 )
 from .errors import IBrownError
-from .jn import jn_boundary_gap, jn_density, solve_g
+from .jn import jn_density, solve_g
 from .maps import circular_density, pushforward_check, q_t, sample_planar, u_t, u_t_inverse
 from .measure import (
     MeasureSpec,
@@ -31,14 +31,13 @@ from .measure import (
     p0,
     p1,
     piecewise_poly,
-    q_integrals,
     quantile,
     semicircle,
     to_json,
     uniform,
 )
 from .rmt import CompareReport, EigenCloud, SimConfig, compare, deterministic_x, sample_gue, simulate
-from .subordination import LambdaRegion, a_t, da_t_da0, h_t, j_t, j_t_inverse, lambda_region, v_t
+from .subordination import LambdaRegion, a_t, h_t, j_t, j_t_inverse, lambda_region, v_t
 
 __version__ = "0.1.0"
 

@@ -325,6 +325,14 @@ def lambda_sweep(mu: MeasureSpec, t: float, intervals, images, n: int = MASS_NOD
     node's iterates are its own, so its values do not depend on the other
     intervals swept with it.
 
+    Each node starts at H sin(theta), with H the interval's half-width less
+    its image's, (r - l - (a_t(r) - a_t(l)))/2: where the source region is
+    an ellipse, as for a semicircular law, a_t is linear, H is its height
+    and every node starts at its root. The region of a point mass is a disc
+    with a point for its image, so next to an isolated atom the start is
+    close too. Elsewhere it is only near the root; the solve's exit decides
+    where each node stops.
+
     Returns dict of arrays with one row per interval: a0, v, at, slope (nan
     at the ends) and cdf, the planar-law mass from the interval's left end
     of the weight h = half sin(theta) (2/(pi t)) v (1 - slope/2) in theta,
@@ -339,13 +347,15 @@ def lambda_sweep(mu: MeasureSpec, t: float, intervals, images, n: int = MASS_NOD
     a0s = mid - half * np.cos(theta)
     a0s[:, 0], a0s[:, -1] = ends[:, 0], ends[:, 1]
     inner = a0s[:, 1:-1].ravel()
-    v, out = _vt_solve_nodes(mu, t, inner)
+    ims = np.array(images, dtype=float)
+    height = half - 0.5 * (ims[:, 1:] - ims[:, :1])
+    v, out = _vt_solve_nodes(mu, t, inner, (height * np.sin(theta[1:-1])).ravel())
     at, slope = _at_slope(t, inner, v, out)
     v, at, slope = (x.reshape(len(ends), n - 1) for x in (v, at, slope))
     vs, ats, h = np.zeros(a0s.shape), np.empty(a0s.shape), np.zeros(a0s.shape)
     slopes = np.full(a0s.shape, np.nan)
     vs[:, 1:-1], ats[:, 1:-1], slopes[:, 1:-1] = v, at, slope
-    ats[:, [0, -1]] = images
+    ats[:, [0, -1]] = ims
     h[:, 1:-1] = half * np.sin(theta[1:-1]) * ((2.0 / (math.pi * t)) * v * (1.0 - 0.5 * slope))
     return {"a0": a0s, "v": vs, "at": ats, "slope": slopes, "cdf": _cumulative_mass(h)}
 

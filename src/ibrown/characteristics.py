@@ -69,7 +69,11 @@ def _momenta_values(mu, a0, b0, eps0):
     if v2 <= 0.0 and not math.isfinite(p0_zero(mu, a0)):
         return math.inf, math.nan, math.nan, math.nan
     # b0 = 0 and eps0 = 0 off the divergence set: the finite limits at v^2 = 1e-300
-    out = transforms(mu, a0, v2 if v2 > 0.0 else 1e-300)
+    return _bundle_momenta(transforms(mu, a0, v2 if v2 > 0.0 else 1e-300), b0)
+
+
+def _bundle_momenta(out, b0):
+    """(p0, p1, p_a0, p_b0) from the bundle at the initial data."""
     return out.p0, out.p1, 2.0 * out.c1, 2.0 * b0 * out.p0
 
 
@@ -127,7 +131,11 @@ def hamiltonian(mom: Momenta, eps0: float) -> float:
 
 def hj_value(mu: MeasureSpec, init: InitialData, t: float) -> float:
     """Transported value S(t, lam(t), eps(t)) = S(0, lam0, eps0) + t H0."""
-    mom = initial_momenta(mu, init)
+    return _transported(mu, init, t, initial_momenta(mu, init))
+
+
+def _transported(mu, init, t, mom):
+    """hj_value from the momenta at init."""
     if t * mom.p0 >= 1.0:
         raise PastLifetimeError(f"t = {t} is at or beyond the lifetime {1.0 / mom.p0}")
     s0 = s_initial(mu, init.lam0, init.eps0)
@@ -138,12 +146,12 @@ def hj_value(mu: MeasureSpec, init: InitialData, t: float) -> float:
 # flow inversion
 
 
-def _flow_fdf(mu, t, u, target):
-    """Flow residual at u = (a0, b0, eps0) and its Newton step from one bundle at
-    v^2 = b0^2 + eps0, by dp0 = -2 q1 da0 - q0 dv^2 and dpa = 2 (p0 - 2 q2) da0 -
-    2 q1 dv^2; None where p0 is not finite, no step where eps0 is clamped."""
+def _flow_step(t, u, target, out):
+    """Flow residual at u = (a0, b0, eps0) and its Newton step from out, the
+    bundle at v^2 = b0^2 + eps0, by dp0 = -2 q1 da0 - q0 dv^2 and dpa =
+    2 (p0 - 2 q2) da0 - 2 q1 dv^2; None where p0 is not finite, no step where
+    eps0 is clamped."""
     a0, b0, eps0 = u
-    out = transforms(mu, a0, b0 * b0 + eps0)
     p0v, q0, q1, q2 = out.p0, out.q0, out.q1, out.q2
     if not math.isfinite(p0v):
         return None
@@ -167,13 +175,15 @@ def _flow_fdf(mu, t, u, target):
 
 
 def _solve_flow(mu, t, target, start, tol):
-    """Damped Newton with the analytic Jacobian on the flow map; keeps eps0 > 0."""
-    ev = None  # fdf's last evaluation, at the point a converged solve returns
+    """Damped Newton with the analytic Jacobian on the flow map; keeps eps0 > 0.
+    Returns the initial data u and the bundle at u, or None."""
+    ev = out = None  # fdf's last evaluation and its bundle, at the point a converged solve returns
 
     def fdf(u):
-        nonlocal ev
+        nonlocal ev, out
         u[2] = max(u[2], 1e-300)  # a trial point is a fresh array: clamp in place
-        ev = _flow_fdf(mu, t, u, target)
+        out = transforms(mu, u[0], u[1] * u[1] + u[2])
+        ev = _flow_step(t, u, target, out)
         return ev
 
     u = np.array(start, dtype=float)
@@ -183,18 +193,17 @@ def _solve_flow(mu, t, target, start, tol):
         return None
     # the solve stops at the first max|r| <= tol; one more full step, kept
     # where it lowers max|r|, takes the quadratic convergence to rounding level
-    r, du = ev
+    (r, du), at_u = ev, out
     if du is None:
-        return u
+        return u, at_u
     un = u - du
     rn = _attempt(fdf, un)
-    return un if rn is not None and np.max(np.abs(rn[0])) < np.max(np.abs(r)) else u
+    return (un, out) if rn is not None and np.max(np.abs(rn[0])) < np.max(np.abs(r)) else (u, at_u)
 
 
-def _admissible(mu, t, u) -> bool:
-    """Initial data u on the primary sheet: p0 finite and 1 - t p0 > 0."""
-    p0v = _momenta_values(mu, u[0], u[1], u[2])[0]
-    return math.isfinite(p0v) and 1.0 - t * p0v > 0.0
+def _admissible(t, out) -> bool:
+    """Initial data on the primary sheet, from the bundle there: p0 finite and 1 - t p0 > 0."""
+    return math.isfinite(out.p0) and 1.0 - t * out.p0 > 0.0
 
 
 def _start(mu, t, lam, eps):
@@ -254,11 +263,13 @@ def s_of(mu: MeasureSpec, t: float, lam: complex, eps: float) -> float:
         raise ValueError("s_of requires eps > 0")
     lam = complex(lam)
     target = (lam.real, lam.imag, eps)
-    u = _solve_flow(mu, t, target, _start(mu, t, lam, eps), 1e-10 * (1.0 + abs(lam) + eps))
-    if u is None or not _admissible(mu, t, u):
+    solved = _solve_flow(mu, t, target, _start(mu, t, lam, eps), 1e-10 * (1.0 + abs(lam) + eps))
+    if solved is None or not _admissible(t, solved[1]):
         raise NoConvergenceError(f"flow inversion failed at (t={t}, lam={lam}, eps={eps})")
-    init = InitialData(lam0=complex(u[0], u[1]), eps0=float(u[2]))
-    return hj_value(mu, init, t)
+    (a0, b0, eps0), out = solved
+    p0v, p1v, pav, pbv = _bundle_momenta(out, b0)
+    init = InitialData(lam0=complex(a0, b0), eps0=float(eps0))
+    return _transported(mu, init, t, Momenta(p_a0=pav, p_b0=pbv, p0=p0v, p1=p1v))
 
 
 def pde_residual(mu: MeasureSpec, t: float, lam: complex, eps: float) -> float:

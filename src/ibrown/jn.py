@@ -100,13 +100,6 @@ def jn_density(mu: MeasureSpec, t: float, a: float) -> float:
     return (1.0 / (4.0 * math.pi)) * (1.0 / t + 2.0 * dg.real)
 
 
-def jn_boundary_gap(mu: MeasureSpec, t: float, a: float, b: float) -> float:
-    """(b/(2t))^2 - (Im g)^2: zero exactly on the boundary of the support
-    region, negative strictly inside along the vertical through a."""
-    g = solve_g(mu, t, a)
-    return (b / (2.0 * t)) ** 2 - g.imag ** 2
-
-
 def poisson_identity_residual(mu: MeasureSpec, t: float, a: float) -> float:
     """|p0(a + t Re g, t Im g) - 1/t| for the solved fixed point."""
     g = solve_g(mu, t, a)

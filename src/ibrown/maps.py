@@ -202,10 +202,10 @@ def pushforward_check(mu: MeasureSpec, t: float) -> PushforwardReport:
     split at the cuts and at the clip kinks, where v_t crosses the half
     bands' top. Each piece takes a fixed Gauss-Legendre rule of RULE_NODES
     nodes and an embedded one of CHECK_NODES for the error estimate. One
-    coarse sweep of every interval gives the bands, the kinks' brackets and
-    the inversion's start. Per interval, the source nodes take one array v_t
-    solve, and the target nodes with the inner cuts appended one array
-    inversion a -> a0.
+    coarse sweep of every interval gives the bands, the kinks' brackets, the
+    inversion's start and, interpolated, the start of the source nodes' v_t.
+    Per interval, the source nodes take one array v_t solve, and the target
+    nodes with the inner cuts appended one array inversion a -> a0.
     """
     region = lambda_region(mu, t)
     rects, src, tgt, err = [], [], [], []
@@ -228,7 +228,7 @@ def pushforward_check(mu: MeasureSpec, t: float) -> PushforwardReport:
         v_a = v_a[: a.size]
 
         x, w_x, which_x = _theta_nodes((l, r), cuts_a0, kinks_a0)
-        v, out = _vt_solve_nodes(mu, t, x)
+        v, out = _vt_solve_nodes(mu, t, x, np.interp(x, sweep["a0"], sweep["v"]))
         rho = _circular_density(t, _at_slope(t, x, v, out)[1])
 
         for b_lo, b_hi in bands:

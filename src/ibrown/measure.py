@@ -14,11 +14,11 @@ All kernels share the denominator ``D = (a0 - x)**2 + v**2``:
 * ``c1 = int (a0-x) dmu / D``    * ``q2 = int (a0-x)**2 dmu / D**2``
 
 ``transforms(mu, a0, v2)`` returns all six at once as a :class:`Bundle`,
-the fixed record that every kernel caller reads its fields from; ``p0``,
-``p1`` and ``q_integrals`` are thin wrappers around it. ``transforms`` also
-takes equal-length float arrays of a0 and v2, one node each, and then
-returns the same record with an array in each field: a sweep of many nodes
-costs one call.
+the fixed record that every kernel caller reads its fields from; ``p0``
+and ``p1`` are thin wrappers around it. ``transforms`` also takes
+equal-length float arrays of a0 and v2, one node each, and then returns the
+same record with an array in each field: a sweep of many nodes costs one
+call.
 
 ``p0`` with ``v = 0`` returns ``math.inf`` when the integral diverges; callers
 use the sentinel for bracketing.
@@ -709,14 +709,6 @@ def p1(mu: MeasureSpec, a0: float, v: float) -> float:
     if v <= 0.0:
         raise ValueError("p1 requires v > 0")
     return transforms(mu, a0, v * v).p1
-
-
-def q_integrals(mu: MeasureSpec, a0: float, v: float) -> tuple[float, float, float]:
-    """Squared-kernel integrals (q0, q1, q2) for v > 0."""
-    if v <= 0.0:
-        raise ValueError("q_integrals requires v > 0")
-    out = transforms(mu, a0, v * v)
-    return out.q0, out.q1, out.q2
 
 
 # ----------------------------------------------------------------------------

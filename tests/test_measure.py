@@ -128,7 +128,8 @@ def test_p1_examples():
 
 
 def test_q_integrals_closed_forms():
-    q0, q1, q2 = M.q_integrals(M.bernoulli(0.5), 0.0, 1.0)
+    out = M.transforms(M.bernoulli(0.5), 0.0, 1.0)
+    q0, q1, q2 = out.q0, out.q1, out.q2
     assert q0 == pytest.approx(0.25, abs=1e-14)
     assert q1 == pytest.approx(0.0, abs=1e-14)
     assert q2 == pytest.approx(0.25, abs=1e-14)
@@ -136,13 +137,13 @@ def test_q_integrals_closed_forms():
 
 def test_q1_vanishes_for_symmetric_laws():
     for mu in [M.bernoulli(0.5), M.uniform(-1, 1), M.semicircle(0.7)]:
-        assert M.q_integrals(mu, 0.0, 0.8)[1] == pytest.approx(0.0, abs=1e-11)
+        assert M.transforms(mu, 0.0, 0.8 * 0.8).q1 == pytest.approx(0.0, abs=1e-11)
 
 
 def test_q0_uniform_antiderivative_oracle():
     # int_{-1}^{1} (1/2) dx/(x^2+1)^2 = (x/(2(x^2+1)) + atan(x)/2) | scaled
     exact = (math.pi / 4.0 + 0.5) / 2.0
-    assert M.q_integrals(M.uniform(-1, 1), 0.0, 1.0)[0] == pytest.approx(exact, rel=1e-11)
+    assert M.transforms(M.uniform(-1, 1), 0.0, 1.0).q0 == pytest.approx(exact, rel=1e-11)
 
 
 def test_q_cauchy_schwarz_strict():
@@ -154,7 +155,8 @@ def test_q_cauchy_schwarz_strict():
         mu = M.atomic(list(zip(xs, ws)))
         a0 = rng.uniform(-3, 3)
         v = rng.uniform(0.05, 2.0)
-        q0, q1, q2 = M.q_integrals(mu, a0, v)
+        out = M.transforms(mu, a0, v * v)
+        q0, q1, q2 = out.q0, out.q1, out.q2
         assert q0 > 0 and q2 > 0
         assert q0 * q2 - q1 * q1 > 1e-12 * q0 * q2
 

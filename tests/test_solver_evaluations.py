@@ -111,3 +111,24 @@ def test_jn_density_evaluates_the_law_as_often_as_its_solve(name, evaluations):
         solve = _total(evaluations) - before
         J.jn_density(mu, t, a)
         assert _total(evaluations) - before == 2 * solve > 0
+
+
+@pytest.mark.parametrize("name", sorted(LAWS))
+def test_s_of_evaluates_its_solved_initial_data_once(name, monkeypatch):
+    # the flow solve's last bundle, at the initial data it returns, serves the
+    # sheet test and the momenta of the transported value; each of them took
+    # one more bundle there
+    mu, t = LAWS[name]
+    transforms, points = C.transforms, []
+
+    def counted(mu, a0, v2):
+        points.append((a0, v2))
+        return transforms(mu, a0, v2)
+
+    monkeypatch.setattr(C, "transforms", counted)
+    for lam, eps in ((0.4 + 0.3j, 0.2), (3.0 + 0.5j, 0.05)):
+        target, tol = (lam.real, lam.imag, eps), 1e-10 * (1.0 + abs(lam) + eps)
+        (a0, b0, eps0), _ = C._solve_flow(mu, t, target, C._start(mu, t, lam, eps), tol)
+        points.clear()
+        C.s_of(mu, t, lam, eps)
+        assert points.count((a0, b0 * b0 + eps0)) == 1

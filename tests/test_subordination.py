@@ -285,7 +285,7 @@ def test_at_strictly_increasing(be23, sc):
 
 def test_slope_elliptic_constant(sc):
     for a0 in (-1.5, 0.0, 0.4, 2.0):
-        assert S.da_t_da0(sc, 1.0, a0) == pytest.approx(2.0 / 3.0, abs=1e-10)
+        assert S.at_with_slope(sc, 1.0, a0)[1] == pytest.approx(2.0 / 3.0, abs=1e-10)
 
 
 def test_slope_matches_finite_difference(be23, un):
@@ -293,14 +293,14 @@ def test_slope_matches_finite_difference(be23, un):
     for mu, t, pts in ((be23, 1.05, (-0.1, 0.12)), (un, 0.1, (0.2, 0.8))):
         for a0 in pts:
             fd = (S.a_t(mu, t, a0 + h) - S.a_t(mu, t, a0 - h)) / (2 * h)
-            assert S.da_t_da0(mu, t, a0) == pytest.approx(fd, rel=1e-6)
+            assert S.at_with_slope(mu, t, a0)[1] == pytest.approx(fd, rel=1e-6)
 
 
 def test_slope_in_open_interval(be23):
     t = 1.05
     (lo, hi), = S.lambda_region(be23, t).intervals
     for a0 in np.linspace(lo, hi, 33)[1:-1]:
-        s = S.da_t_da0(be23, t, a0)
+        s = S.at_with_slope(be23, t, a0)[1]
         assert 0.0 < s < 2.0
 
 
@@ -492,6 +492,62 @@ def test_sweep_passes_held(name, monkeypatch):
     for iv, im in zip(region.intervals, region.images):
         B.lambda_sweep(mu, t, (iv,), (im,), 1026)
     assert len(bundles) <= passes
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_LAWS))
+def test_warm_sweep_matches_cold_scalar_solve(name):
+    # the sweep starts each node at the ellipse's height sin(theta); it stops
+    # at the cold scalar solve's root, to test_array_vt_solve_matches_scalar_solve's
+    # bound, and at 0 at the same nodes
+    mu, t = SWEEP_LAWS[name]
+    region = S.lambda_region(mu, t)
+    sw = B.lambda_sweep(mu, t, region.intervals, region.images, 513)
+    a0, v = sw["a0"][:, 1:-1].ravel(), sw["v"][:, 1:-1].ravel()
+    ref = [S._vt_solve(mu, t, float(x)) for x in a0]
+    ref_v = np.array([r[0] for r in ref])
+    assert np.array_equal(v == 0.0, ref_v == 0.0)
+    for i in np.flatnonzero(ref_v):
+        kappa = abs(M.cauchy(mu, complex(a0[i], ref_v[i]))) / (ref_v[i] * ref[i][1].p0)
+        assert abs(v[i] - ref_v[i]) <= (1e-10 + 1e-16 * kappa) * ref_v[i], (a0[i], kappa)
+
+
+@pytest.mark.parametrize("s, t", [(1.0, 1.0), (0.6, 1.5), (0.3, 2.0)])
+def test_semicircle_sweep_starts_at_its_roots(s, t, monkeypatch):
+    # a semicircle's source region is an ellipse, whose height is the
+    # interval's half-width less its image's: every node starts at its root
+    # and the array solve takes one bundle
+    mu = M.semicircle(s)
+    region = S.lambda_region(mu, t)
+    transforms, bundles = S.transforms, []
+
+    def counted(mu, a0, v2):
+        if isinstance(a0, np.ndarray):
+            bundles.append(a0.size)
+        return transforms(mu, a0, v2)
+
+    monkeypatch.setattr(S, "transforms", counted)
+    sw = B.lambda_sweep(mu, t, region.intervals, region.images, 1026)
+    assert bundles == [1025]
+    a0 = sw["a0"][0, 1:-1]
+    exact = np.array([elliptic_vt(s, t, x) for x in a0])
+    assert np.max(np.abs(sw["v"][0, 1:-1] - exact)) <= 1e-13
+
+
+@pytest.mark.parametrize("hint", [math.nan, 0.0, -0.3, "sqrt_t", 1e-20, math.inf])
+def test_vt_hints_out_of_range_start_cold(hint):
+    # a hint that is not finite or lies outside (4 V_TOL, sqrt(t)) falls back
+    # to sqrt(t)/2, in the array solve as in the scalar one: both then take
+    # the cold solve's iterates
+    mu, t = SWEEP_LAWS["bernoulli"]
+    hint = math.sqrt(t) if hint == "sqrt_t" else hint
+    assert S._vt_start(hint, math.sqrt(t)) == 0.5 * math.sqrt(t)
+    a0 = _sweep_nodes(mu, t, 65)
+    cold, cold_out = S._vt_solve_nodes(mu, t, a0)
+    v, out = S._vt_solve_nodes(mu, t, a0, np.full(a0.size, hint))
+    assert np.array_equal(v, cold) and np.array_equal(out.p0, cold_out.p0)
+    assert np.all(np.abs(out.p0 - 1.0 / t) <= 1e-13 / t)
+    x = float(a0[a0.size // 3])
+    assert S._vt_solve(mu, t, x, v_hint=hint) == S._vt_solve(mu, t, x)
 
 
 #: scalar p0_zero calls of one lambda_region, a_t at the ends included. The
