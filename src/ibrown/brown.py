@@ -126,10 +126,6 @@ class BrownProfile:
         cdf = self._knots(self.cdf, self.end_cdf)
         return np.interp(np.asarray(p, dtype=float), cdf, self._a_knots())
 
-    def to_csv(self) -> str:
-        rows = zip(*(c.tolist() for c in (self.grid, self.a0, self.halfheight, self.density)), self.flags)
-        return "a,a0,b_t,w_t,flag\n" + "".join("%.17g,%.17g,%.17g,%.17g,%s\n" % r for r in rows)
-
 
 # ----------------------------------------------------------------------------
 # the inversion a -> a0

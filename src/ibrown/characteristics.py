@@ -24,7 +24,7 @@ import numpy as np
 
 from .brown import _locate
 from .errors import NoConvergenceError, PastLifetimeError
-from .measure import MeasureSpec, log_potential, p0, p0_zero, transforms
+from .measure import Bundle, MeasureSpec, log_potential, p0, transforms
 from .numerics import _attempt, bracket_newton, damped_newton
 from .subordination import j_t_inverse, v_t
 
@@ -51,6 +51,11 @@ class Momenta:
     p0: float
     p1: float
 
+    @classmethod
+    def from_bundle(cls, out: Bundle, b0: float) -> Momenta:
+        """The momenta from the kernel bundle at the initial data."""
+        return cls(p_a0=2.0 * out.c1, p_b0=2.0 * b0 * out.p0, p0=out.p0, p1=out.p1)
+
 
 @dataclass(frozen=True)
 class PathState:
@@ -64,26 +69,12 @@ class PathState:
     p_eps: float
 
 
-def _momenta_values(mu, a0, b0, eps0):
-    v2 = b0 * b0 + eps0
-    if v2 <= 0.0 and not math.isfinite(p0_zero(mu, a0)):
-        return math.inf, math.nan, math.nan, math.nan
-    # b0 = 0 and eps0 = 0 off the divergence set: the finite limits at v^2 = 1e-300
-    return _bundle_momenta(transforms(mu, a0, v2 if v2 > 0.0 else 1e-300), b0)
-
-
-def _bundle_momenta(out, b0):
-    """(p0, p1, p_a0, p_b0) from the bundle at the initial data."""
-    return out.p0, out.p1, 2.0 * out.c1, 2.0 * b0 * out.p0
-
-
 def initial_momenta(mu: MeasureSpec, init: InitialData) -> Momenta:
     """Poisson-type integrals of the law at (lam0, eps0), eps0 > 0."""
     if init.eps0 <= 0.0 and init.lam0.imag == 0.0:
         raise ValueError("initial momenta need b0^2 + eps0 > 0")
     a0, b0 = init.lam0.real, init.lam0.imag
-    p0v, p1v, pav, pbv = _momenta_values(mu, a0, b0, init.eps0)
-    return Momenta(p_a0=pav, p_b0=pbv, p0=p0v, p1=p1v)
+    return Momenta.from_bundle(transforms(mu, a0, b0 * b0 + init.eps0), b0)
 
 
 def lifetime(mu: MeasureSpec, init: InitialData) -> float:
@@ -267,9 +258,8 @@ def s_of(mu: MeasureSpec, t: float, lam: complex, eps: float) -> float:
     if solved is None or not _admissible(t, solved[1]):
         raise NoConvergenceError(f"flow inversion failed at (t={t}, lam={lam}, eps={eps})")
     (a0, b0, eps0), out = solved
-    p0v, p1v, pav, pbv = _bundle_momenta(out, b0)
     init = InitialData(lam0=complex(a0, b0), eps0=float(eps0))
-    return _transported(mu, init, t, Momenta(p_a0=pav, p_b0=pbv, p0=p0v, p1=p1v))
+    return _transported(mu, init, t, Momenta.from_bundle(out, b0))
 
 
 def pde_residual(mu: MeasureSpec, t: float, lam: complex, eps: float) -> float:

@@ -9,6 +9,7 @@ Exit codes: 2 for validation errors, 3 for any other failure of a computation.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -69,16 +70,19 @@ def _summary(path: Path, ns, mu, **fields):
 
 
 def _csv(header: str, *columns) -> str:
-    """One line per row of the columns, each value as %.17g."""
-    lines = [header] + [",".join("%.17g" % x for x in row) for row in zip(*columns)]
-    return "\n".join(lines) + "\n"
+    """One line per row of the columns, from one format string: %.17g for an
+    array's numbers and %s for any other column (the profile's flags)."""
+    fmt = ",".join("%.17g" if isinstance(c, np.ndarray) else "%s" for c in columns) + "\n"
+    rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
+    return header + "\n" + "".join(fmt % row for row in rows)
 
 
 def cmd_compute(ns) -> int:
     mu = _load_measure(ns)
     prof = brown.profile(mu, ns.t, n_grid=ns.grid)
     out = _out_dir(ns)
-    _write(out / "profile.csv", prof.to_csv())
+    cols = (prof.grid, prof.a0, prof.halfheight, prof.density, prof.flags)
+    _write(out / "profile.csv", _csv("a,a0,b_t,w_t,flag", *cols))
     _summary(
         out / "summary.json",
         ns,
@@ -126,10 +130,10 @@ def cmd_simulate(ns) -> int:
     out = _out_dir(ns)
     cfg = rmt.SimConfig(n=ns.n, t=ns.t, reps=ns.reps, seed=ns.seed, dilation=ns.dilation)
     cloud = rmt.simulate(mu, cfg)
-    _write(out / "cloud.csv", cloud.to_csv())
+    _write(out / "cloud.csv", _csv("re,im,rep", cloud.points.real, cloud.points.imag, cloud.rep))
     prof = brown.profile(mu, ns.t, n_grid=ns.grid)
     rep = rmt.compare(cloud, prof, mu, ns.t)
-    fields = {k: _fmt(v) if isinstance(v, float) else v for k, v in rep.to_dict().items()}
+    fields = {k: _fmt(v) if isinstance(v, float) else v for k, v in dataclasses.asdict(rep).items()}
     _summary(out / "compare.json", ns, mu, **fields)
     if ns.svg:
         title = f"t={ns.t:g}  {mu.label}  [{mu.digest()}]  n={ns.n} reps={ns.reps}"

@@ -18,7 +18,7 @@ import math
 
 from .brown import _invert
 from .errors import DegenerateJacobianError, NoConvergenceError, OutsideOmegaError
-from .measure import MeasureSpec, _cauchy_pair, cauchy, cauchy_prime, p0
+from .measure import MeasureSpec, _cauchy_pair, p0
 from .numerics import damped_newton
 
 
@@ -45,7 +45,7 @@ def _fixed_point_newton(mu, t, a, g0, tol):
     def fdf(g):
         nonlocal gp
         z = a + t * g.conjugate()
-        gz, gp = (cauchy(mu, z), cauchy_prime(mu, z)) if z.imag == 0.0 else _cauchy_pair(mu, z)
+        gz, gp = _cauchy_pair(mu, z)
         r = g - gz
         return r, _fixed_point_jacobian_solve(t, gp, r)
 
@@ -93,7 +93,11 @@ def jn_density(mu: MeasureSpec, t: float, a: float) -> float:
     J dg = G'(z) with the Newton Jacobian J of the fixed-point solve, and
     G'(z) is the one its last evaluation took.
     """
-    g, gp = _solve_g(mu, t, a)
+    return _density(t, a, _solve_g(mu, t, a)[1])
+
+
+def _density(t: float, a: float, gp: complex) -> float:
+    """jn_density from G'(z) at the solved fixed point."""
     dg = _fixed_point_jacobian_solve(t, gp, gp)
     if dg is None:
         raise DegenerateJacobianError(f"singular fixed-point Jacobian at a = {a}")
@@ -102,5 +106,8 @@ def jn_density(mu: MeasureSpec, t: float, a: float) -> float:
 
 def poisson_identity_residual(mu: MeasureSpec, t: float, a: float) -> float:
     """|p0(a + t Re g, t Im g) - 1/t| for the solved fixed point."""
-    g = solve_g(mu, t, a)
+    return _poisson_residual(mu, t, a, solve_g(mu, t, a))
+
+
+def _poisson_residual(mu: MeasureSpec, t: float, a: float, g: complex) -> float:
     return abs(p0(mu, a + t * g.real, t * abs(g.imag)) - 1.0 / t)

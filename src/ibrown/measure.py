@@ -320,21 +320,6 @@ def load_measure(path) -> MeasureSpec:
 
 
 # ----------------------------------------------------------------------------
-# support queries
-
-
-def on_support(mu: MeasureSpec, x: float) -> bool:
-    """True when x lies on the closed support within 1e-12 (1 + |x|)."""
-    tol = 1e-12 * (1.0 + abs(x))
-    if mu.kind == "atomic":
-        xs, _ = mu.atom_arrays
-        return bool(np.min(np.abs(xs - x)) <= tol)
-    if mu.kind == "semicircle":
-        return abs(x) <= mu.support.hi + tol
-    return any(lo - tol <= x <= hi + tol for lo, hi, _ in mu.pieces)
-
-
-# ----------------------------------------------------------------------------
 # kernel bundles
 
 
@@ -353,16 +338,19 @@ def _pick(cond, x, y):
 
 
 def _cauchy_pair(mu: MeasureSpec, z):
-    """G(z) and G'(z) off the real line, at one z or, for a semicircle or
-    piecewise law, elementwise at an array of them. Atoms are summed; each
+    """G(z) and G'(z) at one z or, for a semicircle or piecewise law,
+    elementwise at an array of z off the real line. Atoms are summed; each
     piece is summed as its multipole series where z is far from it and in
-    closed form elsewhere."""
+    closed form elsewhere. At one real z the pair is (real_cauchy,
+    cauchy_prime), which take the same per-piece rule and raise
+    OnSupportError where either diverges."""
+    if not isinstance(z, np.ndarray) and z.imag == 0.0:
+        return complex(real_cauchy(mu, z.real)), cauchy_prime(mu, z)
     if mu.kind == "atomic":
         xs, ws = mu.atom_arrays
         d = z - xs
         return complex((ws / d).sum()), complex(-(ws / d**2).sum())
     if mu.kind == "semicircle":
-        # as _semicircle_g and _semicircle_gprime, sharing one root
         root = _semicircle_root(mu.variance, z)
         g = 2.0 / (z + root)
         return g, -g / root
@@ -676,19 +664,27 @@ def _vanishes(coeffs, a0: float, b) -> bool:
 
 
 def p0_zero(mu: MeasureSpec, a0: float) -> float:
-    """The v = 0 Poisson integral int dmu/(a0-x)^2, evaluated in closed form."""
+    """The v = 0 Poisson integral int dmu/(a0-x)^2 = -G'(a0), evaluated in
+    closed form; +inf where it diverges. A polynomial piece far from a0 takes
+    its multipole series, as in _cauchy_pair."""
     if mu.kind == "atomic":
         xs, ws = mu.atom_arrays
         d = a0 - xs
         if np.abs(d).min() <= 1e-13 * (1.0 + abs(a0)):
             return math.inf
         return float((ws / (d * d)).sum())
+    z = complex(a0)
     if mu.kind == "semicircle":
         if abs(a0) <= mu.support.hi + 1e-13 * (1.0 + abs(a0)):
             return math.inf
-        return float(-_semicircle_gprime(mu.variance, complex(a0)).real)
+        root = _semicircle_root(mu.variance, z)
+        return float((2.0 / ((z + root) * root)).real)
     total = 0.0
-    for lo, hi, coeffs in mu.pieces:
+    for (lo, hi, coeffs), pole in zip(mu.pieces, mu.piece_multipoles):
+        n = _multipole_terms(pole, z)
+        if n:
+            total -= _multipole_pair(pole, z, n)[1].real
+            continue
         b = poly_shift(coeffs, a0)  # density in powers of (x - a0)
         if lo <= a0 <= hi:
             if not _vanishes(coeffs, a0, b):
@@ -723,19 +719,6 @@ def _semicircle_root(s: float, z):
     return sqrt(z - r) * sqrt(z + r)
 
 
-def _semicircle_g(s: float, z: complex) -> complex:
-    # (z - root)/(2s), written without its cancellation at large |z|
-    return 2.0 / (z + _semicircle_root(s, z))
-
-
-def _semicircle_gprime(s: float, z: complex) -> complex:
-    # G' = (1 - z/root)/(2s) = -G/root
-    root = _semicircle_root(s, z)
-    if root == 0.0:
-        raise OnSupportError(f"{z} is an end of the semicircle support")
-    return -2.0 / ((z + root) * root)
-
-
 def _piece_cauchy_real(coeffs, lo: float, hi: float, a0: float) -> float:
     # int rho(x)/(a0-x) dx with the rho(a0)*log term split off exactly
     b = poly_shift(coeffs, a0)
@@ -758,7 +741,8 @@ def real_cauchy(mu: MeasureSpec, a0: float) -> float:
 
     Used for boundary values where the point may touch the support closure but
     the local density (hence the principal term) vanishes; raises OnSupport
-    when the integral genuinely diverges.
+    when the integral genuinely diverges. A polynomial piece far from a0
+    takes its multipole series, as in _cauchy_pair.
     """
     if mu.kind == "atomic":
         xs, ws = mu.atom_arrays
@@ -766,12 +750,17 @@ def real_cauchy(mu: MeasureSpec, a0: float) -> float:
         if np.abs(d).min() <= 1e-13 * (1.0 + abs(a0)):
             raise OnSupportError(f"atom at {a0}")
         return float((ws / d).sum())
+    z = complex(a0)
     if mu.kind == "semicircle":
         if abs(a0) < mu.support.hi - 1e-13:
             raise OnSupportError(f"{a0} inside the semicircle support")
-        return float(_semicircle_g(mu.variance, complex(a0)).real)
+        return float((2.0 / (z + _semicircle_root(mu.variance, z))).real)
     total = 0.0
-    for lo, hi, coeffs in mu.pieces:
+    for (lo, hi, coeffs), pole in zip(mu.pieces, mu.piece_multipoles):
+        n = _multipole_terms(pole, z)
+        if n:
+            total += _multipole_pair(pole, z, n)[0].real
+            continue
         edge = 1e-12 * (1.0 + abs(a0))
         if lo - edge <= a0 <= hi + edge:
             local = float(poly_eval(coeffs, a0))
@@ -782,7 +771,8 @@ def real_cauchy(mu: MeasureSpec, a0: float) -> float:
 
 
 def cauchy(mu: MeasureSpec, z: complex) -> complex:
-    """G(z) = int dmu(x)/(z - x); Im G < 0 on the upper half-plane."""
+    """G(z) = int dmu(x)/(z - x); Im G < 0 on the upper half-plane, and
+    real_cauchy on the real line."""
     z = complex(z)
     if z.imag == 0.0:
         return complex(real_cauchy(mu, z.real))
@@ -790,12 +780,15 @@ def cauchy(mu: MeasureSpec, z: complex) -> complex:
 
 
 def cauchy_prime(mu: MeasureSpec, z: complex) -> complex:
-    """G'(z) = -int dmu(x)/(z - x)^2; -p0(Re z, 0) on the real line off the support."""
+    """G'(z) = -int dmu(x)/(z - x)^2. On the real line it is -p0_zero and
+    raises OnSupportError exactly where p0_zero is infinite: the same rule
+    that decides the source region."""
     z = complex(z)
     if z.imag == 0.0:
-        if on_support(mu, z.real):
+        p0z = p0_zero(mu, z.real)
+        if p0z == math.inf:
             raise OnSupportError(f"{z.real} lies on the support")
-        return complex(-p0_zero(mu, z.real))
+        return complex(-p0z)
     return _cauchy_pair(mu, z)[1]
 
 

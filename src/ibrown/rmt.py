@@ -55,10 +55,6 @@ class EigenCloud:
     hermitian: np.ndarray
     config: SimConfig
 
-    def to_csv(self) -> str:
-        rows = zip(self.points.real.tolist(), self.points.imag.tolist(), self.rep.tolist())
-        return "re,im,rep\n" + "".join("%.17g,%.17g,%d\n" % r for r in rows)
-
 
 def _rng(seed: int, rep: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[np.uint64(seed), np.uint64(rep)]))
@@ -135,15 +131,6 @@ class CompareReport:
     ks_pushforward: float
     n_points: int
     dilation: float
-
-    def to_dict(self) -> dict:
-        return {
-            "inside_fraction": self.inside_fraction,
-            "ks_marginal": self.ks_marginal,
-            "ks_pushforward": self.ks_pushforward,
-            "n_points": self.n_points,
-            "dilation": self.dilation,
-        }
 
 
 def compare(cloud: EigenCloud, profile: BrownProfile, mu: MeasureSpec, t: float) -> CompareReport:

@@ -28,7 +28,6 @@ from .measure import (
     _cauchy_pair,
     _pick,
     cauchy,
-    cauchy_prime,
     p0_zero,
     real_cauchy,
     transforms,
@@ -403,7 +402,7 @@ def _newton_jt(mu, t, target, z0, tol):
 
     def fdf(z):
         nonlocal pair
-        pair = (cauchy(mu, z), cauchy_prime(mu, z)) if z.imag == 0.0 else _cauchy_pair(mu, z)
+        pair = _cauchy_pair(mu, z)
         g, gp = pair
         r = z - t * g - target
         d = 1.0 - t * gp

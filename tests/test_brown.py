@@ -583,3 +583,12 @@ def test_locator_agrees_with_the_height_and_the_maps(law):
         q, z = P.q_t(mu, t, lam), P.u_t_inverse(mu, t, lam)
         assert q == 2.0 * z.real - lam.real
         assert abs(S.a_t(mu, t, z.real) - x) <= 1e-9 * (1.0 + abs(lam))
+
+
+def test_w_t_raises_at_an_interval_end(sc):
+    # the locator puts an end of the real section on the region's closure,
+    # where the slope is not defined
+    (al, ar), = B.omega_intervals(sc, 1.0)
+    for a in (al, ar):
+        with pytest.raises(OutsideOmegaError, match="strictly inside"):
+            B.w_t(sc, 1.0, a)

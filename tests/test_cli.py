@@ -270,3 +270,10 @@ def test_numerical_failure_exits_3(tmp_path, monkeypatch, capsys, error):
     args = ["compute", "--preset", "semicircle:1", "--t", "1", "--out", str(tmp_path)]
     assert run(args) == 3
     assert "error: stalled" in capsys.readouterr().err.splitlines()
+
+
+@pytest.mark.parametrize("given", [["--preset", "semicircle:1", "--measure", "law.json"], []])
+def test_measure_and_preset_are_exclusive_and_one_is_required(tmp_path, capsys, given):
+    args = ["compute", "--t", "1", "--out", str(tmp_path)] + given
+    assert run(args) == 2
+    assert "--measure" in capsys.readouterr().err

@@ -7,7 +7,7 @@ import ibrown.brown as B
 import ibrown.checks as C
 import ibrown.jn as J
 import ibrown.measure as M
-from ibrown.errors import NoConvergenceError, OutsideOmegaError
+from ibrown.errors import DegenerateJacobianError, NoConvergenceError, OutsideOmegaError
 
 from conftest import FOUR_ATOMS
 
@@ -153,3 +153,26 @@ def test_verify_suites_run_next_to_a_fourth_order_zero():
     rows = {(r.suite, r.name): r for r in C.run_all(mu, 0.3)}
     assert {suite for suite, _ in rows} == {"subordination", "pushforward", "jn", "pde"}
     assert rows["jn", "density equivalence"].passed and rows["jn", "t*Re g = a0 - a"].passed
+
+
+def test_jn_density_raises_on_a_singular_jacobian(monkeypatch):
+    # with G' = 1/t real, the columns 1 - t G' and i (1 + t G') of the
+    # fixed-point Jacobian make its determinant 0
+    monkeypatch.setattr(J, "_solve_g", lambda mu, t, a: (0.5j, complex(1.0 / t)))
+    with pytest.raises(DegenerateJacobianError, match="singular"):
+        J.jn_density(M.semicircle(1.0), 1.0, 0.3)
+
+
+def test_check_jn_solves_each_row_once(be23, be_profile, monkeypatch):
+    # one fixed-point solve per row gives g and G' for the row's density,
+    # its t Re g and, on every eighth row, the Poisson identity
+    solved, newton = [], J._fixed_point_newton
+
+    def counted(mu, t, a, g0, tol):
+        solved.append(a)
+        return newton(mu, t, a, g0, tol)
+
+    monkeypatch.setattr(J, "_fixed_point_newton", counted)
+    rows = C.check_jn(be23, 1.05, be_profile)
+    assert len(solved) == len(set(solved)) >= 8
+    assert all(r.passed for r in rows)

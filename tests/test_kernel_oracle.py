@@ -28,8 +28,8 @@ from hypothesis import strategies as st
 import ibrown.measure as M
 from conftest import FOUR_ATOMS
 from ibrown.brown import s_outside
-from ibrown.characteristics import _momenta_values
-from ibrown.subordination import lambda_region
+from ibrown.characteristics import InitialData, initial_momenta
+from ibrown.subordination import j_t, lambda_region
 
 FIELDS = M.Bundle._fields
 #: each field's integrand as a function of x, u = a0 - x and D = u^2 + v^2
@@ -55,6 +55,8 @@ def two_piece():
     return M.piecewise_poly([(lo, mid, left), (mid, hi, right)])
 
 
+#: (x - 0.3)^4 on [-1, 2], with an interior zero of fourth order
+QUARTIC = M.piecewise_poly([(-1.0, 2.0, (0.0081, -0.108, 0.54, -1.2, 1.0))])
 
 
 def _bernstein_piece(lo, hi, beta):
@@ -350,10 +352,11 @@ def test_q0_switch_over(name, monkeypatch):
 
 
 def test_momenta_at_tiny_regularization_on_a_piece_law():
-    # b0 = 0, eps0 = 0 off the divergence set evaluates the kernels at v^2 = 1e-300
+    # b0 = 0, eps0 = 1e-300 off the divergence set evaluates the kernels at v^2 = 1e-300
     mu, _ = LAWS["two_piece"]
     for a0 in (-1.4, 1.5):
-        p0v, p1v, pav, pbv = _momenta_values(mu, a0, 0.0, 0.0)
+        mom = initial_momenta(mu, InitialData(complex(a0, 0.0), 1e-300))
+        p0v, p1v, pav, pbv = mom.p0, mom.p1, mom.p_a0, mom.p_b0
         ref, scale, _, _ = oracle_bundle(mu, a0, mp.sqrt(mp.mpf("1e-300")))
         assert rel_err(p0v, ref["p0"]) <= TOL
         assert rel_err(p1v, ref["p1"], scale["p1"]) <= TOL
@@ -367,7 +370,36 @@ def test_closed_forms_raise_on_support_at_edges():
     with pytest.raises(M.OnSupportError):
         M._piece_cauchy_pair((0.5,), -1.0, 1.0, complex(1.0, 0.0))
     with pytest.raises(M.OnSupportError):
-        M._semicircle_gprime(1.0, complex(2.0, 0.0))
+        M.cauchy_prime(M.semicircle(1.0), 2.0)
+
+
+@pytest.mark.parametrize("name", ["quartic", "two_piece"])
+def test_real_axis_far_field_matches_oracle(name):
+    # G and G' at real points far from a piece take its multipole series, as
+    # off the axis; the closed form there cancels like |a0 - center|^(degree + 1)
+    mu = QUARTIC if name == "quartic" else LAWS["two_piece"][0]
+    for a0 in (10.0, 30.0, 100.0, 1000.0, -50.0):
+        g, gp = oracle_g(mu, mp.mpc(a0, 0))
+        assert rel_err(M.real_cauchy(mu, a0), g.real) <= 1e-14, a0
+        assert rel_err(M.cauchy(mu, a0).real, g.real) <= 1e-14, a0
+        assert rel_err(M.p0_zero(mu, a0), -gp.real) <= 1e-14, a0
+        assert rel_err(M.cauchy_prime(mu, a0).real, gp.real) <= 1e-14, a0
+    ref = 1000 - mp.mpf("0.3") * oracle_g(QUARTIC, mp.mpc(1000, 0))[0].real
+    assert rel_err(j_t(QUARTIC, 0.3, 1000.0).real, ref) <= 1e-15
+
+
+def test_one_contact_rule_on_the_real_axis():
+    # cauchy_prime raises exactly where p0_zero is infinite: finite at the
+    # quartic's fourth-order zero, raising where the density is positive, at
+    # an atom and at the semicircle's edges, where real_cauchy stays finite
+    p0z = M.p0_zero(QUARTIC, 0.3)
+    assert math.isfinite(p0z)
+    assert M.cauchy_prime(QUARTIC, 0.3) == complex(-p0z)
+    sc = M.semicircle(1.0)
+    for mu, x in ((QUARTIC, 0.5), (FOUR_ATOMS, 0.7), (sc, 2.0), (sc, -2.0)):
+        with pytest.raises(M.OnSupportError):
+            M.cauchy_prime(mu, x)
+    assert M.real_cauchy(sc, 2.0) == 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -359,3 +359,14 @@ def test_sample_planar_respects_region(be23, be_profile):
 
     s = np.sort(pts.real)
     assert R.ks_statistic(s, be_profile.cdf_at_a(s)) < 0.04
+
+
+def test_circular_density_raises_off_the_open_source_region(sc):
+    # outside Lambda_t, where at_with_slope raises, and at |b0| >= v_t
+    with pytest.raises(OutsideLambdaError):
+        P.circular_density(sc, 1.0, complex(3.0, 0.0))
+    v = S.v_t(sc, 1.0, 0.3)
+    for b0 in (v, -v, 1.5 * v):
+        with pytest.raises(OutsideLambdaError):
+            P.circular_density(sc, 1.0, complex(0.3, b0))
+    assert P.circular_density(sc, 1.0, complex(0.3, 0.5 * v)) > 0.0

@@ -7,6 +7,7 @@ import pytest
 import ibrown.brown as B
 import ibrown.measure as M
 import ibrown.rmt as R
+from ibrown.errors import EigenFailureError
 
 
 def test_gue_hermitian_exact():
@@ -162,3 +163,36 @@ def test_hermitian_control_matches_additive_law(sc):
     evs = np.sort(R.simulate(sc, cfg).hermitian)
     ks = R.ks_statistic(evs, B.profile(sc, 1.0).cdf_at_u(evs))
     assert ks < 0.04
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("n", 1), ("t", 0.0), ("reps", 0), ("dilation", -0.1), ("seed", -1), ("seed", 2**64)],
+)
+def test_sim_config_rejects_bad_fields(field, value):
+    fields = {"n": 10, "t": 1.0, "reps": 1, "seed": 0, "dilation": 0.0, field: value}
+    with pytest.raises(ValueError):
+        R.SimConfig(**fields)
+
+
+def test_eigvals_retry_and_its_typed_failure(monkeypatch):
+    m = np.diag([1.0, 2.0, 3.0]).astype(complex)
+    eigvals, calls = np.linalg.eigvals, []
+
+    def fails_once(a):
+        calls.append(a)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("no convergence")
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", fails_once)
+    got = R._eigvals_with_retry(m, R._rng(0, 0))
+    assert len(calls) == 2 and not np.array_equal(calls[1], m)  # retried with a jitter
+    assert np.sort(got.real) == pytest.approx([1.0, 2.0, 3.0], abs=1e-12)
+
+    def always_fails(a):
+        raise np.linalg.LinAlgError("no convergence")
+
+    monkeypatch.setattr(np.linalg, "eigvals", always_fails)
+    with pytest.raises(EigenFailureError, match="failed twice"):
+        R._eigvals_with_retry(m, R._rng(0, 0))

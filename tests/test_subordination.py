@@ -7,7 +7,7 @@ import ibrown.brown as B
 import ibrown.measure as M
 import ibrown.numerics as N
 import ibrown.subordination as S
-from ibrown.errors import DegenerateJacobianError, NoConvergenceError, OutsideLambdaError
+from ibrown.errors import DegenerateJacobianError, NoConvergenceError, OutsideLambdaError, WrongBasinError
 
 from conftest import FOUR_ATOMS
 
@@ -597,3 +597,31 @@ def test_lambda_region_end_search_is_loud(monkeypatch):
     monkeypatch.setattr(S, "p0_zero", lambda mu, x: math.inf)
     with pytest.raises(NoConvergenceError):
         S.lambda_region(M.bernoulli(0.25), 0.8125)
+
+
+def test_at_with_slope_raises_outside_the_region(sc):
+    with pytest.raises(OutsideLambdaError):
+        S.at_with_slope(sc, 1.0, 2.5)
+
+
+def test_jt_inverse_failures_are_typed(sc, monkeypatch):
+    # forced through _newton_jt: every solve fails; only the solves at lam
+    # itself fail; the solves at lam land inside the source region
+    newton, lam = S._newton_jt, complex(0.3, 2.0)
+    inside = (1j, -100j, 0j)  # p0 = -Im G/Im z = 100 > 1/t
+
+    def failing_at_lam(mu, t, target, z0, tol):
+        return None if target == lam else newton(mu, t, target, z0, tol)
+
+    def inside_at_lam(mu, t, target, z0, tol):
+        return inside if target == lam else newton(mu, t, target, z0, tol)
+
+    monkeypatch.setattr(S, "_newton_jt", lambda *args: None)
+    with pytest.raises(NoConvergenceError, match="continuation stalled"):
+        S.j_t_inverse(sc, 1.0, lam)
+    monkeypatch.setattr(S, "_newton_jt", failing_at_lam)
+    with pytest.raises(NoConvergenceError, match="inversion failed"):
+        S.j_t_inverse(sc, 1.0, lam)
+    monkeypatch.setattr(S, "_newton_jt", inside_at_lam)
+    with pytest.raises(WrongBasinError):
+        S.j_t_inverse(sc, 1.0, lam)
