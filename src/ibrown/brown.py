@@ -367,8 +367,6 @@ def profile(mu: MeasureSpec, t: float, n_grid: int = 1024) -> BrownProfile:
     series' own convergence, as the total is."""
     if n_grid < 16:
         raise ValueError("n_grid must be at least 16")
-    if t <= 0.0:
-        raise ValueError("t must be positive")
     region = lambda_region(mu, t)
     k = -(-MASS_NODES // (n_grid + 1))
     sweep = lambda_sweep(mu, t, region.intervals, region.images, k * (n_grid + 1))

@@ -28,14 +28,23 @@ _VALIDATION_ERRORS = (
 )
 
 
-_PRESETS = {"semicircle": measure.semicircle, "uniform": measure.uniform, "bernoulli": measure.bernoulli}
+#: each preset and the most parameters it takes
+_PRESETS = {
+    "semicircle": (measure.semicircle, 1),
+    "uniform": (measure.uniform, 2),
+    "bernoulli": (measure.bernoulli, 1),
+}
 
 
 def _parse_preset(text: str) -> measure.MeasureSpec:
     name, _, params = text.partition(":")
     if name not in _PRESETS:
         raise MeasureFormatError(f"unknown preset {name!r}")
-    return _PRESETS[name](*(float(p) for p in params.split(",") if p))
+    make, most = _PRESETS[name]
+    args = [float(p) for p in params.split(",") if p]
+    if len(args) > most:
+        raise MeasureFormatError(f"preset {name!r} takes at most {most} parameters, got {len(args)}")
+    return make(*args)
 
 
 def _load_measure(ns) -> measure.MeasureSpec:

@@ -23,6 +23,15 @@ call.
 ``p0`` with ``v = 0`` returns ``math.inf`` when the integral diverges; callers
 use the sentinel for bracketing.
 
+G and G' of a polynomial piece come from one closed form,
+``_piece_cauchy_pair``, at a real or complex z, one node or an array, or from
+the piece's multipole series far from it. On the real line ``_real_pair``
+gives (G, p0(a0, 0) = -G') in one pass over the law and holds the two
+contact rules: G is on the support where the density exceeds 1e-9 (1 +
+max|c|), and p0 is infinite unless the density and its slope vanish there.
+``real_cauchy``, ``p0_zero``, ``cauchy_prime`` and the real branches of
+``cauchy`` and ``_cauchy_pair`` are views of it.
+
 For a semicircle or piecewise-polynomial law every kernel is a closed form in
 the Cauchy transform G and its derivative G' at ``z = a0 + iv``:
 ``p0 = -Im G/v``, ``c1 = Re G``, ``p1 = a0 p0 - c1``, ``q1 = Im G'/(2v)``,
@@ -341,11 +350,13 @@ def _cauchy_pair(mu: MeasureSpec, z):
     """G(z) and G'(z) at one z or, for a semicircle or piecewise law,
     elementwise at an array of z off the real line. Atoms are summed; each
     piece is summed as its multipole series where z is far from it and in
-    closed form elsewhere. At one real z the pair is (real_cauchy,
-    cauchy_prime), which take the same per-piece rule and raise
-    OnSupportError where either diverges."""
+    closed form elsewhere. At one real z the pair is _real_pair's (G, -p0),
+    and raises OnSupportError where either is on the support."""
     if not isinstance(z, np.ndarray) and z.imag == 0.0:
-        return complex(real_cauchy(mu, z.real)), cauchy_prime(mu, z)
+        g, p = _real_pair(mu, z.real)
+        if math.isnan(g) or p == math.inf:
+            raise OnSupportError(f"{z.real} lies on the support")
+        return complex(g), complex(-p)
     if mu.kind == "atomic":
         xs, ws = mu.atom_arrays
         d = z - xs
@@ -354,17 +365,15 @@ def _cauchy_pair(mu: MeasureSpec, z):
         root = _semicircle_root(mu.variance, z)
         g = 2.0 / (z + root)
         return g, -g / root
-    if isinstance(z, complex):
-        g = gp = 0j
-        for (lo, hi, coeffs), pole in zip(mu.pieces, mu.piece_multipoles):
-            n = _multipole_terms(pole, z)
+    one = isinstance(z, complex)
+    g, gp = (0j, 0j) if one else (np.zeros_like(z), np.zeros_like(z))
+    for (lo, hi, coeffs), pole in zip(mu.pieces, mu.piece_multipoles):
+        n = _multipole_terms(pole, z)
+        if one:
             gk, gpk = _multipole_pair(pole, z, n) if n else _piece_cauchy_pair(coeffs, lo, hi, z)
             g += gk
             gp += gpk
-        return g, gp
-    g, gp = np.zeros_like(z), np.zeros_like(z)
-    for (lo, hi, coeffs), pole in zip(mu.pieces, mu.piece_multipoles):
-        n = _multipole_terms(pole, z)
+            continue
         far = n > 0
         if far.any():
             gk, gpk = _multipole_pair(pole, z[far], int(n.max()))
@@ -408,25 +417,18 @@ def _multipole_pair(pole, z, n: int):
 
 def _piece_cauchy_pair(coeffs, lo: float, hi: float, z):
     # with u = x - z and rho = sum b_k u^k: G = -sum b_k int u^(k-1) du and
-    # G' = -sum b_k int u^(k-2) du over [lo - z, hi - z]; the segment keeps a
-    # constant nonzero Im u, so the principal log of u1/u0 is the continuous one.
+    # G' = -sum b_k int u^(k-2) du over [lo - z, hi - z], for z off the closed
+    # piece. A complex z keeps a constant nonzero Im u along the segment, so the
+    # principal log of u1/u0 is the continuous one; at a real z, u1/u0 > 0.
     # Elementwise for an array of z, which transforms keeps off the real line
     u0, u1 = lo - z, hi - z
-    if isinstance(z, complex) and (u0 == 0.0 or u1 == 0.0):
-        raise OnSupportError(f"{z} is an end of the piece [{lo}, {hi}]")
     b = poly_shift(coeffs, z)
     log_ratio = _ops(z).log(u1 / u0)
-    g = -b[0] * log_ratio
+    g = -b[0] * log_ratio - poly_definite(b[1:], u0, u1)
     gp = -b[0] * (1.0 / u0 - 1.0 / u1)
     if len(b) > 1:
         gp -= b[1] * log_ratio
-    w0 = w1 = 1.0  # u0**(k-1), u1**(k-1)
-    for k in range(1, len(b)):
-        if k >= 2:
-            gp -= b[k] * (w1 - w0) / (k - 1)
-        w0, w1 = w0 * u0, w1 * u1
-        g -= b[k] * (w1 - w0) / k
-    return g, gp
+    return g, gp - poly_definite(b[2:], u0, u1)
 
 
 def _shift_terms(coeffs, a0: float, j: int) -> list[Fraction]:
@@ -664,40 +666,9 @@ def _vanishes(coeffs, a0: float, b) -> bool:
 
 
 def p0_zero(mu: MeasureSpec, a0: float) -> float:
-    """The v = 0 Poisson integral int dmu/(a0-x)^2 = -G'(a0), evaluated in
-    closed form; +inf where it diverges. A polynomial piece far from a0 takes
-    its multipole series, as in _cauchy_pair."""
-    if mu.kind == "atomic":
-        xs, ws = mu.atom_arrays
-        d = a0 - xs
-        if np.abs(d).min() <= 1e-13 * (1.0 + abs(a0)):
-            return math.inf
-        return float((ws / (d * d)).sum())
-    z = complex(a0)
-    if mu.kind == "semicircle":
-        if abs(a0) <= mu.support.hi + 1e-13 * (1.0 + abs(a0)):
-            return math.inf
-        root = _semicircle_root(mu.variance, z)
-        return float((2.0 / ((z + root) * root)).real)
-    total = 0.0
-    for (lo, hi, coeffs), pole in zip(mu.pieces, mu.piece_multipoles):
-        n = _multipole_terms(pole, z)
-        if n:
-            total -= _multipole_pair(pole, z, n)[1].real
-            continue
-        b = poly_shift(coeffs, a0)  # density in powers of (x - a0)
-        if lo <= a0 <= hi:
-            if not _vanishes(coeffs, a0, b):
-                return math.inf
-            total += poly_definite(b[2:] or [0.0], lo - a0, hi - a0)
-        else:
-            u0, u1 = lo - a0, hi - a0
-            total += b[0] * (1.0 / u0 - 1.0 / u1)
-            if len(b) > 1:
-                total += b[1] * math.log(abs(u1 / u0))
-            if len(b) > 2:
-                total += poly_definite(b[2:], u0, u1)
-    return total
+    """The v = 0 Poisson integral int dmu/(a0-x)^2 = -G'(a0), from
+    _real_pair; +inf where it diverges."""
+    return _real_pair(mu, a0)[1]
 
 
 def p1(mu: MeasureSpec, a0: float, v: float) -> float:
@@ -719,55 +690,61 @@ def _semicircle_root(s: float, z):
     return sqrt(z - r) * sqrt(z + r)
 
 
-def _piece_cauchy_real(coeffs, lo: float, hi: float, a0: float) -> float:
-    # int rho(x)/(a0-x) dx with the rho(a0)*log term split off exactly
-    b = poly_shift(coeffs, a0)
-    u0, u1 = lo - a0, hi - a0
-    val = 0.0
-    if b[0] != 0.0:
-        # clamp |u| away from 0: reachable only when a0 touches a piece edge
-        # with vanishing density, where b[0]*log|u| is below rounding anyway
-        floor = 1e-18 * (1.0 + abs(a0) + abs(lo) + abs(hi))
-        c0 = u0 if abs(u0) > floor else math.copysign(floor, u0 if u0 != 0.0 else -1.0)
-        c1 = u1 if abs(u1) > floor else math.copysign(floor, u1 if u1 != 0.0 else 1.0)
-        val = -b[0] * math.log(abs(c1 / c0))
-    if len(b) > 1:
-        val -= poly_definite(b[1:], u0, u1)
-    return val
+def _real_pair(mu: MeasureSpec, a0: float) -> tuple[float, float]:
+    """G(a0) and p0(a0, 0) = -G'(a0) at a real a0, in one pass over the law.
 
-
-def real_cauchy(mu: MeasureSpec, a0: float) -> float:
-    """Cauchy transform at a real point, tolerating vanishing-density contact.
-
-    Used for boundary values where the point may touch the support closure but
-    the local density (hence the principal term) vanishes; raises OnSupport
-    when the integral genuinely diverges. A polynomial piece far from a0
-    takes its multipole series, as in _cauchy_pair.
+    G is nan on the support: at an atom, inside the semicircle's, and where
+    a piece's density exceeds 1e-9 (1 + max|c|), so that G stays real down to
+    that level where v_t reads 0 next to a zero of the density. p0 is inf at
+    an atom, on the closed semicircle support, and on a piece unless the
+    density and its slope vanish (_vanishes). A piece takes its multipole
+    series more than _FAR half-widths from a0, the closed form
+    _piece_cauchy_pair off it, and on it the contact step: the principal
+    value of G with |u| clamped away from 0 at the piece's ends, where
+    b_0 log|u| is below rounding anyway, and p0 from the powers u^k, k >= 2.
     """
     if mu.kind == "atomic":
         xs, ws = mu.atom_arrays
         d = a0 - xs
         if np.abs(d).min() <= 1e-13 * (1.0 + abs(a0)):
-            raise OnSupportError(f"atom at {a0}")
-        return float((ws / d).sum())
+            return math.nan, math.inf
+        return float((ws / d).sum()), float((ws / (d * d)).sum())
     z = complex(a0)
     if mu.kind == "semicircle":
-        if abs(a0) < mu.support.hi - 1e-13:
-            raise OnSupportError(f"{a0} inside the semicircle support")
-        return float((2.0 / (z + _semicircle_root(mu.variance, z))).real)
-    total = 0.0
+        root = _semicircle_root(mu.variance, z)
+        g = float((2.0 / (z + root)).real) if abs(a0) >= mu.support.hi - 1e-13 else math.nan
+        if abs(a0) <= mu.support.hi + 1e-13 * (1.0 + abs(a0)):
+            return g, math.inf
+        return g, float((2.0 / ((z + root) * root)).real)
+    g = p = 0.0
     for (lo, hi, coeffs), pole in zip(mu.pieces, mu.piece_multipoles):
-        n = _multipole_terms(pole, z)
-        if n:
-            total += _multipole_pair(pole, z, n)[0].real
-            continue
-        edge = 1e-12 * (1.0 + abs(a0))
-        if lo - edge <= a0 <= hi + edge:
-            local = float(poly_eval(coeffs, a0))
-            if abs(local) > 1e-9 * (1.0 + max(abs(c) for c in coeffs)):
-                raise OnSupportError(f"positive density at {a0}")
-        total += _piece_cauchy_real(coeffs, lo, hi, a0)
-    return total
+        if n := _multipole_terms(pole, z):
+            gk, gpk = _multipole_pair(pole, z, n)
+            g += gk.real
+            p -= gpk.real
+        elif lo <= a0 <= hi:
+            b, u0, u1 = poly_shift(coeffs, a0), lo - a0, hi - a0
+            if abs(b[0]) > 1e-9 * (1.0 + max(abs(c) for c in coeffs)):
+                g = math.nan
+            else:
+                floor = 1e-18 * (1.0 + abs(a0) + abs(lo) + abs(hi))
+                g -= b[0] * math.log(max(u1, floor) / max(-u0, floor)) + poly_definite(b[1:], u0, u1)
+            p += poly_definite(b[2:], u0, u1) if _vanishes(coeffs, a0, b) else math.inf
+        else:
+            gk, gpk = _piece_cauchy_pair(coeffs, lo, hi, a0)
+            g += gk
+            p -= gpk
+    return g, p
+
+
+def real_cauchy(mu: MeasureSpec, a0: float) -> float:
+    """G at a real point, from _real_pair: finite where the point touches the
+    support closure but the density there vanishes, as J_t(a0 + 0i) needs
+    where v_t reads 0; raises OnSupportError where the integral diverges."""
+    g = _real_pair(mu, a0)[0]
+    if math.isnan(g):
+        raise OnSupportError(f"{a0} lies on the support")
+    return g
 
 
 def cauchy(mu: MeasureSpec, z: complex) -> complex:

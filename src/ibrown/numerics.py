@@ -129,11 +129,9 @@ def damped_newton(fdf, x0, tol: float):
 
 
 def poly_eval(coeffs: Sequence[float], x):
-    """Evaluate a polynomial given ascending-degree coefficients (Horner)."""
-    if np.ndim(x):
-        acc = np.zeros_like(np.asarray(x, dtype=float))
-    else:
-        acc = 0.0
+    """Evaluate a polynomial given ascending-degree coefficients (Horner), at
+    one number or elementwise at an array, real or complex."""
+    acc = np.zeros_like(x) if np.ndim(x) else 0.0
     for c in reversed(tuple(coeffs)):
         acc = acc * x + c
     return acc
@@ -152,6 +150,8 @@ def poly_shift(coeffs: Sequence[float], c: float) -> list[float]:
     return out
 
 
-def poly_definite(coeffs: Sequence[float], lo: float, hi: float) -> float:
+def poly_definite(coeffs: Sequence[float], lo, hi):
+    """int_lo^hi of the polynomial, from its antiderivative at both ends: at
+    real or complex ends, or elementwise at arrays of them."""
     anti = [0.0] + [c / (k + 1) for k, c in enumerate(coeffs)]
-    return float(poly_eval(anti, hi) - poly_eval(anti, lo))
+    return poly_eval(anti, hi) - poly_eval(anti, lo)

@@ -34,8 +34,8 @@ class SimConfig:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("n must be at least 2")
-        if self.t <= 0.0:
-            raise ValueError("t must be positive")
+        if not 0.0 < self.t < math.inf:
+            raise ValueError("t must be positive and finite")
         if self.reps < 1:
             raise ValueError("reps must be at least 1")
         if self.dilation < 0.0:

@@ -94,8 +94,8 @@ def _vt_solve(mu: MeasureSpec, t: float, a0: float, v_hint: float | None = None)
     region. Inside it, where v_t <= 4 V_TOL, it returns 0.0 with the bundle at
     such a v.
     """
-    if t <= 0.0:
-        raise ValueError("t must be positive")
+    if not 0.0 < t < math.inf:
+        raise ValueError("t must be positive and finite")
     if p0_zero(mu, a0) <= 1.0 / t:
         return 0.0, None
     vmax = math.sqrt(t)
@@ -327,8 +327,8 @@ def lambda_region(mu: MeasureSpec, t: float) -> LambdaRegion:
     on to the end of the band where p0_zero reads finite, so that v_t > 0 on the
     open intervals as _vt_solve computes it. a_t at the ends completes it.
     """
-    if t <= 0.0:
-        raise ValueError("t must be positive")
+    if not 0.0 < t < math.inf:
+        raise ValueError("t must be positive and finite")
     return _lambda_region_cached(mu, float(t))
 
 

@@ -67,6 +67,9 @@ def test_dirac_fails_fast(tmp_path, capsys):
 
 def test_unknown_preset_and_keys(tmp_path):
     assert run(["compute", "--preset", "cauchy:1", "--t", "1", "--out", str(tmp_path)]) == 2
+    assert run(["compute", "--preset", "semicircle:1,2", "--t", "1", "--out", str(tmp_path)]) == 2
+    for t in ("nan", "inf"):
+        assert run(["compute", "--preset", "semicircle", "--t", t, "--out", str(tmp_path)]) == 2
     mfile = tmp_path / "bad.json"
     mfile.write_text('{"type":"uniform","lo":-1.0,"hi":1.0,"name":"x"}')
     assert run(["compute", "--measure", str(mfile), "--t", "1", "--out", str(tmp_path)]) == 2

@@ -366,9 +366,10 @@ def test_momenta_at_tiny_regularization_on_a_piece_law():
 
 
 def test_closed_forms_raise_on_support_at_edges():
-    # a typed error, not cmath's ValueError from log(0) or a ZeroDivisionError
-    with pytest.raises(M.OnSupportError):
-        M._piece_cauchy_pair((0.5,), -1.0, 1.0, complex(1.0, 0.0))
+    # a typed error, not math's ValueError from log(0) or a ZeroDivisionError
+    for x in (1.0, -1.0):
+        with pytest.raises(M.OnSupportError):
+            M.cauchy(M.uniform(-1.0, 1.0), x)
     with pytest.raises(M.OnSupportError):
         M.cauchy_prime(M.semicircle(1.0), 2.0)
 
@@ -400,6 +401,14 @@ def test_one_contact_rule_on_the_real_axis():
         with pytest.raises(M.OnSupportError):
             M.cauchy_prime(mu, x)
     assert M.real_cauchy(sc, 2.0) == 1.0
+    # just past a piece end where the density is positive, G and G' are finite
+    uni = M.uniform(-1.0, 1.0)
+    near = [(uni, s * (1.0 + d)) for s in (1.0, -1.0) for d in (1e-13, 3e-12)] + [(QUARTIC, 2.0 + 1e-13)]
+    for mu, a0 in near:
+        g, _ = oracle_g(mu, mp.mpc(a0, 0))
+        assert rel_err(M.real_cauchy(mu, a0), g.real) <= 1e-13, a0
+        assert rel_err(M.cauchy(mu, a0).real, g.real) <= 1e-13, a0
+        assert math.isfinite(M.cauchy_prime(mu, a0).real), a0
 
 
 # ---------------------------------------------------------------------------
