@@ -34,14 +34,16 @@ class CheckResult:
 JN_POINTS = 60
 
 
-def _interior_rows(profile, per_interval):
-    """Indices of up to per_interval rows of each block, clear of its ends."""
+def fixed_point_rows(profile, per_block, margin) -> list[int]:
+    """Indices of up to per_block rows of each block, evenly spaced and at
+    least margin rows from its ends, that have a positive height: where b_t
+    is 0, g = G(a + t conj(g)) has no complex solution."""
     rows = []
     for sl in profile.blocks():
         size = sl.stop - sl.start
-        take = np.linspace(2, size - 3, min(per_interval, max(size - 4, 1))).astype(int)
+        take = np.linspace(margin, size - 1 - margin, min(per_block, max(size - 2 * margin, 1))).astype(int)
         rows.extend(sl.start + take)
-    return rows
+    return [i for i in rows if profile.halfheight[i] > 0]
 
 
 def boundary_maps(mu, t, prof) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -93,7 +95,7 @@ def check_jn(mu, t, prof) -> list[CheckResult]:
     re_identity = 0.0
     poisson = 0.0
     per_interval = max(8, JN_POINTS // max(len(prof.omega_intervals), 1))
-    rows = [i for i in _interior_rows(prof, per_interval) if prof.halfheight[i] > 0]  # else no complex g
+    rows = fixed_point_rows(prof, per_interval, 2)
     stride = max(len(rows) // 8, 1)
     for k, i in enumerate(rows):
         a = float(prof.grid[i])

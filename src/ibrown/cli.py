@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: compute, pushforward, simulate, jn, characteristics, verify.
-Measures come from --measure FILE (JSON schema) or --preset NAME[:params]
-with presets semicircle[:variance], uniform[:lo,hi], bernoulli[:alpha].
+Measures come from --measure FILE (JSON schema) or --preset NAME[:params],
+a preset of measure.PRESETS with its parameters in order. jn, like verify,
+solves the fixed point at the profile rows of checks.fixed_point_rows.
 Exit codes: 2 for validation errors, 3 for any other failure of a computation.
 """
 
@@ -28,22 +29,14 @@ _VALIDATION_ERRORS = (
 )
 
 
-#: each preset and the most parameters it takes
-_PRESETS = {
-    "semicircle": (measure.semicircle, 1),
-    "uniform": (measure.uniform, 2),
-    "bernoulli": (measure.bernoulli, 1),
-}
-
-
 def _parse_preset(text: str) -> measure.MeasureSpec:
     name, _, params = text.partition(":")
-    if name not in _PRESETS:
+    if name not in measure.PRESETS:
         raise MeasureFormatError(f"unknown preset {name!r}")
-    make, most = _PRESETS[name]
+    make, names = measure.PRESETS[name]
     args = [float(p) for p in params.split(",") if p]
-    if len(args) > most:
-        raise MeasureFormatError(f"preset {name!r} takes at most {most} parameters, got {len(args)}")
+    if len(args) > len(names):
+        raise MeasureFormatError(f"preset {name!r} takes at most {len(names)} parameters, got {len(args)}")
     return make(*args)
 
 
@@ -154,10 +147,7 @@ def cmd_jn(ns) -> int:
     mu = _load_measure(ns)
     out = _out_dir(ns)
     prof = brown.profile(mu, ns.t, n_grid=max(ns.grid, 64))
-    rows = []
-    for sl in prof.blocks():  # up to 200 rows of each block, its ends excepted
-        size = sl.stop - sl.start
-        rows.extend(sl.start + np.linspace(1, size - 2, min(size - 2, 200)).astype(int))
+    rows = checks.fixed_point_rows(prof, 200, 1)
     a, w = prof.grid[rows], prof.density[rows]
     wj = np.array([jn.jn_density(mu, ns.t, float(x)) for x in a])
     diff = np.abs(wj - w)
@@ -195,7 +185,7 @@ def cmd_verify(ns) -> int:
 #: --t, and of the rest only those listed for it in _COMMANDS
 _OPTIONS = {
     "measure": {"help": "path to a measure JSON file"},
-    "preset": {"help": "semicircle[:s] | uniform[:lo,hi] | bernoulli[:alpha]"},
+    "preset": {"help": " | ".join(f"{k}[:{','.join(p)}]" for k, (_, p) in measure.PRESETS.items())},
     "t": {"type": float, "required": True, "help": "time parameter (> 0)"},
     "grid": {"type": int, "default": 1024, "help": "grid points per interval"},
     "out": {"default": ".", "help": "output directory"},

@@ -21,7 +21,7 @@ from .brown import _a0_solve_nodes, _circular_density, _locate, _planar_density,
 from .errors import OutsideLambdaError, OutsideOmegaError
 from .measure import MeasureSpec, transforms
 from .numerics import bracket_newton
-from .subordination import _at_slope, _at_value, _vt_solve, _vt_solve_nodes, a_t, at_with_slope
+from .subordination import _at_outside, _at_slope, _at_value, _vt_solve, _vt_solve_nodes, at_with_slope
 from .subordination import lambda_region
 
 #: cuts of each region interval along Re, giving the rectangles of pushforward_check
@@ -36,7 +36,7 @@ def u_t(mu: MeasureSpec, t: float, lam0: complex) -> complex:
     v, out = _vt_solve(mu, t, a0)
     if abs(b0) > v + tol:
         raise OutsideLambdaError(f"{lam0} is outside the closed source region")
-    return complex(a_t(mu, t, a0) if out is None else _at_value(t, a0, out), 2.0 * b0)
+    return complex(_at_outside(mu, t, a0) if out is None else _at_value(t, a0, out), 2.0 * b0)
 
 
 def u_t_inverse(mu: MeasureSpec, t: float, lam: complex) -> complex:

@@ -257,12 +257,18 @@ def piecewise_poly(pieces: Iterable[tuple[float, float, Sequence[float]]]) -> Me
     return _validate_pieces([(lo, hi, tuple(c)) for lo, hi, c in pieces], "piecewise_poly")
 
 
+#: each preset's constructor and its parameter names, in order: the JSON
+#: keys of its type and the values of --preset NAME[:params]
+PRESETS = {
+    "semicircle": (semicircle, ("variance",)),
+    "uniform": (uniform, ("lo", "hi")),
+    "bernoulli": (bernoulli, ("alpha",)),
+}
+
 _SCHEMAS = {
     "atomic": {"type", "atoms"},
-    "uniform": {"type", "lo", "hi"},
-    "semicircle": {"type", "variance"},
-    "bernoulli": {"type", "alpha"},
     "piecewise_poly": {"type", "pieces"},
+    **{name: {"type", *params} for name, (_, params) in PRESETS.items()},
 }
 
 
@@ -276,6 +282,9 @@ def _from_dict(obj: dict) -> MeasureSpec:
         raise MeasureFormatError(f"unknown keys {sorted(extra)}")
     if missing:
         raise MeasureFormatError(f"missing keys {sorted(missing)}")
+    if kind in PRESETS:
+        make, params = PRESETS[kind]
+        return make(*(obj[p] for p in params))
     if kind == "atomic":
         atoms = []
         for entry in obj["atoms"]:
@@ -283,12 +292,6 @@ def _from_dict(obj: dict) -> MeasureSpec:
                 raise MeasureFormatError("atom entries need exactly keys x, w")
             atoms.append((entry["x"], entry["w"]))
         return _validate_atomic(atoms, "atomic")
-    if kind == "uniform":
-        return uniform(obj["lo"], obj["hi"])
-    if kind == "semicircle":
-        return semicircle(obj["variance"])
-    if kind == "bernoulli":
-        return bernoulli(obj["alpha"])
     pieces = []
     for entry in obj["pieces"]:
         if set(entry) != {"lo", "hi", "coeffs"}:

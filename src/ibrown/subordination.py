@@ -313,7 +313,8 @@ def _lambda_region_cached(mu: MeasureSpec, t: float) -> LambdaRegion:
         lo = max(lo, d)
     if hi > lo:
         intervals.append((lo, hi))
-    images = tuple((a_t(mu, t, l), a_t(mu, t, r)) for l, r in intervals)
+    # h >= 0 at every end, i.e. p0(end, 0) <= 1/t: _vt_solve would return (0, None)
+    images = tuple((_at_outside(mu, t, l), _at_outside(mu, t, r)) for l, r in intervals)
     return LambdaRegion(t=t, intervals=tuple(intervals), images=images)
 
 
@@ -340,8 +341,11 @@ def a_t(mu: MeasureSpec, t: float, a0: float) -> float:
     is raised only where the exterior value genuinely diverges.
     """
     out = _vt_solve(mu, t, a0)[1]
-    if out is not None:
-        return _at_value(t, a0, out)
+    return _at_outside(mu, t, a0) if out is None else _at_value(t, a0, out)
+
+
+def _at_outside(mu: MeasureSpec, t: float, a0: float) -> float:
+    """a_t where _vt_solve returns (0, None), i.e. p0(a0, 0) <= 1/t: a0 - t G(a0)."""
     return a0 - t * real_cauchy(mu, a0)
 
 

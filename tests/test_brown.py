@@ -370,6 +370,11 @@ def test_profile_vertical_mass(sc_profile):
     assert p.mass == pytest.approx(1.0, abs=1e-8)
 
 
+def test_profile_needs_sixteen_rows(sc):
+    with pytest.raises(ValueError, match="at least 16"):
+        B.profile(sc, 1.0, n_grid=15)
+
+
 def test_profile_flags(sc_profile):
     flags = list(sc_profile.flags)
     assert flags[0] == "near_boundary" and flags[-1] == "near_boundary"

@@ -81,6 +81,22 @@ def test_flow_lifetime_endpoint(be12):
         C.flow(be12, init, t_life)
 
 
+@pytest.mark.parametrize(
+    "call,error",
+    [
+        (lambda mu: C.InitialData(0.3 + 0.2j, -0.1), ValueError),
+        (lambda mu: C.initial_momenta(mu, C.InitialData(0.3 + 0j, 0.0)), ValueError),
+        (lambda mu: C.flow(mu, C.InitialData(0.3 + 0.2j, 0.1), -0.5), ValueError),
+        (lambda mu: C.s_of(mu, 1.0, 0.3 + 0.2j, 0.0), ValueError),
+        # the lifetime 1/p0 is 0.253 there
+        (lambda mu: C.hj_value(mu, C.InitialData(0.3 + 0.2j, 0.01), 1.0), PastLifetimeError),
+    ],
+)
+def test_guards_raise_typed_errors(sc, call, error):
+    with pytest.raises(error):
+        call(sc)
+
+
 def test_flow_small_eps_limit_is_j(sc, be23):
     for mu, t, lam0 in ((sc, 1.0, 2.4 + 0j), (be23, 1.05, 1.8 - 0.6j)):
         st = C.flow(mu, C.InitialData(lam0, 1e-12), t)

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from ibrown import brown, cli, maps
+from ibrown import brown, cli, maps, measure
 from ibrown.errors import EigenFailureError, NoConvergenceError
 
 
@@ -67,12 +67,27 @@ def test_dirac_fails_fast(tmp_path, capsys):
 
 def test_unknown_preset_and_keys(tmp_path):
     assert run(["compute", "--preset", "cauchy:1", "--t", "1", "--out", str(tmp_path)]) == 2
-    assert run(["compute", "--preset", "semicircle:1,2", "--t", "1", "--out", str(tmp_path)]) == 2
+    for preset in ("semicircle:1,2", "uniform:1,2,3", "bernoulli:2"):
+        assert run(["compute", "--preset", preset, "--t", "1", "--out", str(tmp_path)]) == 2
     for t in ("nan", "inf"):
         assert run(["compute", "--preset", "semicircle", "--t", t, "--out", str(tmp_path)]) == 2
     mfile = tmp_path / "bad.json"
     mfile.write_text('{"type":"uniform","lo":-1.0,"hi":1.0,"name":"x"}')
     assert run(["compute", "--measure", str(mfile), "--t", "1", "--out", str(tmp_path)]) == 2
+
+
+#: parameters, in the order of measure.PRESETS, for every preset
+PRESET_VALUES = {"semicircle": (2.5,), "uniform": (-0.5, 1.5), "bernoulli": (0.25,)}
+
+
+@pytest.mark.parametrize("name", sorted(measure.PRESETS))
+def test_presets_agree_through_json_and_the_flag(name):
+    make, params = measure.PRESETS[name]
+    values = PRESET_VALUES[name]
+    assert len(values) == len(params)
+    spec = measure.from_json(json.dumps({"type": name, **dict(zip(params, values))}))
+    assert cli._parse_preset(f"{name}:{','.join(map(repr, values))}") == spec == make(*values)
+    assert cli._parse_preset(name) == make()
 
 
 def test_simulate_outputs_and_reproducibility(tmp_path):
@@ -173,6 +188,19 @@ def test_jn_default_grid(tmp_path, preset, t):
     # Chebyshev node, about 1e-5 from the region's edge
     code = run(["jn", "--preset", preset, "--t", t, "--out", str(tmp_path)])
     assert code == 0
+    rep = json.loads((tmp_path / "jn.json").read_text())
+    assert rep["max_abs_diff"] < 1e-8
+
+
+def test_jn_next_to_a_fourth_order_zero(tmp_path):
+    # (x - 0.3)^4 on [-1, 2] at t = 0.3: rows where b_t = 0 have no complex
+    # fixed point, and jn takes the rows of checks.fixed_point_rows
+    law = tmp_path / "quartic.json"
+    law.write_text(
+        '{"type":"piecewise_poly","pieces":[{"lo":-1.0,"hi":2.0,'
+        '"coeffs":[0.0081,-0.108,0.54,-1.2,1.0]}]}'
+    )
+    assert run(["jn", "--measure", str(law), "--t", "0.3", "--out", str(tmp_path)]) == 0
     rep = json.loads((tmp_path / "jn.json").read_text())
     assert rep["max_abs_diff"] < 1e-8
 

@@ -155,6 +155,22 @@ def test_verify_suites_run_next_to_a_fourth_order_zero():
     assert rows["jn", "density equivalence"].passed and rows["jn", "t*Re g = a0 - a"].passed
 
 
+@pytest.mark.parametrize("per_block,margin,n_grid", [(C.JN_POINTS, 2, 256), (200, 1, 1024)])
+def test_fixed_point_rows_have_positive_height(per_block, margin, n_grid):
+    # check_jn's rule on verify's profile and cmd_jn's on the default grid, on
+    # (x - 0.3)^4 on [-1, 2] at t = 0.3: rows next to the zero read b_t = 0,
+    # where g = G(a + t conj(g)) has no complex solution
+    mu = M.piecewise_poly([(-1.0, 2.0, (0.0081, -0.108, 0.54, -1.2, 1.0))])
+    prof = B.profile(mu, 0.3, n_grid=n_grid)
+    assert (prof.halfheight == 0.0).any()
+    rows = C.fixed_point_rows(prof, per_block, margin)
+    assert rows and all(prof.halfheight[i] > 0.0 for i in rows)
+    for sl in prof.blocks():
+        mine = [i for i in rows if sl.start <= i < sl.stop]
+        assert 0 < len(mine) <= per_block
+        assert all(sl.start + margin <= i < sl.stop - margin for i in mine)
+
+
 def test_jn_density_raises_on_a_singular_jacobian(monkeypatch):
     # with G' = 1/t real, the columns 1 - t G' and i (1 + t G') of the
     # fixed-point Jacobian make its determinant 0

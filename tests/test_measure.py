@@ -66,6 +66,43 @@ def test_negative_and_empty_rejected():
         M.from_json(json.dumps({"type": "piecewise_poly", "pieces": [piece]}))
 
 
+@pytest.mark.parametrize(
+    "make,error",
+    [
+        (lambda: M.atomic([(math.nan, 0.5), (1.0, 0.5)]), MeasureFormatError),
+        (lambda: M.atomic([(-1.0, math.inf), (1.0, 0.5)]), MeasureFormatError),
+        (lambda: M.atomic([]), EmptyMeasureError),
+        (lambda: M.piecewise_poly([(1.0, 0.0, (1.0,))]), MeasureFormatError),
+        (lambda: M.piecewise_poly([(0.0, math.inf, (1.0,))]), MeasureFormatError),
+        (lambda: M.piecewise_poly([(0.0, 1.0, ())]), MeasureFormatError),
+        (lambda: M.piecewise_poly([(0.0, 1.0, (0.0,))]), EmptyMeasureError),
+        (lambda: M.piecewise_poly([(0.0, 1.0, (1.0,)), (0.5, 2.0, (1.0,))]), MeasureFormatError),
+        (lambda: M.semicircle(0.0), MeasureFormatError),
+        (lambda: M.semicircle(math.inf), MeasureFormatError),
+        (lambda: M.uniform(1.0, 1.0), MeasureFormatError),
+        (lambda: M.bernoulli(0.0), MeasureFormatError),
+        (lambda: M.bernoulli(1.0), MeasureFormatError),
+    ],
+)
+def test_constructors_raise_typed_errors(make, error):
+    with pytest.raises(error):
+        make()
+
+
+@pytest.mark.parametrize(
+    "text,match",
+    [
+        ("{'type': 'uniform'}", "invalid JSON"),
+        ('[{"type":"uniform","lo":-1.0,"hi":1.0}]', "JSON object"),
+        ('{"type":"uniform","lo":-1.0}', "missing keys"),
+        ('{"type":"piecewise_poly","pieces":[{"lo":0.0,"hi":1.0}]}', "piece entries"),
+    ],
+)
+def test_json_format_errors(text, match):
+    with pytest.raises(MeasureFormatError, match=match):
+        M.from_json(text)
+
+
 def test_json_schema_strict():
     ok = M.from_json('{"type":"uniform","lo":-1.0,"hi":1.0}')
     assert ok.kind == "piecewise_poly"
@@ -301,6 +338,24 @@ def test_semicircle_transform_matches_trapezoid():
     a0, v = 0.6, 0.45
     ref = np.trapezoid(wts / ((a0 - xs) ** 2 + v * v), th)
     assert M.p0(M.semicircle(1.0), a0, v) == pytest.approx(ref, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda mu: M.transforms(mu, 0.3, 0.0),
+        lambda mu: M.transforms(mu, np.array([0.3, 0.5]), np.array([0.1, -0.1])),
+        lambda mu: M.p0(mu, 0.3, -0.1),
+        lambda mu: M.p1(mu, 0.3, 0.0),
+        lambda mu: M.log_potential(mu, 0.3, -0.1),
+        lambda mu: M.quantile(mu, 0.0),
+        lambda mu: M.quantile(mu, 1.0),
+    ],
+)
+def test_kernel_guards_raise_value_error(call):
+    for mu in (M.semicircle(1.0), M.bernoulli(0.5)):
+        with pytest.raises(ValueError):
+            call(mu)
 
 
 def test_log_potential_atoms_and_divergence():

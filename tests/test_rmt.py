@@ -175,6 +175,12 @@ def test_sim_config_rejects_bad_fields(field, value):
         R.SimConfig(**fields)
 
 
+@pytest.mark.parametrize("draw", [lambda: R.sample_gue(1, 0), lambda: R.deterministic_x(M.semicircle(1.0), 1)])
+def test_draws_need_two_rows(draw):
+    with pytest.raises(ValueError, match="at least 2"):
+        draw()
+
+
 def test_eigvals_retry_and_its_typed_failure(monkeypatch):
     m = np.diag([1.0, 2.0, 3.0]).astype(complex)
     eigvals, calls = np.linalg.eigvals, []
