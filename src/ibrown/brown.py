@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutsideOmegaError, OutsideOnlyError
+from .errors import OutsideLambdaError, OutsideOmegaError, OutsideOnlyError
 from .measure import MeasureSpec, cauchy, log_potential
 from .numerics import bracket_newton, bracket_newton_nodes
-from .subordination import _at_slope, _vt_solve_nodes, at_with_slope, j_t_inverse, lambda_region
+from .subordination import _vt_solve, _vt_solve_nodes, j_t_inverse, lambda_region
 
 
 def _planar_density(t, slope):
@@ -160,14 +160,17 @@ def _a0_solve(mu, t, a, lam_iv, omega_iv):
     rises from f(l) = a_t(l) - a, known from omega_iv = (a_t(l), a_t(r)),
     started at the linear interpolation between them. Each evaluation hints
     v_t's solve with the v before, and the slope and v returned are the ones
-    evaluated at the root.
+    evaluated at the root. Raises OutsideLambdaError at an iterate off the
+    region, where the solve's slope is nan.
     """
     (l, r), (al, ar) = lam_iv, omega_iv
     slope = v = None  # at the last iterate evaluated
 
     def fdf(a0):
         nonlocal slope, v
-        at, slope, v = at_with_slope(mu, t, a0, v_hint=v)
+        v, at, slope = _vt_solve(mu, t, a0, v_hint=v)
+        if math.isnan(slope):
+            raise OutsideLambdaError(f"v_t({a0}) = 0")
         return at - a, (at - a) / slope if slope > 0.0 else math.inf
 
     x0 = min(max(l + (r - l) * (a - al) / (ar - al), math.nextafter(l, r)), math.nextafter(r, l))
@@ -186,9 +189,7 @@ def _a0_solve_nodes(mu, t, a, lam_iv, omega_iv, x0):
     slopes, vs = np.empty(a.size), np.empty(a.size)
 
     def fdf(x, idx):
-        v, out = _vt_solve_nodes(mu, t, x)
-        at, slopes[idx] = _at_slope(t, x, v, out)
-        vs[idx] = v
+        vs[idx], at, slopes[idx] = _vt_solve_nodes(mu, t, x)
         f = at - a[idx]
         return f, f / slopes[idx]
 
@@ -316,8 +317,9 @@ def lambda_sweep(mu: MeasureSpec, t: float, intervals, images, n: int = MASS_NOD
     """Sample v_t, a_t and the slope along source intervals at Chebyshev
     angles theta_j = j*pi/n (endpoints carry v = 0 and zero mass weight):
     one array v_t solve over the interior nodes of every interval at once,
-    a_t and the slope from its bundles, and at each interval's two ends a_t
-    from images, the intervals' entries of lambda_region(mu, t).images. A
+    which returns v, a_t and the slope there, and at each interval's two
+    ends a_t from images, the intervals' entries of
+    lambda_region(mu, t).images. A
     node's iterates are its own, so its values do not depend on the other
     intervals swept with it.
 
@@ -345,8 +347,7 @@ def lambda_sweep(mu: MeasureSpec, t: float, intervals, images, n: int = MASS_NOD
     inner = a0s[:, 1:-1].ravel()
     ims = np.array(images, dtype=float)
     height = half - 0.5 * (ims[:, 1:] - ims[:, :1])
-    v, out = _vt_solve_nodes(mu, t, inner, (height * np.sin(theta[1:-1])).ravel())
-    at, slope = _at_slope(t, inner, v, out)
+    v, at, slope = _vt_solve_nodes(mu, t, inner, (height * np.sin(theta[1:-1])).ravel())
     v, at, slope = (x.reshape(len(ends), n - 1) for x in (v, at, slope))
     vs, ats, h = np.zeros(a0s.shape), np.empty(a0s.shape), np.zeros(a0s.shape)
     slopes = np.full(a0s.shape, np.nan)

@@ -34,10 +34,11 @@ def _parse_preset(text: str) -> measure.MeasureSpec:
     if name not in measure.PRESETS:
         raise MeasureFormatError(f"unknown preset {name!r}")
     make, names = measure.PRESETS[name]
-    args = [float(p) for p in params.split(",") if p]
-    if len(args) > len(names):
-        raise MeasureFormatError(f"preset {name!r} takes at most {len(names)} parameters, got {len(args)}")
-    return make(*args)
+    values = params.split(",") if params else []
+    if any(values[len(names) :]):
+        raise MeasureFormatError(f"preset {name!r} takes at most {len(names)} parameters, got {len(values)}")
+    # the i-th parameter is the i-th name; an empty one keeps its default
+    return make(**{n: float(v) for n, v in zip(names, values) if v})
 
 
 def _load_measure(ns) -> measure.MeasureSpec:

@@ -21,8 +21,7 @@ from .brown import _a0_solve_nodes, _circular_density, _locate, _planar_density,
 from .errors import OutsideLambdaError, OutsideOmegaError
 from .measure import MeasureSpec, transforms
 from .numerics import bracket_newton
-from .subordination import _at_outside, _at_slope, _at_value, _vt_solve, _vt_solve_nodes, at_with_slope
-from .subordination import lambda_region
+from .subordination import _vt_solve, _vt_solve_nodes, lambda_region
 
 #: cuts of each region interval along Re, giving the rectangles of pushforward_check
 N_RECT = 4
@@ -33,10 +32,10 @@ def u_t(mu: MeasureSpec, t: float, lam0: complex) -> complex:
     lam0 = complex(lam0)
     a0, b0 = lam0.real, lam0.imag
     tol = 1e-9 * (1.0 + abs(lam0))
-    v, out = _vt_solve(mu, t, a0)
+    v, at, _ = _vt_solve(mu, t, a0)
     if abs(b0) > v + tol:
         raise OutsideLambdaError(f"{lam0} is outside the closed source region")
-    return complex(_at_outside(mu, t, a0) if out is None else _at_value(t, a0, out), 2.0 * b0)
+    return complex(at, 2.0 * b0)
 
 
 def u_t_inverse(mu: MeasureSpec, t: float, lam: complex) -> complex:
@@ -61,10 +60,7 @@ def circular_density(mu: MeasureSpec, t: float, lam0: complex) -> float:
     (1/(pi t)) (1 - (da_t/da0)/2), constant in Im."""
     lam0 = complex(lam0)
     a0, b0 = lam0.real, lam0.imag
-    try:
-        _, slope, v = at_with_slope(mu, t, a0)
-    except OutsideLambdaError:
-        v = 0.0
+    v, _, slope = _vt_solve(mu, t, a0)
     tol = 1e-9 * (1.0 + abs(lam0))
     if v <= 0.0 or abs(b0) >= v - tol:
         raise OutsideLambdaError(f"{lam0} is not strictly inside the source region")
@@ -125,29 +121,25 @@ def _v_crossings(mu, t, sweep, level):
     v_t > level exactly where p0(a0, level^2) > 1/t, so each crossing is a
     root of p0(., level^2) - 1/t, bracketed by neighbouring sweep nodes
     (where v - level has its sign) and solved by bracket_newton through
-    d p0/d a0 = -2 q1, one bundle per step; a_t comes from the bundle at the
-    root, where v_t = level.
+    d p0/d a0 = -2 q1, one bundle per step; a_t there is _vt_solve's,
+    started at the level.
     """
     a0s, d = sweep["a0"], sweep["v"] - level
     v2, inv_t = level * level, 1.0 / t
 
     def crossing(lo, hi, rise):
-        out = None
-
         def fdf(a0):
-            nonlocal out
             out = transforms(mu, a0, v2)
             f, df = out.p0 - inv_t, -2.0 * out.q1
             return rise * f, f / df if df != 0.0 else math.inf
 
-        x = bracket_newton(fdf, lo, hi, 0.5 * (lo + hi), 1e-12 * inv_t, 1e-14 * (1.0 + abs(lo) + abs(hi)))
-        return x, _at_value(t, x, out)
+        return bracket_newton(fdf, lo, hi, 0.5 * (lo + hi), 1e-12 * inv_t, 1e-14 * (1.0 + abs(lo) + abs(hi)))
 
-    hits = [
+    xs = [
         crossing(a0s[i], a0s[i + 1], 1.0 if d[i] < 0.0 else -1.0)
         for i in np.flatnonzero((d[:-1] != 0.0) & ((d[:-1] > 0.0) != (d[1:] > 0.0)))
     ]
-    return np.array([h[0] for h in hits]), np.array([h[1] for h in hits])
+    return np.array(xs), np.array([_vt_solve(mu, t, x, v_hint=level)[1] for x in xs])
 
 
 def _theta_nodes(interval, cuts, kinks):
@@ -228,8 +220,8 @@ def pushforward_check(mu: MeasureSpec, t: float) -> PushforwardReport:
         v_a = v_a[: a.size]
 
         x, w_x, which_x = _theta_nodes((l, r), cuts_a0, kinks_a0)
-        v, out = _vt_solve_nodes(mu, t, x, np.interp(x, sweep["a0"], sweep["v"]))
-        rho = _circular_density(t, _at_slope(t, x, v, out)[1])
+        v, _, slope = _vt_solve_nodes(mu, t, x, np.interp(x, sweep["a0"], sweep["v"]))
+        rho = _circular_density(t, slope)
 
         for b_lo, b_hi in bands:
             s = _cut_sums(which_x, w_x, rho * _clipped(v, 0.5 * b_lo, 0.5 * b_hi))

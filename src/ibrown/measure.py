@@ -272,6 +272,33 @@ _SCHEMAS = {
 }
 
 
+def _number(value, what: str) -> float:
+    """A JSON number (int or float, not bool) as a float, else MeasureFormatError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise MeasureFormatError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an int past the float range
+        raise MeasureFormatError(f"{what} is too large for a float") from None
+
+
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise MeasureFormatError(f"{what} must be a list, got {value!r}")
+    return value
+
+
+def _entries(obj: dict, key: str, fields: tuple) -> list:
+    """obj[key], a list of objects with exactly the keys fields, as tuples of
+    their values in that order; else MeasureFormatError."""
+    rows = []
+    for entry in _list(obj[key], key):
+        if not isinstance(entry, dict) or set(entry) != set(fields):
+            raise MeasureFormatError(f"{key[:-1]} entries need exactly keys {', '.join(fields)}")
+        rows.append(tuple(entry[f] for f in fields))
+    return rows
+
+
 def _from_dict(obj: dict) -> MeasureSpec:
     kind = obj.get("type")
     if kind not in _SCHEMAS:
@@ -284,19 +311,14 @@ def _from_dict(obj: dict) -> MeasureSpec:
         raise MeasureFormatError(f"missing keys {sorted(missing)}")
     if kind in PRESETS:
         make, params = PRESETS[kind]
-        return make(*(obj[p] for p in params))
+        return make(*(_number(obj[p], p) for p in params))
     if kind == "atomic":
-        atoms = []
-        for entry in obj["atoms"]:
-            if set(entry) != {"x", "w"}:
-                raise MeasureFormatError("atom entries need exactly keys x, w")
-            atoms.append((entry["x"], entry["w"]))
+        atoms = [(_number(x, "x"), _number(w, "w")) for x, w in _entries(obj, "atoms", ("x", "w"))]
         return _validate_atomic(atoms, "atomic")
-    pieces = []
-    for entry in obj["pieces"]:
-        if set(entry) != {"lo", "hi", "coeffs"}:
-            raise MeasureFormatError("piece entries need exactly keys lo, hi, coeffs")
-        pieces.append((entry["lo"], entry["hi"], tuple(entry["coeffs"])))
+    pieces = [
+        (_number(lo, "lo"), _number(hi, "hi"), [_number(c, "a coefficient") for c in _list(cs, "coeffs")])
+        for lo, hi, cs in _entries(obj, "pieces", ("lo", "hi", "coeffs"))
+    ]
     return _validate_pieces(pieces, "piecewise_poly")
 
 
@@ -581,36 +603,22 @@ def transforms(mu: MeasureSpec, a0, v2) -> Bundle:
     field of the bundle is then an array over the nodes, from one (nodes x
     atoms) product for an atomic law and from numpy closed forms otherwise.
     """
-    if isinstance(a0, np.ndarray):
-        return _transforms_nodes(mu, a0, np.asarray(v2, dtype=float))
-    if v2 <= 0.0:
+    nodes = isinstance(a0, np.ndarray)
+    if nodes:
+        v2 = np.asarray(v2, dtype=float)
+    if (v2 <= 0.0).any() if nodes else v2 <= 0.0:
         raise ValueError("transforms requires v2 > 0; use the v = 0 entry points")
     if mu.kind == "atomic":
+        # the atoms' axis last: (atoms,) at one point, (nodes, atoms) at many
         xs, ws = mu.atom_arrays
-        u = a0 - xs
-        inv_d = 1.0 / (u * u + v2)
+        u = (a0[:, None] if nodes else a0) - xs
+        inv_d = 1.0 / (u * u + (v2[:, None] if nodes else v2))
         inv_d2 = inv_d * inv_d
-        rows = np.array([inv_d, xs * inv_d, u * inv_d, inv_d2, u * inv_d2, u * u * inv_d2])
-        return Bundle(*(rows @ ws).tolist())
-    v = math.sqrt(v2)
-    return _closed_form_bundle(mu, a0, v2, v, *_cauchy_pair(mu, complex(a0, v)))
-
-
-def _transforms_nodes(mu: MeasureSpec, a0: np.ndarray, v2: np.ndarray) -> Bundle:
-    # transforms at arrays of nodes: the atomic sums take a node axis before
-    # the atoms' axis. They stay apart from the scalar sums, so that a call at
-    # one point pays for no array handling
-    if np.any(v2 <= 0.0):
-        raise ValueError("transforms requires v2 > 0; use the v = 0 entry points")
-    if mu.kind == "atomic":
-        xs, ws = mu.atom_arrays
-        u = a0[:, None] - xs
-        inv_d = 1.0 / (u * u + v2[:, None])
-        inv_d2 = inv_d * inv_d
-        rows = np.array([inv_d, xs * inv_d, u * inv_d, inv_d2, u * inv_d2, u * u * inv_d2])
-        return Bundle(*(rows @ ws))
-    v = np.sqrt(v2)
-    return _closed_form_bundle(mu, a0, v2, v, *_cauchy_pair(mu, a0 + 1j * v))
+        sums = np.array([inv_d, xs * inv_d, u * inv_d, inv_d2, u * inv_d2, u * u * inv_d2]) @ ws
+        return Bundle(*(sums if nodes else sums.tolist()))
+    v = np.sqrt(v2) if nodes else math.sqrt(v2)
+    z = a0 + 1j * v if nodes else complex(a0, v)
+    return _closed_form_bundle(mu, a0, v2, v, *_cauchy_pair(mu, z))
 
 
 def _closed_form_bundle(mu: MeasureSpec, a0, v2, v, g, gp) -> Bundle:

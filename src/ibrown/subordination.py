@@ -86,18 +86,19 @@ def _vt_start(v_hint, vmax):
 
 
 def _vt_solve(mu: MeasureSpec, t: float, a0: float, v_hint: float | None = None):
-    """Solve p0(a0, v) = 1/t on the guaranteed bracket (0, sqrt(t)), from
-    _vt_start(v_hint, sqrt(t)).
+    """v_t(a0), a_t(a0) and da_t/da0: p0(a0, v) = 1/t solved on the
+    guaranteed bracket (0, sqrt(t)), from _vt_start(v_hint, sqrt(t)), and
+    a_t and the slope from the bundle at the solved v (_at_slope).
 
     The bracket holds because p0(a0, v) <= 1/v**2 strictly for a
-    non-degenerate law. Returns (v, bundle-at-v), or (0.0, None) outside the
-    region. Inside it, where v_t <= 4 V_TOL, it returns 0.0 with the bundle at
-    such a v.
+    non-degenerate law. Outside the region, p0(a0, 0) <= 1/t, it returns
+    (0.0, a0 - t G(a0), nan). Inside it, where v_t <= 4 V_TOL, v reads 0.0
+    and a_t and the slope are their v -> 0 limits.
     """
     if not 0.0 < t < math.inf:
         raise ValueError("t must be positive and finite")
     if p0_zero(mu, a0) <= 1.0 / t:
-        return 0.0, None
+        return 0.0, _at_outside(mu, t, a0), math.nan
     vmax = math.sqrt(t)
     v0 = _vt_start(v_hint, vmax)
     out = None
@@ -111,7 +112,8 @@ def _vt_solve(mu: MeasureSpec, t: float, a0: float, v_hint: float | None = None)
 
     s = bracket_newton(fdf, math.log(V_TOL), math.log(vmax), math.log(v0), _VT_FTOL / t, _VT_RTOL)
     v = math.exp(s)
-    return (v if v > 4.0 * V_TOL else 0.0), out
+    v = v if v > 4.0 * V_TOL else 0.0
+    return (v, *_at_slope(t, a0, v, out))
 
 
 def _vt_solve_nodes(mu: MeasureSpec, t: float, a0: np.ndarray, v_hint: np.ndarray | None = None):
@@ -122,10 +124,10 @@ def _vt_solve_nodes(mu: MeasureSpec, t: float, a0: np.ndarray, v_hint: np.ndarra
     the root saves the passes that would bisect down to it; the bracket and
     the exit are the same from any start.
 
-    Returns (v, bundle) with an array in each: v_t, and the bundle at the v
-    each node stopped at; v is 0 where v_t <= 4 V_TOL. Raises
-    OutsideLambdaError if a node lies outside the region, which shows as
-    p0(a0, 0) <= 1/t at a node where v reads 0.
+    Returns arrays (v, a_t, slope), a_t and the slope from the bundle at
+    the v each node stopped at, as _vt_solve's are; v is 0 where
+    v_t <= 4 V_TOL. Raises OutsideLambdaError if a node lies outside the
+    region, which shows as p0(a0, 0) <= 1/t at a node where v reads 0.
     """
     vmax = math.sqrt(t)
     fields = np.empty((len(Bundle._fields), a0.size))
@@ -145,7 +147,8 @@ def _vt_solve_nodes(mu: MeasureSpec, t: float, a0: np.ndarray, v_hint: np.ndarra
     for i in np.flatnonzero(zero):
         if p0_zero(mu, float(a0[i])) <= 1.0 / t:
             raise OutsideLambdaError(f"v_t({a0[i]}) = 0")
-    return np.where(zero, 0.0, v), Bundle(*fields)
+    v = np.where(zero, 0.0, v)
+    return (v, *_at_slope(t, a0, v, Bundle(*fields)))
 
 
 def v_t(mu: MeasureSpec, t: float, a0: float) -> float:
@@ -313,7 +316,7 @@ def _lambda_region_cached(mu: MeasureSpec, t: float) -> LambdaRegion:
         lo = max(lo, d)
     if hi > lo:
         intervals.append((lo, hi))
-    # h >= 0 at every end, i.e. p0(end, 0) <= 1/t: _vt_solve would return (0, None)
+    # h >= 0 at every end, i.e. p0(end, 0) <= 1/t: a_t is _at_outside, as in _vt_solve
     images = tuple((_at_outside(mu, t, l), _at_outside(mu, t, r)) for l, r in intervals)
     return LambdaRegion(t=t, intervals=tuple(intervals), images=images)
 
@@ -334,35 +337,31 @@ def lambda_region(mu: MeasureSpec, t: float) -> LambdaRegion:
 
 
 def a_t(mu: MeasureSpec, t: float, a0: float) -> float:
-    """Boundary abscissa map: a0 - t Re G(a0 + i v_t(a0)), i.e. t*p1 where v_t > 0.
+    """Boundary abscissa map, by _vt_solve: a0 - t Re G(a0 + i v_t(a0)),
+    i.e. t*p1 where v_t > 0, and a0 - t G(a0) where v_t = 0.
 
     The two expressions agree where v_t = 0 with p0(a0, 0) = 1/t, so interval
     endpoints evaluate as the one-sided limit from the v_t > 0 side; OnSupport
     is raised only where the exterior value genuinely diverges.
     """
-    out = _vt_solve(mu, t, a0)[1]
-    return _at_outside(mu, t, a0) if out is None else _at_value(t, a0, out)
+    return _vt_solve(mu, t, a0)[1]
 
 
 def _at_outside(mu: MeasureSpec, t: float, a0: float) -> float:
-    """a_t where _vt_solve returns (0, None), i.e. p0(a0, 0) <= 1/t: a0 - t G(a0)."""
+    """a_t where p0(a0, 0) <= 1/t, off the open region: a0 - t G(a0)."""
     return a0 - t * real_cauchy(mu, a0)
-
-
-def _at_value(t: float, a0, out: Bundle):
-    # a0 - t Re G with Re G = a0 p0 - p1: t p1 where p0 = 1/t, but free of the
-    # solve's residual in p0, and the v -> 0 limit where v_t reads 0
-    return a0 - t * (a0 * out.p0 - out.p1)
 
 
 def _at_slope(t: float, a0, v, out: Bundle):
     """(a_t, da_t/da0) from the bundle at the solved v_t, at one node or
     elementwise at arrays of them.
 
-    The slope is 2t (q0 q2 - q1^2)/q0. Where v_t is below what the kernels
-    resolve (v reads 0), it is the v -> 0 limit 1 - t Re G' with
-    Re G' = p0 - 2 q2, as Im G' is of the order of the density's slope, which
-    vanishes there too. Raises DegenerateJacobianError where v > 0 and q0 <= 0.
+    a_t is a0 - t Re G with Re G = a0 p0 - p1: t p1 where p0 = 1/t, but free
+    of the solve's residual in p0. The slope is 2t (q0 q2 - q1^2)/q0. Where
+    v_t is below what the kernels resolve (v reads 0), both are the v -> 0
+    limits, the slope 1 - t Re G' with Re G' = p0 - 2 q2, as Im G' is of the
+    order of the density's slope, which vanishes there too. Raises
+    DegenerateJacobianError where v > 0 and q0 <= 0.
     """
     live = v > 0.0  # a bool, or a bool array
     bad = live & (out.q0 <= 0.0)
@@ -370,18 +369,7 @@ def _at_slope(t: float, a0, v, out: Bundle):
         raise DegenerateJacobianError("q0 <= 0")
     q0 = _pick(live, out.q0, 1.0)  # 1 where only the limit is kept
     slope = _pick(live, 2.0 * t * (q0 * out.q2 - out.q1**2) / q0, 1.0 - t * (out.p0 - 2.0 * out.q2))
-    return _at_value(t, a0, out), slope
-
-
-def at_with_slope(
-    mu: MeasureSpec, t: float, a0: float, v_hint: float | None = None
-) -> tuple[float, float, float]:
-    """(a_t, da_t/da0, v_t) at a point of the region, fused kernel passes;
-    the v -> 0 limits where v_t reads 0 (see _at_slope)."""
-    v, out = _vt_solve(mu, t, a0, v_hint=v_hint)
-    if out is None:
-        raise OutsideLambdaError(f"v_t({a0}) = 0")
-    return (*_at_slope(t, a0, v, out), v)
+    return a0 - t * (a0 * out.p0 - out.p1), slope
 
 
 def h_t(mu: MeasureSpec, t: float, z: complex) -> complex:

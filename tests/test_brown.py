@@ -11,7 +11,7 @@ import ibrown.maps as P
 import ibrown.measure as M
 import ibrown.numerics as N
 import ibrown.subordination as S
-from ibrown.errors import NoConvergenceError, OutsideOmegaError, OutsideOnlyError
+from ibrown.errors import NoConvergenceError, OutsideLambdaError, OutsideOmegaError, OutsideOnlyError
 
 from conftest import FOUR_ATOMS, semicircle_cdf
 
@@ -239,8 +239,8 @@ def test_profile_cdf_against_a_finer_sweep(law, t, rows_tol, mass_tol):
 
 
 def test_sweep_solves_its_interior_nodes_as_one_array(monkeypatch):
-    # no scalar v_t solve or at_with_slope, and at most 40 (array) bundles
-    # per interval: a per-node loop would pass every value test
+    # no scalar v_t solve, and at most 40 (array) bundles per interval: a
+    # per-node loop would pass every value test
     mu, t = FOUR_ATOMS, 0.5
     scalar, bundles = [], []
     vt_solve, transforms = S._vt_solve, S.transforms
@@ -249,13 +249,9 @@ def test_sweep_solves_its_interior_nodes_as_one_array(monkeypatch):
         scalar.append(a0)
         return vt_solve(mu, t, a0, v_hint=v_hint)
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("the sweep called at_with_slope")
-
-    monkeypatch.setattr(S, "_vt_solve", counted_solve)
+    for mod in (S, B):
+        monkeypatch.setattr(mod, "_vt_solve", counted_solve)
     monkeypatch.setattr(S, "transforms", lambda *args: bundles.append(args) or transforms(*args))
-    monkeypatch.setattr(S, "at_with_slope", refuse)
-    monkeypatch.setattr(B, "at_with_slope", refuse)
     region = S.lambda_region(mu, t)
     for iv, im in zip(region.intervals, region.images):
         scalar.clear()
@@ -287,7 +283,8 @@ def test_pointwise_queries_invert_once(be23, sc, monkeypatch):
     for mu, t in ((be23, 1.05), (sc, 1.0)):
         B.omega_intervals(mu, t)  # the cached region takes its own solves
     monkeypatch.setattr(B, "_a0_solve", counted)
-    monkeypatch.setattr(S, "_vt_solve", inside_only)
+    for mod in (S, B, P):
+        monkeypatch.setattr(mod, "_vt_solve", inside_only)
     lam = 0.3 + 0.1j
     queries = [(fn, 0.3) for fn in (B.b_t, B.w_t, B.a0_of_a)]
     queries += [(fn, lam) for fn in (B.classify, P.q_t, P.u_t_inverse)]
@@ -324,7 +321,7 @@ def test_array_inversion_matches_the_pointwise_one():
         a0, slope, v = B._a0_solve_nodes(mu, t, a, (l, r), (al, ar), np.interp(a, at_row, a0_row))
         for i, x in enumerate(a):
             ftol = B._a0_ftol(x, al, ar)
-            at, slope_at, v_at = S.at_with_slope(mu, t, float(a0[i]))
+            v_at, at, slope_at = S._vt_solve(mu, t, float(a0[i]))
             assert abs(at - x) <= ftol
             # both roots are within their tolerance of the true one
             assert abs(a0[i] - B.a0_of_a(mu, t, float(x))) <= 2.0 * ftol / slope_at
@@ -359,9 +356,22 @@ def test_inversion_exit_bounds_the_step():
     for a in np.linspace(al, ar, 52)[1:-1]:
         a0 = x = B.a0_of_a(mu, t, float(a))
         for _ in range(3):
-            at, slope, _ = S.at_with_slope(mu, t, x)
+            _, at, slope = S._vt_solve(mu, t, x)
             x -= (at - a) / slope
         assert abs(a0 - x) <= 2e-12
+
+
+def test_inversion_raises_where_an_iterate_reads_off_the_region(monkeypatch):
+    # an iterate whose v_t solve finds p0(a0, 0) <= 1/t has slope nan: the
+    # inversion raises there instead of taking a0 - t G(a0) for a_t
+    mu, t = FOUR_ATOMS, 0.5
+    region = S.lambda_region(mu, t)
+    for (l, r), (al, ar) in zip(region.intervals, region.images):
+        assert B._a0_solve(mu, t, 0.5 * (al + ar), (l, r), (al, ar))[1] > 0.0
+    monkeypatch.setattr(S, "p0_zero", lambda mu, x: 0.0)
+    for (l, r), (al, ar) in zip(region.intervals, region.images):
+        with pytest.raises(OutsideLambdaError):
+            B._a0_solve(mu, t, 0.5 * (al + ar), (l, r), (al, ar))
 
 
 def test_profile_vertical_mass(sc_profile):

@@ -90,6 +90,42 @@ def test_presets_agree_through_json_and_the_flag(name):
     assert cli._parse_preset(name) == make()
 
 
+@pytest.mark.parametrize(
+    "text, label",
+    [
+        ("uniform:,0.5", "uniform(-1,0.5)"),
+        ("uniform:0.5,", "uniform(0.5,1)"),
+        ("bernoulli:,", "bernoulli(alpha=0.5)"),
+    ],
+)
+def test_preset_parameters_match_names_by_position(text, label):
+    # an empty parameter keeps its name's default; the others keep their names
+    assert cli._parse_preset(text).label == label
+
+
+#: measure files whose values have the wrong JSON type, or an integer past the float range
+MALFORMED_FILES = [
+    '{"type":"atomic","atoms":5}',
+    '{"type":"atomic","atoms":[5,6]}',
+    '{"type":"atomic","atoms":[{"x":[1],"w":1},{"x":2,"w":1}]}',
+    '{"type":"semicircle","variance":null}',
+    '{"type":"bernoulli","alpha":[0.5]}',
+    '{"type":"bernoulli","alpha":true}',
+    '{"type":"piecewise_poly","pieces":[{"lo":0,"hi":1,"coeffs":5}]}',
+    '{"type":"piecewise_poly","pieces":[{"lo":0,"hi":"1","coeffs":[1]}]}',
+    '{"type":"semicircle","variance":1' + "0" * 400 + "}",
+]
+
+
+@pytest.mark.parametrize("text", MALFORMED_FILES, ids=lambda text: text[:64])
+def test_malformed_measure_file_exits_2(text, tmp_path, capsys):
+    mfile = tmp_path / "bad.json"
+    mfile.write_text(text)
+    assert run(["compute", "--measure", str(mfile), "--t", "1", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_simulate_outputs_and_reproducibility(tmp_path):
     args = [
         "simulate",

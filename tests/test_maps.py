@@ -135,7 +135,8 @@ def test_circular_density_solves_once(be23, monkeypatch):
         calls.append(args)
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(S, "_vt_solve", counted)
+    for mod in (S, P):
+        monkeypatch.setattr(mod, "_vt_solve", counted)
     P.circular_density(be23, 1.05, complex(0.2, 0.01))
     assert len(calls) == 1
 
@@ -270,14 +271,14 @@ def test_clip_kinks_sit_on_the_level(be23, quad):
             kinks_a0, kinks_a = P._v_crossings(mu, t, sw, level)
             assert len(kinks_a0) >= 2
             for x, a in zip(kinks_a0, kinks_a):
-                at, _, v = S.at_with_slope(mu, t, x)
+                v, at, _ = S._vt_solve(mu, t, x)
                 assert v == pytest.approx(level, rel=1e-9)
                 assert a == pytest.approx(at, abs=1e-12)
 
 
 def test_pushforward_solves_its_nodes_as_arrays(monkeypatch):
-    # scalar v_t solves only at the interval ends (the sweep's a_t); the
-    # inner cuts join the target nodes' array inversion
+    # scalar v_t solves only at the clip kinks, two per interval (their
+    # a_t); the inner cuts join the target nodes' array inversion
     mu, t = FOUR_ATOMS, 0.5
     n_intervals = len(B.omega_intervals(mu, t))  # the cached region takes its own solves
     assert n_intervals == 4
@@ -291,7 +292,8 @@ def test_pushforward_solves_its_nodes_as_arrays(monkeypatch):
         nodes.append(np.size(a0))
         return transforms(mu, a0, v2)
 
-    monkeypatch.setattr(S, "_vt_solve", counted_solve)
+    for mod in (S, P):
+        monkeypatch.setattr(mod, "_vt_solve", counted_solve)
     for mod in (M, S, P):
         monkeypatch.setattr(mod, "transforms", counted_bundle)
     rep = P.pushforward_check(mu, t)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import ibrown.brown as B
+import ibrown.maps as P
 import ibrown.measure as M
 import ibrown.numerics as N
 import ibrown.subordination as S
@@ -247,7 +248,7 @@ def test_vt_solve_exit_is_relative_next_to_a_fourth_order_zero(a0, slope, v_hint
     # absolute width of V_TOL stopped at a midpoint 5-20 % off, and the
     # slope then depended on the hint. References from a 50-digit solve.
     mu = M.piecewise_poly([(-1.0, 2.0, tuple(np.polynomial.polynomial.polypow([-0.3, 1.0], 4)))])
-    assert S.at_with_slope(mu, 0.3, a0, v_hint=v_hint)[1] == pytest.approx(slope, abs=1e-9)
+    assert S._vt_solve(mu, 0.3, a0, v_hint=v_hint)[2] == pytest.approx(slope, abs=1e-9)
 
 
 def test_at_elliptic_scaling(sc):
@@ -285,7 +286,7 @@ def test_at_strictly_increasing(be23, sc):
 
 def test_slope_elliptic_constant(sc):
     for a0 in (-1.5, 0.0, 0.4, 2.0):
-        assert S.at_with_slope(sc, 1.0, a0)[1] == pytest.approx(2.0 / 3.0, abs=1e-10)
+        assert S._vt_solve(sc, 1.0, a0)[2] == pytest.approx(2.0 / 3.0, abs=1e-10)
 
 
 def test_slope_matches_finite_difference(be23, un):
@@ -293,14 +294,14 @@ def test_slope_matches_finite_difference(be23, un):
     for mu, t, pts in ((be23, 1.05, (-0.1, 0.12)), (un, 0.1, (0.2, 0.8))):
         for a0 in pts:
             fd = (S.a_t(mu, t, a0 + h) - S.a_t(mu, t, a0 - h)) / (2 * h)
-            assert S.at_with_slope(mu, t, a0)[1] == pytest.approx(fd, rel=1e-6)
+            assert S._vt_solve(mu, t, a0)[2] == pytest.approx(fd, rel=1e-6)
 
 
 def test_slope_in_open_interval(be23):
     t = 1.05
     (lo, hi), = S.lambda_region(be23, t).intervals
     for a0 in np.linspace(lo, hi, 33)[1:-1]:
-        s = S.at_with_slope(be23, t, a0)[1]
+        s = S._vt_solve(be23, t, a0)[2]
         assert 0.0 < s < 2.0
 
 
@@ -413,26 +414,34 @@ def _sweep_nodes(mu, t, n=513):
     return np.sort(np.concatenate(nodes))
 
 
+def _kappa(mu, a0, v):
+    """|G|/(v p0) at a0 + iv: p0 = -Im G/v keeps 16 - log10(kappa) digits."""
+    return abs(M.cauchy(mu, complex(a0, v))) / (v * M.transforms(mu, a0, v * v).p0)
+
+
 @pytest.mark.parametrize("name", sorted(SWEEP_LAWS))
 def test_array_vt_solve_matches_scalar_solve(name):
     # node by node against the scalar solve without a hint: v within 1e-10
-    # relative and 0 at the same nodes. Next to the fourth-order zero p0 =
-    # -Im G/v keeps only 16 - log10(kappa) digits, kappa = |G|/(v p0), so
-    # there the two solves agree to within that rounding, 1e-16 kappa
+    # relative and 0 at the same nodes, a_t within 1e-13 (1 + |a_t|) and the
+    # slope within 1e-9 relative. Next to the fourth-order zero p0 = -Im G/v
+    # keeps only 16 - log10(kappa) digits, kappa = |G|/(v p0), so there the
+    # two solves agree to within that rounding, 1e-16 kappa
     mu, t = SWEEP_LAWS[name]
     a0 = _sweep_nodes(mu, t)
-    v, out = S._vt_solve_nodes(mu, t, a0)
-    ref = [S._vt_solve(mu, t, float(x)) for x in a0]
-    ref_v = np.array([r[0] for r in ref])
+    v, at, slope = S._vt_solve_nodes(mu, t, a0)
+    ref_v, ref_at, ref_slope = np.array([S._vt_solve(mu, t, float(x)) for x in a0]).T
     assert np.array_equal(v == 0.0, ref_v == 0.0)
     if mu is X4:
         assert np.sum(v == 0.0) > 100  # the V_TOL branch acts
-    for i in np.flatnonzero(ref_v):
-        kappa = abs(M.cauchy(mu, complex(a0[i], ref_v[i]))) / (ref_v[i] * ref[i][1].p0)
-        assert abs(v[i] - ref_v[i]) <= (1e-10 + 1e-16 * kappa) * ref_v[i], (a0[i], kappa)
-        # the bundle returned is the one at the returned v
-        again = M.transforms(mu, float(a0[i]), float(v[i] * v[i]))
-        assert abs(out.p0[i] - again.p0) <= (1e-13 + 1e-16 * kappa) * again.p0
+    kappa = np.array([_kappa(mu, float(x), rv) if rv else 0.0 for x, rv in zip(a0, ref_v)])
+    assert np.all(np.abs(v - ref_v) <= (1e-10 + 1e-16 * kappa) * ref_v)
+    assert np.all(np.abs(at - ref_at) <= 1e-13 * (1.0 + np.abs(ref_at)))
+    assert np.all(np.abs(slope - ref_slope) <= (1e-9 + 1e-16 * kappa) * np.abs(ref_slope))
+    # a_t and the slope returned are the ones of the bundle at the returned v
+    live = v > 0.0
+    again = S._at_slope(t, a0[live], v[live], M.transforms(mu, a0[live], v[live] ** 2))
+    assert np.all(np.abs(at[live] - again[0]) <= 1e-13 * (1.0 + np.abs(again[0])))
+    assert np.all(np.abs(slope[live] - again[1]) <= 1e-13 * np.abs(again[1]))
 
 
 def test_array_vt_solve_raises_outside_the_region():
@@ -447,8 +456,8 @@ def test_array_vt_solve_raises_outside_the_region():
 
 
 def test_sweep_raises_where_q0_is_not_positive(monkeypatch):
-    # a q0 <= 0 at a node with v > 0 is a degenerate Jacobian, as in
-    # at_with_slope
+    # a q0 <= 0 at a node with v > 0 is a degenerate Jacobian, as in the
+    # scalar solve
     mu, t = SWEEP_LAWS["four_atoms"]
     transforms = S.transforms
 
@@ -503,11 +512,10 @@ def test_warm_sweep_matches_cold_scalar_solve(name):
     region = S.lambda_region(mu, t)
     sw = B.lambda_sweep(mu, t, region.intervals, region.images, 513)
     a0, v = sw["a0"][:, 1:-1].ravel(), sw["v"][:, 1:-1].ravel()
-    ref = [S._vt_solve(mu, t, float(x)) for x in a0]
-    ref_v = np.array([r[0] for r in ref])
+    ref_v = np.array([S._vt_solve(mu, t, float(x))[0] for x in a0])
     assert np.array_equal(v == 0.0, ref_v == 0.0)
     for i in np.flatnonzero(ref_v):
-        kappa = abs(M.cauchy(mu, complex(a0[i], ref_v[i]))) / (ref_v[i] * ref[i][1].p0)
+        kappa = _kappa(mu, float(a0[i]), ref_v[i])
         assert abs(v[i] - ref_v[i]) <= (1e-10 + 1e-16 * kappa) * ref_v[i], (a0[i], kappa)
 
 
@@ -542,10 +550,10 @@ def test_vt_hints_out_of_range_start_cold(hint):
     hint = math.sqrt(t) if hint == "sqrt_t" else hint
     assert S._vt_start(hint, math.sqrt(t)) == 0.5 * math.sqrt(t)
     a0 = _sweep_nodes(mu, t, 65)
-    cold, cold_out = S._vt_solve_nodes(mu, t, a0)
-    v, out = S._vt_solve_nodes(mu, t, a0, np.full(a0.size, hint))
-    assert np.array_equal(v, cold) and np.array_equal(out.p0, cold_out.p0)
-    assert np.all(np.abs(out.p0 - 1.0 / t) <= 1e-13 / t)
+    cold = S._vt_solve_nodes(mu, t, a0)
+    got = S._vt_solve_nodes(mu, t, a0, np.full(a0.size, hint))
+    assert all(np.array_equal(x, y) for x, y in zip(got, cold))
+    assert np.all(np.abs(M.transforms(mu, a0, got[0] ** 2).p0 - 1.0 / t) <= 1e-13 / t)
     x = float(a0[a0.size // 3])
     assert S._vt_solve(mu, t, x, v_hint=hint) == S._vt_solve(mu, t, x)
 
@@ -599,9 +607,31 @@ def test_lambda_region_end_search_is_loud(monkeypatch):
         S.lambda_region(M.bernoulli(0.25), 0.8125)
 
 
-def test_at_with_slope_raises_outside_the_region(sc):
+CONTRACT_LAWS = {**SWEEP_LAWS, "bernoulli(1/2) at 0.8": (M.bernoulli(0.5), 0.8)}
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT_LAWS))
+def test_vt_solve_off_the_region_returns_the_outside_image(name):
+    # at every region end and off the region the solve returns (0, a0 - t G(a0),
+    # nan), the ends' images as lambda_region holds them; u_t's real part is a_t
+    # there and inside
+    mu, t = CONTRACT_LAWS[name]
+    region = S.lambda_region(mu, t)
+    ends = [e for iv in region.intervals for e in iv]
+    images = [a for im in region.images for a in im]
+    outside = [region.intervals[0][0] - 0.5, region.intervals[-1][1] + 0.5]
+    outside += [0.5 * (r + l) for (_, r), (l, _) in zip(region.intervals[:-1], region.intervals[1:])]
+    for x, image in [*zip(ends, images), *((x, x - t * M.real_cauchy(mu, x)) for x in outside)]:
+        v, at, slope = S._vt_solve(mu, t, x)
+        assert v == 0.0 and at == image and math.isnan(slope)
+    inside = [0.5 * (l + r) for l, r in region.intervals]
+    for x in ends + outside + inside:
+        assert P.u_t(mu, t, complex(x, 0.0)).real == S.a_t(mu, t, x)
+    for x in inside:
+        v, at, slope = S._vt_solve(mu, t, x)
+        assert v > 0.0 and math.isfinite(at) and slope > 0.0
     with pytest.raises(OutsideLambdaError):
-        S.at_with_slope(sc, 1.0, 2.5)
+        S._vt_solve_nodes(mu, t, np.array(outside))
 
 
 def test_jt_inverse_failures_are_typed(sc, monkeypatch):
