@@ -28,12 +28,16 @@ N_RECT = 4
 
 
 def u_t(mu: MeasureSpec, t: float, lam0: complex) -> complex:
-    """a_t(a0) + 2i b0 for a0 + i b0 in the closed source region."""
+    """a_t(a0) + 2i b0 for a0 + i b0 in the closed source region; raises
+    OutsideLambdaError off it. Off the open region (a nan slope from the
+    solve) the closure holds only the region's ends, taken as a0 within tol
+    of an interval of lambda_region."""
     lam0 = complex(lam0)
     a0, b0 = lam0.real, lam0.imag
     tol = 1e-9 * (1.0 + abs(lam0))
-    v, at, _ = _vt_solve(mu, t, a0)
-    if abs(b0) > v + tol:
+    v, at, slope = _vt_solve(mu, t, a0)
+    off = math.isnan(slope) and not any(l - tol <= a0 <= r + tol for l, r in lambda_region(mu, t).intervals)
+    if abs(b0) > v + tol or off:
         raise OutsideLambdaError(f"{lam0} is outside the closed source region")
     return complex(at, 2.0 * b0)
 

@@ -39,8 +39,10 @@ the Cauchy transform G and its derivative G' at ``z = a0 + iv``:
 like ``v^2`` where ``p0(a0, 0)`` is finite; there ``q0`` alone comes from a
 rearranged closed form (semicircle) and, piece by piece, from a series in the
 piece's moments (far from z), a term-by-term sum (a0 on the piece or within
-4v of it) or a series in ``v^2`` (otherwise). Atomic laws sum over their
-atoms. No kernel uses quadrature.
+4v of it) or a series in ``v^2`` (otherwise). The term-by-term sum and the
+contact rule's re-test near its bound shift the polynomial exactly, in
+integers over one power of two rounded once (``_shift_exact``). Atomic laws
+sum over their atoms. No kernel uses quadrature.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
@@ -456,21 +457,24 @@ def _piece_cauchy_pair(coeffs, lo: float, hi: float, z):
     return g, gp - poly_definite(b[2:], u0, u1)
 
 
-def _shift_terms(coeffs, a0: float, j: int) -> list[Fraction]:
-    # the terms C(k, j) c_k a0^(k - j) of b_j in poly_shift(coeffs, a0), exact
-    x = Fraction(a0)
-    return [math.comb(k, j) * Fraction(c) * x ** (k - j) for k, c in enumerate(coeffs) if k >= j]
+def _shift_exact(coeffs, a0: float) -> tuple[list[int], list[int], int]:
+    """poly_shift(coeffs, a0) in integers over one power of two D: (S, A, D)
+    with b_j = S_j / D and A_j / D = sum_k |C(k, j) c_k a0^(k - j)|. For a0 =
+    m / q and c_k = n_k / d_k (as_integer_ratio), D = max_k d_k q^k clears each
+    denominator; S_j / D rounds b_j once, as CPython rounds int/int correctly."""
+    m, q = a0.as_integer_ratio()
+    ratios = [c.as_integer_ratio() for c in coeffs]
+    den = max(d * q**k for k, (_, d) in enumerate(ratios))
+    scaled = [n * (den // (d * q**k)) for k, (n, d) in enumerate(ratios)]  # D c_k / q^k
+    # row j holds D C(k, j) c_k a0^(k - j) = C(k, j) (D c_k / q^k) m^(k - j) q^j
+    rows = [[math.comb(k, j) * sk * m ** (k - j) * q**j for k, sk in enumerate(scaled) if k >= j]
+            for j in range(len(scaled))]
+    return [sum(row) for row in rows], [sum(map(abs, row)) for row in rows], den
 
 
-def _shift_exact(coeffs, a0: float) -> list[float]:
-    """poly_shift(coeffs, a0) in exact arithmetic, each b_j rounded once: next
-    to a zero of the density b_0 and b_1 are far below poly_shift's rounding."""
-    return [float(sum(_shift_terms(coeffs, a0, j))) for j in range(len(coeffs))]
-
-
-def _piece_q0_near(b, u0: float, u1: float, v: float) -> float:
-    """sum_j b_j I_j with I_j = int_{u0}^{u1} u^j / (u^2 + v^2)^2 du, for a
-    piece that holds a0 or lies within 4v of it.
+def _piece_q0_near(coeffs, lo: float, hi: float, a0: float, v: float) -> float:
+    """sum_j b_j I_j, I_j = int u^j / (u^2 + v^2)^2 du over u = x - a0 on the
+    piece, which holds a0 or lies within 4v of it; b_j = S_j / D (_shift_exact).
 
     With J_m = int u^m / (u^2 + v^2) du: J_0 = (atan(u1/v) - atan(u0/v))/v,
     J_1 = log((u1^2 + v^2)/(u0^2 + v^2))/2, J_m = [u^(m-1)]/(m-1) - v^2 J_(m-2);
@@ -479,14 +483,15 @@ def _piece_q0_near(b, u0: float, u1: float, v: float) -> float:
     stay below what they are subtracted from, so q0 keeps its digits where
     (p0 + Re G')/(2v^2) loses them all.
     """
-    v2 = v * v
+    sums, _, den = _shift_exact(coeffs, a0)
+    u0, u1, v2 = lo - a0, hi - a0, v * v
     d0, d1 = u0 * u0 + v2, u1 * u1 + v2
     jm = [(math.atan(u1 / v) - math.atan(u0 / v)) / v, 0.5 * math.log(d1 / d0)]
     im = [(u1 / d1 - u0 / d0 + jm[0]) / (2.0 * v2), -0.5 * (1.0 / d1 - 1.0 / d0)]
-    for j in range(2, len(b)):
+    for j in range(2, len(sums)):
         jm.append((u1 ** (j - 1) - u0 ** (j - 1)) / (j - 1) - v2 * jm[j - 2])
         im.append(jm[j - 2] - v2 * im[j - 2])
-    return sum(bj * ij for bj, ij in zip(b, im))
+    return sum(sj / den * ij for sj, ij in zip(sums, im))
 
 
 def _piece_q0_series(coeffs, lo: float, hi: float, a0, v2):
@@ -547,8 +552,8 @@ def _q0_cancelled(mu: MeasureSpec, a0, v2):
     of x - a0 where a0 lies on it or within 4v of it (_piece_q0_near), and
     as a series in v^2 otherwise (_piece_q0_series).
 
-    Elementwise for arrays of (a0, v2); the term-by-term sum, which shifts
-    the polynomial in exact arithmetic, is taken node by node.
+    Elementwise for arrays of (a0, v2); the term-by-term sum, whose shift is
+    exact, in integers rounded once (_shift_exact), is taken node by node.
     """
     v = _ops(v2).sqrt(v2)
     z = a0 + 1j * v
@@ -565,7 +570,7 @@ def _q0_cancelled(mu: MeasureSpec, a0, v2):
             if n:
                 total += _piece_q0_multipole(pole, a0, v2, n)
             elif near:
-                total += _piece_q0_near(_shift_exact(coeffs, a0), lo - a0, hi - a0, v)
+                total += _piece_q0_near(coeffs, lo, hi, a0, v)
             else:
                 total += _piece_q0_series(coeffs, lo, hi, a0, v2)
             continue
@@ -576,8 +581,7 @@ def _q0_cancelled(mu: MeasureSpec, a0, v2):
         if far.any():
             part[far] = _piece_q0_multipole(pole, a0[far], v2[far], int(n.max()))
         for i in np.flatnonzero(near):
-            x = float(a0[i])
-            part[i] = _piece_q0_near(_shift_exact(coeffs, x), lo - x, hi - x, float(v[i]))
+            part[i] = _piece_q0_near(coeffs, lo, hi, a0[i], v[i])
         if rest.any():
             part[rest] = _piece_q0_series(coeffs, lo, hi, a0[rest], v2[rest])
         total = total + part
@@ -661,19 +665,17 @@ def _vanishes(coeffs, a0: float, b) -> bool:
 
     A zero of order k passes on a band of half-width about (1e-13/k)**(1/(k-1))
     in the law's units (5e-14 for k = 2, 3e-5 for k = 4), a zero at the origin
-    alone. Near the bound the test is redone in exact arithmetic, so that it
-    flips once across a band's end and lambda_region can bisect to it.
+    alone. Near the bound the test is redone in _shift_exact's integers, so
+    that it flips once across a band's end and lambda_region can bisect to it.
     """
     s = poly_shift([abs(c) for c in coeffs], abs(a0))
     bounds = [1e-13 * sj for sj in s[:2]]
     ratio = max(abs(bj) / e if e > 0.0 else (math.inf if bj else 0.0) for bj, e in zip(b, bounds))
     if ratio > 2.0 or ratio < 0.5:
         return ratio < 0.5
-    for j in range(min(2, len(coeffs))):
-        terms = _shift_terms(coeffs, a0, j)
-        if abs(sum(terms)) > Fraction(1e-13) * sum(abs(term) for term in terms):
-            return False
-    return True
+    sums, scales, _ = _shift_exact(coeffs, a0)
+    p, q = (1e-13).as_integer_ratio()  # |b_j| <= 1e-13 A_j/D, in integers
+    return all(abs(sj) * q <= p * aj for sj, aj in zip(sums[:2], scales[:2]))
 
 
 def p0_zero(mu: MeasureSpec, a0: float) -> float:

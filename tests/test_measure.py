@@ -374,3 +374,83 @@ def test_atom_arrays_cached_on_the_spec():
     assert not xs.flags.writeable and not ws.flags.writeable
     # the cache is no field: equality and hashing see only the law
     assert mu == twin and hash(mu) == hash(twin)
+
+
+# ---------------------------------------------------------------------------
+# the exact polynomial shift
+
+QUARTIC = (0.0081, -0.108, 0.54, -1.2, 1.0)  # (x - 0.3)^4, a fourth-order zero at 0.3
+THREE_X2 = (0.0, 0.0, 3.0)
+
+
+def _shift_terms_exact(coeffs, a0):
+    # row j: the terms C(k, j) c_k a0^(k - j) of b_j, in rational arithmetic
+    x = Fraction(a0)
+    return [
+        [math.comb(k, j) * Fraction(c) * x ** (k - j) for k, c in enumerate(coeffs) if k >= j]
+        for j in range(len(coeffs))
+    ]
+
+
+def _vanishes_exact(coeffs, a0):
+    # |b_j| <= 1e-13 sum |terms of b_j| for j = 0, 1, in rational arithmetic
+    rows = _shift_terms_exact(coeffs, a0)[:2]
+    return all(abs(sum(row)) <= Fraction(1e-13) * sum(abs(term) for term in row) for row in rows)
+
+
+def _assert_shift_exact(coeffs, a0):
+    sums, scales, den = M._shift_exact(coeffs, a0)
+    assert den > 0 and den & (den - 1) == 0  # one power of two
+    for s, a, row in zip(sums, scales, _shift_terms_exact(coeffs, a0), strict=True):
+        b = s / den
+        assert type(b) is float and b.hex() == float(sum(row)).hex(), (a0, b)
+        assert Fraction(s, den) == sum(row)
+        assert Fraction(a, den) == sum(abs(term) for term in row)
+
+
+def test_shift_exact_next_to_the_quartic_zero():
+    for a0 in [0.3, *np.linspace(0.3 - 1e-3, 0.3 + 1e-3, 401).tolist()]:
+        _assert_shift_exact(QUARTIC, a0)
+
+
+@pytest.mark.parametrize("a0", [0.0, -0.0, 5e-324, -5e-324, -0.7, 0.5, 0, 2, np.float64(0.3), np.float64(-0.0)])
+def test_shift_exact_at_special_points(a0):
+    # a signed zero, subnormals, a negative point, a Python int as p0(mu, 0, v)
+    # passes it and np.float64 as _q0_cancelled's node loop passes it
+    for coeffs in (THREE_X2, QUARTIC):
+        _assert_shift_exact(coeffs, a0)
+
+
+def test_q0_near_takes_the_node_loops_scalars_bitwise():
+    # a node of the array loop arrives as np.float64, a scalar call as float or int
+    for coeffs, lo, hi in ((QUARTIC, -1.0, 2.0), (THREE_X2, 0.0, 1.0)):
+        for a0 in (0.3 + 1e-4, 0.3 - 3e-5, 0.0, 1e-3, 0.9999):
+            for v in (1e-3, 1e-7):
+                want = M._piece_q0_near(coeffs, lo, hi, a0, v)
+                assert M._piece_q0_near(coeffs, lo, hi, np.float64(a0), np.float64(v)) == want
+    assert M._piece_q0_near(THREE_X2, 0.0, 1.0, 0, 1e-3) == M._piece_q0_near(THREE_X2, 0.0, 1.0, 0.0, 1e-3)
+
+
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+def test_vanishes_flips_once_across_each_end_of_the_quartic_band(side):
+    # the band where p0(., 0) reads finite around 0.3 has half-width about
+    # (1e-13/4)^(1/3) = 2.9e-5; lambda_region bisects on its ends, so the test
+    # must agree with the rational one and flip once, down to adjacent floats
+    def decide(x):
+        got = M._vanishes(QUARTIC, x, M.poly_shift(QUARTIC, x))
+        assert got == _vanishes_exact(QUARTIC, x), x
+        return got
+
+    grid = (0.3 + side * np.linspace(2e-5, 4e-5, 2001)).tolist()  # inward to outward
+    passes = [decide(x) for x in grid]
+    k = passes.index(False)
+    assert k > 0 and all(passes[:k]) and not any(passes[k:])
+    inner, outer = grid[k - 1], grid[k]
+    while np.nextafter(inner, outer) != outer:
+        mid = 0.5 * (inner + outer)
+        inner, outer = (mid, outer) if decide(mid) else (inner, mid)
+    for start, toward, expect in ((inner, 0.3, True), (outer, 0.3 + side, False)):
+        x = start
+        for _ in range(500):
+            assert decide(x) is expect
+            x = float(np.nextafter(x, toward))

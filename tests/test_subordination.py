@@ -614,7 +614,7 @@ CONTRACT_LAWS = {**SWEEP_LAWS, "bernoulli(1/2) at 0.8": (M.bernoulli(0.5), 0.8)}
 def test_vt_solve_off_the_region_returns_the_outside_image(name):
     # at every region end and off the region the solve returns (0, a0 - t G(a0),
     # nan), the ends' images as lambda_region holds them; u_t's real part is a_t
-    # there and inside
+    # at the ends and inside, and u_t raises off the closed region
     mu, t = CONTRACT_LAWS[name]
     region = S.lambda_region(mu, t)
     ends = [e for iv in region.intervals for e in iv]
@@ -625,8 +625,18 @@ def test_vt_solve_off_the_region_returns_the_outside_image(name):
         v, at, slope = S._vt_solve(mu, t, x)
         assert v == 0.0 and at == image and math.isnan(slope)
     inside = [0.5 * (l + r) for l, r in region.intervals]
-    for x in ends + outside + inside:
+    for x in ends + inside:
         assert P.u_t(mu, t, complex(x, 0.0)).real == S.a_t(mu, t, x)
+    for x in outside:
+        with pytest.raises(OutsideLambdaError):
+            P.u_t(mu, t, complex(x, 0.0))
+    # u_t's closure reaches 1e-9 (1 + |lam0|) past each end, and no further
+    for l, r in region.intervals:
+        for end, out in ((l, -1.0), (r, 1.0)):
+            x = end + out * 1e-10
+            assert P.u_t(mu, t, complex(x, 0.0)).real == S.a_t(mu, t, x)
+            with pytest.raises(OutsideLambdaError):
+                P.u_t(mu, t, complex(end + out * 1e-6, 0.0))
     for x in inside:
         v, at, slope = S._vt_solve(mu, t, x)
         assert v > 0.0 and math.isfinite(at) and slope > 0.0
