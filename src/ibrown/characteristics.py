@@ -44,7 +44,8 @@ class InitialData:
 
 @dataclass(frozen=True)
 class Momenta:
-    """Initial momenta; p_b0 = 2 b0 p0 and p_a0 = 2 a0 p0 - 2 p1 hold."""
+    """Initial momenta; p_a0 = 2 c1 = 2 a0 p0 - 2 p1 and p_b0 = 2 b0 p0,
+    with p1 = a0 p0 - c1 derived from the bundle's p0 and c1 = Re G."""
 
     p_a0: float
     p_b0: float
@@ -52,9 +53,9 @@ class Momenta:
     p1: float
 
     @classmethod
-    def from_bundle(cls, out: Bundle, b0: float) -> Momenta:
-        """The momenta from the kernel bundle at the initial data."""
-        return cls(p_a0=2.0 * out.c1, p_b0=2.0 * b0 * out.p0, p0=out.p0, p1=out.p1)
+    def from_bundle(cls, out: Bundle, a0: float, b0: float) -> Momenta:
+        """The momenta from the kernel bundle at the initial data (a0, b0)."""
+        return cls(p_a0=2.0 * out.c1, p_b0=2.0 * b0 * out.p0, p0=out.p0, p1=a0 * out.p0 - out.c1)
 
 
 @dataclass(frozen=True)
@@ -74,7 +75,7 @@ def initial_momenta(mu: MeasureSpec, init: InitialData) -> Momenta:
     if init.eps0 <= 0.0 and init.lam0.imag == 0.0:
         raise ValueError("initial momenta need b0^2 + eps0 > 0")
     a0, b0 = init.lam0.real, init.lam0.imag
-    return Momenta.from_bundle(transforms(mu, a0, b0 * b0 + init.eps0), b0)
+    return Momenta.from_bundle(transforms(mu, a0, b0 * b0 + init.eps0), a0, b0)
 
 
 def lifetime(mu: MeasureSpec, init: InitialData) -> float:
@@ -259,7 +260,7 @@ def s_of(mu: MeasureSpec, t: float, lam: complex, eps: float) -> float:
         raise NoConvergenceError(f"flow inversion failed at (t={t}, lam={lam}, eps={eps})")
     (a0, b0, eps0), out = solved
     init = InitialData(lam0=complex(a0, b0), eps0=float(eps0))
-    return _transported(mu, init, t, Momenta.from_bundle(out, b0))
+    return _transported(mu, init, t, Momenta.from_bundle(out, a0, b0))
 
 
 def pde_residual(mu: MeasureSpec, t: float, lam: complex, eps: float) -> float:

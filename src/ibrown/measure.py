@@ -10,15 +10,16 @@ Conventions
 All kernels share the denominator ``D = (a0 - x)**2 + v**2``:
 
 * ``p0 = int dmu / D``           * ``q0 = int dmu / D**2``
-* ``p1 = int x dmu / D``         * ``q1 = int (a0-x) dmu / D**2``
-* ``c1 = int (a0-x) dmu / D``    * ``q2 = int (a0-x)**2 dmu / D**2``
+* ``c1 = int (a0-x) dmu / D``    * ``q1 = int (a0-x) dmu / D**2``
+* ``p1 = int x dmu / D``         * ``q2 = int (a0-x)**2 dmu / D**2``
 
-``transforms(mu, a0, v2)`` returns all six at once as a :class:`Bundle`,
-the fixed record that every kernel caller reads its fields from; ``p0``
-and ``p1`` are thin wrappers around it. ``transforms`` also takes
-equal-length float arrays of a0 and v2, one node each, and then returns the
-same record with an array in each field: a sweep of many nodes costs one
-call.
+``transforms(mu, a0, v2)`` returns the five that the solvers read, p0, c1,
+q0, q1 and q2, at once as a :class:`Bundle`, the fixed record that every
+kernel caller reads its fields from. p1 is a0 p0 - c1, served by ``p1``;
+``p0`` and ``p1`` are thin wrappers around ``transforms``. ``transforms``
+also takes equal-length float arrays of a0 and v2, one node each, and then
+returns the same record with an array in each field: a sweep of many nodes
+costs one call.
 
 ``p0`` with ``v = 0`` returns ``math.inf`` when the integral diverges; callers
 use the sentinel for bracketing.
@@ -34,7 +35,7 @@ max|c|), and p0 is infinite unless the density and its slope vanish there.
 
 For a semicircle or piecewise-polynomial law every kernel is a closed form in
 the Cauchy transform G and its derivative G' at ``z = a0 + iv``:
-``p0 = -Im G/v``, ``c1 = Re G``, ``p1 = a0 p0 - c1``, ``q1 = Im G'/(2v)``,
+``p0 = -Im G/v``, ``c1 = Re G``, ``q1 = Im G'/(2v)``,
 ``q2 = (p0 - Re G')/2`` and ``q0 = (p0 + Re G')/(2v^2)``. The last one cancels
 like ``v^2`` where ``p0(a0, 0)`` is finite; there ``q0`` alone comes from a
 rearranged closed form (semicircle) and, piece by piece, from a series in the
@@ -366,12 +367,6 @@ def _ops(x):
     return cmath if isinstance(x, complex) else math
 
 
-def _pick(cond, x, y):
-    """x where cond holds, else y, for a bool and numbers or elementwise for
-    a bool array and arrays; x and y must be finite."""
-    return cond * x + (1 - cond) * y
-
-
 def _cauchy_pair(mu: MeasureSpec, z):
     """G(z) and G'(z) at one z or, for a semicircle or piecewise law,
     elementwise at an array of z off the real line. Atoms are summed; each
@@ -502,21 +497,21 @@ def _piece_q0_series(coeffs, lo: float, hi: float, a0, v2):
     With x - a0 = s d w, s = +-1, the piece is w in [1, W], W = 1 + (hi - lo)/d,
     and M_n = d^(1-n) sum_j b_j (s d)^j int_1^W w^(j-n) dw, b = poly_shift(coeffs,
     a0); each integral is a log or expm1((k+1) log1p(W - 1))/(k+1), so nothing
-    overflows and a narrow piece keeps its digits. Elementwise for arrays of
+    overflows and a narrow piece keeps its digits. Elementwise over arrays of
     (a0, v2) off the piece, each node summed until the largest term is below 1e-17.
     """
-    ops, left = _ops(a0), a0 < lo
-    s, d = _pick(left, 1.0, -1.0), _pick(left, lo - a0, a0 - hi)
-    lw = ops.log1p((hi - lo) / d)
+    left = a0 < lo
+    s, d = np.where(left, 1.0, -1.0), np.where(left, lo - a0, a0 - hi)
+    lw = np.log1p((hi - lo) / d)
     c = [bj * (s * d) ** j for j, bj in enumerate(poly_shift(coeffs, a0))]
     r = v2 / (d * d)
-    r_max = r if isinstance(r, float) else float(r.max())
+    r_max = float(r.max())
     # weight = (-1)^m (m+1) r^m, bound = its largest magnitude over the nodes
     total, m, weight, bound = 0.0, 0, 1.0, 1.0
     while bound >= 1e-17:
         for j, cj in enumerate(c):
             k = j - 2 * m - 4
-            total += weight * cj * (lw if k == -1 else ops.expm1((k + 1) * lw) / (k + 1))
+            total += weight * cj * (lw if k == -1 else np.expm1((k + 1) * lw) / (k + 1))
         m += 1
         weight *= -r * (m + 1) / m
         bound *= r_max * (m + 1) / m
@@ -541,7 +536,8 @@ def _piece_q0_multipole(pole, a0, v2, n: int):
 
 
 def _q0_cancelled(mu: MeasureSpec, a0, v2):
-    """q0 of a semicircle or piecewise law where p0 + Re G' cancels.
+    """q0 of a semicircle or piecewise law where p0 + Re G' cancels,
+    elementwise over arrays of (a0, v2); one node is a one-element array.
 
     For the semicircle, with R = sqrt(z^2 - 4s), expanding the divided
     difference of G twice gives
@@ -550,50 +546,38 @@ def _q0_cancelled(mu: MeasureSpec, a0, v2):
     finite. A polynomial piece is summed as a series in its moments where
     z = a0 + iv is far from it (_piece_q0_multipole), term by term in powers
     of x - a0 where a0 lies on it or within 4v of it (_piece_q0_near), and
-    as a series in v^2 otherwise (_piece_q0_series).
-
-    Elementwise for arrays of (a0, v2); the term-by-term sum, whose shift is
-    exact, in integers rounded once (_shift_exact), is taken node by node.
+    as a series in v^2 otherwise (_piece_q0_series): per piece, three masks
+    over the nodes. The term-by-term sum, whose shift is exact, in integers
+    rounded once (_shift_exact), is taken node by node.
     """
-    v = _ops(v2).sqrt(v2)
+    v = np.sqrt(v2)
     z = a0 + 1j * v
     if mu.kind == "semicircle":
         s = mu.variance
         root = _semicircle_root(s, z)
         num = a0 * (4.0 * s + 2.0 * v2 - root.imag**2) - v * root.real * root.imag
         return num / (4.0 * s * root.real**3 * abs(root) ** 2)
-    total = 0.0
+    total = np.zeros_like(a0)
     for (lo, hi, coeffs), pole in zip(mu.pieces, mu.piece_multipoles):
         n = _multipole_terms(pole, z)
-        near = (lo - 4.0 * v < a0) & (a0 < hi + 4.0 * v)
-        if isinstance(z, complex):
-            if n:
-                total += _piece_q0_multipole(pole, a0, v2, n)
-            elif near:
-                total += _piece_q0_near(coeffs, lo, hi, a0, v)
-            else:
-                total += _piece_q0_series(coeffs, lo, hi, a0, v2)
-            continue
         far = n > 0
-        near &= ~far
+        near = (lo - 4.0 * v < a0) & (a0 < hi + 4.0 * v) & ~far
         rest = ~(far | near)
-        part = np.zeros_like(a0)
         if far.any():
-            part[far] = _piece_q0_multipole(pole, a0[far], v2[far], int(n.max()))
+            total[far] += _piece_q0_multipole(pole, a0[far], v2[far], int(n.max()))
         for i in np.flatnonzero(near):
-            part[i] = _piece_q0_near(coeffs, lo, hi, a0[i], v[i])
+            total[i] += _piece_q0_near(coeffs, lo, hi, a0[i], v[i])
         if rest.any():
-            part[rest] = _piece_q0_series(coeffs, lo, hi, a0[rest], v2[rest])
-        total = total + part
+            total[rest] += _piece_q0_series(coeffs, lo, hi, a0[rest], v2[rest])
     return total
 
 
 class Bundle(NamedTuple):
-    """The kernel integrals of a law at one point z = a0 + iv, v > 0; c1 is
-    Re G(z) = int (a0-x) dmu / D."""
+    """The five kernel integrals of a law at one point z = a0 + iv, v > 0,
+    that the solvers read: p0, c1 = Re G(z) = int (a0-x) dmu / D, q0, q1 and
+    q2. p1 = int x dmu / D is not a field: p1() derives it as a0 p0 - c1."""
 
     p0: float
-    p1: float
     c1: float
     q0: float
     q1: float
@@ -601,7 +585,7 @@ class Bundle(NamedTuple):
 
 
 def transforms(mu: MeasureSpec, a0, v2) -> Bundle:
-    """Every kernel integral at (a0, v2), v2 > 0, in one pass.
+    """The five kernel integrals of a Bundle at (a0, v2), v2 > 0, in one pass.
 
     a0 and v2 may also be equal-length float arrays, one node each: every
     field of the bundle is then an array over the nodes, from one (nodes x
@@ -618,7 +602,7 @@ def transforms(mu: MeasureSpec, a0, v2) -> Bundle:
         u = (a0[:, None] if nodes else a0) - xs
         inv_d = 1.0 / (u * u + (v2[:, None] if nodes else v2))
         inv_d2 = inv_d * inv_d
-        sums = np.array([inv_d, xs * inv_d, u * inv_d, inv_d2, u * inv_d2, u * u * inv_d2]) @ ws
+        sums = np.array([inv_d, u * inv_d, inv_d2, u * inv_d2, u * u * inv_d2]) @ ws
         return Bundle(*(sums if nodes else sums.tolist()))
     v = np.sqrt(v2) if nodes else math.sqrt(v2)
     z = a0 + 1j * v if nodes else complex(a0, v)
@@ -626,18 +610,19 @@ def transforms(mu: MeasureSpec, a0, v2) -> Bundle:
 
 
 def _closed_form_bundle(mu: MeasureSpec, a0, v2, v, g, gp) -> Bundle:
-    # the kernels from G and G' at z = a0 + iv, one node or arrays of them
+    # the five kernels from G and G' at z = a0 + iv, one node or arrays of
+    # them; a one-node cancelled q0 takes _q0_cancelled's array body
     p0v = -g.imag / v
     s = p0v + gp.real  # = 2 v^2 q0
     q0 = s / (2.0 * v2)
     keep = s >= _Q0_CANCEL * p0v
     if not isinstance(keep, np.ndarray):
-        q0 = q0 if keep else _q0_cancelled(mu, a0, v2)
+        if not keep:  # one node, through the array body as a one-element array
+            q0 = float(_q0_cancelled(mu, np.array([a0], dtype=float), np.array([v2]))[0])
     elif not keep.all():
         q0[~keep] = _q0_cancelled(mu, a0[~keep], v2[~keep])
     return Bundle(
         p0=p0v,
-        p1=a0 * p0v - g.real,
         c1=g.real,
         q0=q0,
         q1=gp.imag / (2.0 * v),
@@ -685,10 +670,11 @@ def p0_zero(mu: MeasureSpec, a0: float) -> float:
 
 
 def p1(mu: MeasureSpec, a0: float, v: float) -> float:
-    """int x dmu / ((a0-x)^2 + v^2) for v > 0."""
+    """int x dmu / ((a0-x)^2 + v^2) for v > 0: a0 p0 - c1 of the bundle."""
     if v <= 0.0:
         raise ValueError("p1 requires v > 0")
-    return transforms(mu, a0, v * v).p1
+    out = transforms(mu, a0, v * v)
+    return a0 * out.p0 - out.c1
 
 
 # ----------------------------------------------------------------------------

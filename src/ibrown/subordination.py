@@ -26,7 +26,6 @@ from .measure import (
     Bundle,
     MeasureSpec,
     _cauchy_pair,
-    _pick,
     cauchy,
     p0_zero,
     real_cauchy,
@@ -54,6 +53,12 @@ class LambdaRegion:
     t: float
     intervals: tuple[tuple[float, float], ...]
     images: tuple[tuple[float, float], ...]
+
+
+def _pick(cond, x, y):
+    """x where cond holds, else y, for a bool and numbers or elementwise for
+    a bool array and arrays; x and y must be finite."""
+    return cond * x + (1 - cond) * y
 
 
 def _vt_residual(t: float, v, out: Bundle):
@@ -338,7 +343,8 @@ def lambda_region(mu: MeasureSpec, t: float) -> LambdaRegion:
 
 def a_t(mu: MeasureSpec, t: float, a0: float) -> float:
     """Boundary abscissa map, by _vt_solve: a0 - t Re G(a0 + i v_t(a0)),
-    i.e. t*p1 where v_t > 0, and a0 - t G(a0) where v_t = 0.
+    i.e. a0 - t c1 of the bundle where v_t > 0, and a0 - t G(a0) where
+    v_t = 0.
 
     The two expressions agree where v_t = 0 with p0(a0, 0) = 1/t, so interval
     endpoints evaluate as the one-sided limit from the v_t > 0 side; OnSupport
@@ -356,11 +362,11 @@ def _at_slope(t: float, a0, v, out: Bundle):
     """(a_t, da_t/da0) from the bundle at the solved v_t, at one node or
     elementwise at arrays of them.
 
-    a_t is a0 - t Re G with Re G = a0 p0 - p1: t p1 where p0 = 1/t, but free
-    of the solve's residual in p0. The slope is 2t (q0 q2 - q1^2)/q0. Where
-    v_t is below what the kernels resolve (v reads 0), both are the v -> 0
-    limits, the slope 1 - t Re G' with Re G' = p0 - 2 q2, as Im G' is of the
-    order of the density's slope, which vanishes there too. Raises
+    a_t is a0 - t Re G = a0 - t c1 in both branches. The slope is
+    2t (q0 q2 - q1^2)/q0. Where v_t is below what the kernels resolve (v
+    reads 0), both are the v -> 0 limits: a_t from c1 at the solved v, and
+    the slope 1 - t Re G' with Re G' = p0 - 2 q2, as Im G' is of the order
+    of the density's slope, which vanishes there too. Raises
     DegenerateJacobianError where v > 0 and q0 <= 0.
     """
     live = v > 0.0  # a bool, or a bool array
@@ -369,7 +375,7 @@ def _at_slope(t: float, a0, v, out: Bundle):
         raise DegenerateJacobianError("q0 <= 0")
     q0 = _pick(live, out.q0, 1.0)  # 1 where only the limit is kept
     slope = _pick(live, 2.0 * t * (q0 * out.q2 - out.q1**2) / q0, 1.0 - t * (out.p0 - 2.0 * out.q2))
-    return a0 - t * (a0 * out.p0 - out.p1), slope
+    return a0 - t * out.c1, slope
 
 
 def h_t(mu: MeasureSpec, t: float, z: complex) -> complex:

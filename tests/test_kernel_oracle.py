@@ -32,7 +32,8 @@ from ibrown.characteristics import InitialData, initial_momenta
 from ibrown.subordination import j_t, lambda_region
 
 FIELDS = M.Bundle._fields
-#: each field's integrand as a function of x, u = a0 - x and D = u^2 + v^2
+#: each field's integrand, and measure.p1's, as a function of x, u = a0 - x
+#: and D = u^2 + v^2
 KERNELS = {
     "p0": lambda x, u, d: 1 / d,
     "p1": lambda x, u, d: x / d,
@@ -188,6 +189,11 @@ def oracle_bundle(mu, a0, v):
     return ref, scale, g, gp
 
 
+def kernels(mu, a0, v):
+    """The bundle's fields and measure.p1 at (a0, v), by name."""
+    return {**M.transforms(mu, a0, v * v)._asdict(), "p1": M.p1(mu, a0, v)}
+
+
 def rel_err(got, ref, scale=0):
     return float(abs(mp.mpf(got) - ref) / max(abs(ref), scale))
 
@@ -207,10 +213,10 @@ def grid(mu, t):
 def test_kernel_bundle_matches_oracle(name):
     mu, t = LAWS[name]
     for a0, v in grid(mu, t):
-        got = M.transforms(mu, a0, v * v)
+        got = kernels(mu, a0, v)
         ref, scale, _, _ = oracle_bundle(mu, a0, v)
-        for k in FIELDS:
-            assert rel_err(getattr(got, k), ref[k], scale.get(k, 0)) <= TOL, (name, k, a0, v)
+        for k in KERNELS:
+            assert rel_err(got[k], ref[k], scale.get(k, 0)) <= TOL, (name, k, a0, v)
         if v >= 1e-4 or mu.kind != "semicircle":  # the semicircle's log oracle is a quadrature
             log = M.log_potential(mu, a0, v * v)
             assert abs(log - oracle_log(mu, a0, v)) <= TOL, (name, "log", a0, v)
@@ -282,10 +288,10 @@ def test_random_laws_match_oracle(mu, s, log_v):
     # a0 from just left of the support to just right of it, in hull units
     a0 = mu.support.lo + s * (mu.support.hi - mu.support.lo)
     v = 10.0**log_v
-    got = M.transforms(mu, a0, v * v)
+    got = kernels(mu, a0, v)
     ref, scale, _, _ = oracle_bundle(mu, a0, v)
-    for k in FIELDS:
-        assert rel_err(getattr(got, k), ref[k], scale.get(k, 0)) <= TOL, k
+    for k in KERNELS:
+        assert rel_err(got[k], ref[k], scale.get(k, 0)) <= TOL, k
 
 
 def test_atomic_bundle_matches_sums_over_atoms():
@@ -299,12 +305,12 @@ def test_atomic_bundle_matches_sums_over_atoms():
     for a0 in a0s:
         for v in (1e-6, 1e-4, 1e-2, 0.3 * math.sqrt(t), math.sqrt(t)):
             v2 = v * v
-            got = M.transforms(mu, a0, v2)
+            got = kernels(mu, a0, v)
             terms = [(mp.mpf(w), mp.mpf(x), mp.mpf(a0) - mp.mpf(x)) for x, w in mu.atoms]
-            for k in FIELDS:
-                vals = [w * KERNELS[k](x, u, u * u + mp.mpf(v2)) for w, x, u in terms]
+            for k, kern in KERNELS.items():
+                vals = [w * kern(x, u, u * u + mp.mpf(v2)) for w, x, u in terms]
                 ref, scale = sum(vals), sum(abs(val) for val in vals)
-                assert rel_err(getattr(got, k), ref, scale) <= TOL, (k, a0, v)
+                assert rel_err(got[k], ref, scale) <= TOL, (k, a0, v)
 
 
 def _q0_cancel_ratio(mu, a0, v):
@@ -348,7 +354,8 @@ def test_q0_switch_over(name, monkeypatch):
             for ratio in (1e-12, 1e-8, 1e-4, 1e-2, 0.1, 0.25, 0.5, 1.0, 4.0):
                 v = ratio * d
                 ref, _, _, _ = oracle_bundle(mu, a0, v)
-                assert rel_err(cancelled(mu, a0, v * v), ref["q0"]) <= 1e-12, (lo, a0, ratio)
+                got = cancelled(mu, np.array([a0]), np.array([v * v]))[0]
+                assert rel_err(got, ref["q0"]) <= 1e-12, (lo, a0, ratio)
 
 
 def test_momenta_at_tiny_regularization_on_a_piece_law():
@@ -419,11 +426,12 @@ def test_kernel_bundle_grid_in_one_array_call():
     # the oracle grid of every law through a single array call, same bounds
     for name, (mu, t) in LAWS.items():
         a0, v = (np.array(col) for col in zip(*grid(mu, t)))
-        got = M.transforms(mu, a0, v * v)
+        got = M.transforms(mu, a0, v * v)._asdict()
+        got["p1"] = a0 * got["p0"] - got["c1"]  # as measure.p1 derives it
         for i in range(a0.size):
             ref, scale, _, _ = oracle_bundle(mu, a0[i], v[i])
-            for k in FIELDS:
-                err = rel_err(getattr(got, k)[i], ref[k], scale.get(k, 0))
+            for k in KERNELS:
+                err = rel_err(got[k][i], ref[k], scale.get(k, 0))
                 assert err <= TOL, (name, k, a0[i], v[i])
 
 
