@@ -62,10 +62,6 @@ def _write(path: Path, text: str):
     print(path, file=sys.stderr)
 
 
-def _fmt(x) -> float:
-    return float("%.17g" % x)
-
-
 def _summary(path: Path, ns, mu, **fields):
     """Write a JSON summary: the schema, t, the law's label and digest, then fields."""
     summary = {"schema": 1, "t": ns.t, "measure": mu.label, "digest": mu.digest(), **fields}
@@ -90,10 +86,10 @@ def cmd_compute(ns) -> int:
         out / "summary.json",
         ns,
         mu,
-        omega_intervals=[[_fmt(a), _fmt(b)] for a, b in prof.omega_intervals],
-        mass=_fmt(prof.mass),
-        min_density=_fmt(float(prof.density.min())),
-        max_density=_fmt(float(prof.density.max())),
+        omega_intervals=prof.omega_intervals,
+        mass=prof.mass,
+        min_density=float(prof.density.min()),
+        max_density=float(prof.density.max()),
     )
     if ns.svg:
         title = f"t={ns.t:g}  {mu.label}  [{mu.digest()}]"
@@ -120,10 +116,10 @@ def cmd_pushforward(ns) -> int:
         out / "pushforward.json",
         ns,
         mu,
-        rectangle_max_discrepancy=_fmt(rep.max_discrepancy),
-        rectangle_max_error_estimate=_fmt(max(rep.error_estimates, default=0.0)),
-        boundary_agreement=_fmt(float(gap.max())),
-        law_mass=_fmt(prof.mass),
+        rectangle_max_discrepancy=rep.max_discrepancy,
+        rectangle_max_error_estimate=max(rep.error_estimates, default=0.0),
+        boundary_agreement=float(gap.max()),
+        law_mass=prof.mass,
     )
     return 0
 
@@ -136,8 +132,7 @@ def cmd_simulate(ns) -> int:
     _write(out / "cloud.csv", _csv("re,im,rep", cloud.points.real, cloud.points.imag, cloud.rep))
     prof = brown.profile(mu, ns.t, n_grid=ns.grid)
     rep = rmt.compare(cloud, prof, mu, ns.t)
-    fields = {k: _fmt(v) if isinstance(v, float) else v for k, v in dataclasses.asdict(rep).items()}
-    _summary(out / "compare.json", ns, mu, **fields)
+    _summary(out / "compare.json", ns, mu, **dataclasses.asdict(rep))
     if ns.svg:
         title = f"t={ns.t:g}  {mu.label}  [{mu.digest()}]  n={ns.n} reps={ns.reps}"
         _write(out / "figure.svg", svg.render_profile_svg(prof, title, cloud=cloud.points))
@@ -153,7 +148,7 @@ def cmd_jn(ns) -> int:
     wj = np.array([jn.jn_density(mu, ns.t, float(x)) for x in a])
     diff = np.abs(wj - w)
     _write(out / "jn.csv", _csv("a,w_main,w_jn,abs_diff", a, w, wj, diff))
-    _summary(out / "jn.json", ns, mu, max_abs_diff=_fmt(float(diff.max(initial=0.0))))
+    _summary(out / "jn.json", ns, mu, max_abs_diff=float(diff.max(initial=0.0)))
     return 0
 
 
@@ -165,12 +160,9 @@ def cmd_characteristics(ns) -> int:
         out / "characteristics.json",
         ns,
         mu,
-        max_pde_residual=_fmt(max((res for _, _, res in samples), default=0.0)),
-        constants_of_motion=_fmt(checks.constants_of_motion(mu)),
-        samples=[
-            {"re": _fmt(lam.real), "im": _fmt(lam.imag), "eps": _fmt(eps), "residual": _fmt(res)}
-            for lam, eps, res in samples
-        ],
+        max_pde_residual=float(max((res for _, _, res in samples), default=0.0)),
+        constants_of_motion=float(checks.constants_of_motion(mu)),
+        samples=[{"re": lam.real, "im": lam.imag, "eps": eps, "residual": float(res)} for lam, eps, res in samples],
     )
     return 0
 

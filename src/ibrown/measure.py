@@ -575,7 +575,8 @@ def _q0_cancelled(mu: MeasureSpec, a0, v2):
 class Bundle(NamedTuple):
     """The five kernel integrals of a law at one point z = a0 + iv, v > 0,
     that the solvers read: p0, c1 = Re G(z) = int (a0-x) dmu / D, q0, q1 and
-    q2. p1 = int x dmu / D is not a field: p1() derives it as a0 p0 - c1."""
+    q2. p1 = int x dmu / D is not a field: the function p1 derives it as
+    a0 p0 - c1."""
 
     p0: float
     c1: float
@@ -610,8 +611,7 @@ def transforms(mu: MeasureSpec, a0, v2) -> Bundle:
 
 
 def _closed_form_bundle(mu: MeasureSpec, a0, v2, v, g, gp) -> Bundle:
-    # the five kernels from G and G' at z = a0 + iv, one node or arrays of
-    # them; a one-node cancelled q0 takes _q0_cancelled's array body
+    # the five kernels from G and G' at z = a0 + iv, one node or arrays of them
     p0v = -g.imag / v
     s = p0v + gp.real  # = 2 v^2 q0
     q0 = s / (2.0 * v2)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 import ibrown.measure as M
@@ -49,6 +50,15 @@ def be_profile(be23):
 @pytest.fixture(scope="session")
 def un_profile(un):
     return B.profile(un, 0.1, n_grid=256)
+
+
+def bernstein_piece(lo, hi, beta):
+    """Monomial coefficients of sum_k beta_k B_k((x - lo)/(hi - lo)): a
+    polynomial positive on [lo, hi] when every beta_k is."""
+    n = len(beta) - 1
+    t = np.polynomial.Polynomial([-lo / (hi - lo), 1.0 / (hi - lo)])
+    p = sum(b * math.comb(n, k) * t**k * (1 - t) ** (n - k) for k, b in enumerate(beta))
+    return tuple(p.coef)
 
 
 def semicircle_cdf(variance, x):

@@ -7,13 +7,15 @@ from hypothesis import strategies as st
 
 import ibrown.brown as B
 import ibrown.characteristics as C
+import ibrown.checks as K
+import ibrown.jn as J
 import ibrown.maps as P
 import ibrown.measure as M
 import ibrown.numerics as N
 import ibrown.subordination as S
 from ibrown.errors import NoConvergenceError, OutsideLambdaError, OutsideOmegaError, OutsideOnlyError
 
-from conftest import FOUR_ATOMS, semicircle_cdf
+from conftest import FOUR_ATOMS, bernstein_piece, semicircle_cdf
 
 
 def bernoulli_quartic(al, t, a):
@@ -598,6 +600,74 @@ def test_locator_agrees_with_the_height_and_the_maps(law):
         q, z = P.q_t(mu, t, lam), P.u_t_inverse(mu, t, lam)
         assert q == 2.0 * z.real - lam.real
         assert abs(S.a_t(mu, t, z.real) - x) <= 1e-9 * (1.0 + abs(lam))
+
+
+@st.composite
+def atoms_away_from_a_merge(draw):
+    """laws_and_times_around_a_merge's draw, with t at least 2^0.05 (3.5 %)
+    away from every gap's split threshold: nearer, the profile's error is
+    the merge's (ROADMAP item 2)."""
+    mu, t = draw(laws_and_times_around_a_merge())
+    minima = gap_minima(*(np.array(a) for a in zip(*mu.atoms)))
+    assume(np.all(np.abs(np.log2(t * minima)) >= 0.05))
+    return mu, t
+
+
+@st.composite
+def contiguous_piecewise_laws(draw):
+    """1-3 touching pieces, each positive in the Bernstein basis, as
+    test_kernel_oracle.random_laws builds them, at t = 10^U[-1.3, 0.3]."""
+    pieces, x = [], draw(st.floats(-2.0, 1.0))
+    for _ in range(draw(st.integers(1, 3))):
+        w = draw(st.floats(0.2, 1.5))
+        beta = draw(st.lists(st.floats(0.05, 2.0), min_size=1, max_size=4))
+        pieces.append((x, x + w, bernstein_piece(x, x + w, beta)))
+        x += w
+    return M.piecewise_poly(pieces), 10.0 ** draw(st.floats(-1.3, 0.3))
+
+
+def monomial_mass(mu):
+    """1 for an atomic law; for a piecewise law, int sum_k |c_k x^k| dx over
+    its pieces, the mass of the monomial terms that the kernels shift and
+    sum: their rounding, and so the profile's mass error, scales with it."""
+    if not mu.pieces:
+        return 1.0
+    # sign(x) |x|^(k+1)/(k+1) is an antiderivative of |x|^k
+    return sum(
+        abs(c) * (hi * abs(hi) ** k - lo * abs(lo) ** k) / (k + 1)
+        for lo, hi, coeffs in mu.pieces
+        for k, c in enumerate(coeffs)
+    )
+
+
+@pytest.mark.parametrize("family", [atoms_away_from_a_merge, contiguous_piecewise_laws])
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_profile_invariants_on_random_laws(family, data):
+    # the paper's invariants on one profile: unit mass, a monotone boundary
+    # map with its slope in (0, 2), J_t and H_t on the boundary, the fixed
+    # point's t Re g = a0 - a, and the additive law's CDF
+    mu, t = data.draw(family())
+    prof = B.profile(mu, t, 64)
+    scale = monomial_mass(mu)
+    assert abs(prof.mass - 1.0) <= 1e-13 * scale
+    ends = [e for iv in prof.omega_intervals for e in iv]
+    assert all(x < y for x, y in zip(ends[:-1], ends[1:]))
+    for sl, (al, ar) in zip(prof.blocks(), prof.omega_intervals):
+        assert np.all(np.diff(np.concatenate(([al], prof.grid[sl], [ar]))) > 0.0)
+    assert np.all((prof.slope > 0.0) & (prof.slope < 2.0))
+    jv, hv, _ = K.boundary_maps(mu, t, prof)
+    assert np.max(np.abs(jv.imag - prof.halfheight)) <= 1e-9
+    assert np.max(np.abs(hv.imag)) <= 1e-9
+    for i in K.fixed_point_rows(prof, 3, 2):
+        a = float(prof.grid[i])
+        g, _ = J._solve_g(mu, t, a)
+        assert abs(t * g.real - (prof.a0[i] - a)) <= 1e-8
+    (l, r), (_, ar) = prof.lambda_intervals[-1], prof.omega_intervals[-1]
+    u_end = 2.0 * r - ar
+    u = np.linspace(2.0 * prof.lambda_intervals[0][0] - prof.omega_intervals[0][0] - 0.1, u_end, 2001)
+    assert np.all(np.diff(prof.cdf_at_u(u)) >= 0.0)
+    assert abs(prof.cdf_at_u(u_end) - 1.0) <= 1e-13 * scale
 
 
 def test_w_t_raises_at_an_interval_end(sc):

@@ -351,3 +351,64 @@ def test_s_of_failure_is_loud_after_one_solve(sc, monkeypatch):
     with pytest.raises(NoConvergenceError):
         C.s_of(sc, 1.0, 0.9 + 0.05j, 1e-4)
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# guard branches of the flow inversion
+
+
+def test_flow_step_guards(sc):
+    # None where p0 is not finite; the residual alone, no step, where eps0
+    # sits at the clamp
+    t, target, u = 1.0, (3.0, 0.2, 0.1), np.array([3.0, 0.1, 1e-300])
+    assert C._flow_step(t, u, target, M.Bundle(math.inf, 0.0, 1.0, 0.0, 0.0)) is None
+    out = M.transforms(sc, u[0], u[1] * u[1] + u[2])
+    r, step = C._flow_step(t, u, target, out)
+    assert step is None
+    decay = 1.0 - t * out.p0
+    assert r.tolist() == [3.0 - t * out.c1 - 3.0, 0.1 * (1.0 + t * out.p0) - 0.2, 1e-300 * decay * decay - 0.1]
+
+
+def test_solve_flow_exits_when_damped_newton_fails(sc, monkeypatch):
+    monkeypatch.setattr(C, "damped_newton", lambda fdf, u, tol: None)
+    assert C._solve_flow(sc, 1.0, (0.9, 0.05, 1e-4), (0.9, 0.05, 1e-4), 1e-10) is None
+
+
+def test_solve_flow_keeps_a_converged_point_without_a_step(sc, monkeypatch):
+    # a solve that ends where eps0 is clamped has no step to polish with: the
+    # point and the bundle there are returned as they are, with no more
+    # evaluations
+    calls = []
+    transforms = C.transforms
+
+    def counted(*args):
+        calls.append(args)
+        return transforms(*args)
+
+    def at_the_clamp(fdf, u, tol):
+        u = u.copy()
+        u[2] = 0.0
+        fdf(u)
+        return u
+
+    monkeypatch.setattr(C, "transforms", counted)
+    monkeypatch.setattr(C, "damped_newton", at_the_clamp)
+    u, out = C._solve_flow(sc, 1.0, (0.9, 0.05, 1e-4), (0.9, 0.05, 1e-4), 1e-10)
+    assert u.tolist() == [0.9, 0.05, 1e-300]
+    assert len(calls) == 1 and out == transforms(sc, 0.9, 0.05 * 0.05 + 1e-300)
+
+
+def test_start_reads_a_point_below_v_t_as_below_the_root(sc, monkeypatch):
+    # below v_t, s = 1 - t p0 <= 0: fdf returns (-inf, inf), the low side of
+    # the root and a bisection step, and the solve still ends at the same start
+    t, lam, eps = 1.0, 0.9 + 0.05j, 1e-4
+    want = C._start(sc, t, lam, eps)
+    solve, below = C.bracket_newton, []
+
+    def probing(fdf, lo, hi, x0, ftol, xtol):
+        below.append(fdf(0.5 * lo))  # lo is v_t at the start's a0
+        return solve(fdf, lo, hi, x0, ftol, xtol)
+
+    monkeypatch.setattr(C, "bracket_newton", probing)
+    assert C._start(sc, t, lam, eps) == want
+    assert below == [(-math.inf, math.inf)]

@@ -192,3 +192,10 @@ def test_check_jn_solves_each_row_once(be23, be_profile, monkeypatch):
     rows = C.check_jn(be23, 1.05, be_profile)
     assert len(solved) == len(set(solved)) >= 8
     assert all(r.passed for r in rows)
+
+
+def test_solve_g_raises_where_the_solve_collapses_onto_the_real_line(sc, monkeypatch):
+    # a fixed point with |Im g| <= 1e-12 is a real one: no complex root there
+    monkeypatch.setattr(J, "_fixed_point_newton", lambda mu, t, a, g0, tol: (complex(0.2, 1e-13), -1j))
+    with pytest.raises(NoConvergenceError, match="outside the planar support"):
+        J._solve_g(sc, 1.0, 0.3)

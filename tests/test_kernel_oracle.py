@@ -26,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ibrown.measure as M
-from conftest import FOUR_ATOMS
+from conftest import FOUR_ATOMS, bernstein_piece
 from ibrown.brown import s_outside
 from ibrown.characteristics import InitialData, initial_momenta
 from ibrown.subordination import j_t, lambda_region
@@ -60,15 +60,6 @@ def two_piece():
 QUARTIC = M.piecewise_poly([(-1.0, 2.0, (0.0081, -0.108, 0.54, -1.2, 1.0))])
 
 
-def _bernstein_piece(lo, hi, beta):
-    """Monomial coefficients of sum_k beta_k B_k((x - lo)/(hi - lo)): a
-    polynomial positive on [lo, hi] when every beta_k is."""
-    n = len(beta) - 1
-    t = np.polynomial.Polynomial([-lo / (hi - lo), 1.0 / (hi - lo)])
-    p = sum(b * math.comb(n, k) * t**k * (1 - t) ** (n - k) for k, b in enumerate(beta))
-    return tuple(p.coef)
-
-
 LAWS = {
     "semicircle": (M.semicircle(0.6), 1.4),
     "uniform": (M.uniform(-1.0, 1.0), 0.1),
@@ -79,8 +70,8 @@ LAWS = {
     "narrow_cubic": (
         M.piecewise_poly(
             [
-                (1.0, 1.2, _bernstein_piece(1.0, 1.2, [0.3, 2.0, 0.1, 1.5])),
-                (1.5, 2.0, _bernstein_piece(1.5, 2.0, [1.0, 0.2, 1.0])),
+                (1.0, 1.2, bernstein_piece(1.0, 1.2, [0.3, 2.0, 0.1, 1.5])),
+                (1.5, 2.0, bernstein_piece(1.5, 2.0, [1.0, 0.2, 1.0])),
             ]
         ),
         0.5,
@@ -277,7 +268,7 @@ def random_laws(draw):
         x += draw(st.sampled_from([0.0, 0.0, 0.3]))  # contiguous or with a gap
         w = draw(st.floats(0.2, 1.5))
         beta = draw(st.lists(st.floats(0.05, 2.0), min_size=1, max_size=4))
-        pieces.append((x, x + w, _bernstein_piece(x, x + w, beta)))
+        pieces.append((x, x + w, bernstein_piece(x, x + w, beta)))
         x += w
     return M.piecewise_poly(pieces)
 

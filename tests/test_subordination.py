@@ -665,3 +665,9 @@ def test_jt_inverse_failures_are_typed(sc, monkeypatch):
     monkeypatch.setattr(S, "_newton_jt", inside_at_lam)
     with pytest.raises(WrongBasinError):
         S.j_t_inverse(sc, 1.0, lam)
+
+
+@pytest.mark.parametrize("t", [0.0, -1.0, math.inf, math.nan])
+def test_vt_solve_rejects_a_bad_t(sc, t):
+    with pytest.raises(ValueError, match="positive and finite"):
+        S._vt_solve(sc, t, 0.3)
