@@ -125,25 +125,30 @@ def _v_crossings(mu, t, sweep, level):
     v_t > level exactly where p0(a0, level^2) > 1/t, so each crossing is a
     root of p0(., level^2) - 1/t, bracketed by neighbouring sweep nodes
     (where v - level has its sign) and solved by bracket_newton through
-    d p0/d a0 = -2 q1, one bundle per step; a_t there is _vt_solve's,
-    started at the level.
+    d p0/d a0 = -2 q1, one bundle per step. v_t is the level at the root,
+    so a_t there is x - t c1 of the bundle at the iterate x that
+    bracket_newton returns, the last one it evaluated.
     """
     a0s, d = sweep["a0"], sweep["v"] - level
     v2, inv_t = level * level, 1.0 / t
 
     def crossing(lo, hi, rise):
+        out = None
+
         def fdf(a0):
+            nonlocal out
             out = transforms(mu, a0, v2)
             f, df = out.p0 - inv_t, -2.0 * out.q1
             return rise * f, f / df if df != 0.0 else math.inf
 
-        return bracket_newton(fdf, lo, hi, 0.5 * (lo + hi), 1e-12 * inv_t, 1e-14 * (1.0 + abs(lo) + abs(hi)))
+        x = bracket_newton(fdf, lo, hi, 0.5 * (lo + hi), 1e-12 * inv_t, 1e-14 * (1.0 + abs(lo) + abs(hi)))
+        return x, x - t * out.c1
 
-    xs = [
+    roots = [
         crossing(a0s[i], a0s[i + 1], 1.0 if d[i] < 0.0 else -1.0)
         for i in np.flatnonzero((d[:-1] != 0.0) & ((d[:-1] > 0.0) != (d[1:] > 0.0)))
     ]
-    return np.array(xs), np.array([_vt_solve(mu, t, x, v_hint=level)[1] for x in xs])
+    return np.array([x for x, _ in roots]), np.array([at for _, at in roots])
 
 
 def _theta_nodes(interval, cuts, kinks):

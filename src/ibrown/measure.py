@@ -25,25 +25,29 @@ costs one call.
 use the sentinel for bracketing.
 
 G and G' of a polynomial piece come from one closed form,
-``_piece_cauchy_pair``, at a real or complex z, one node or an array, or from
-the piece's multipole series far from it. On the real line ``_real_pair``
-gives (G, p0(a0, 0) = -G') in one pass over the law and holds the two
-contact rules: G is on the support where the density exceeds 1e-9 (1 +
-max|c|), and p0 is infinite unless the density and its slope vanish there.
-``real_cauchy``, ``p0_zero``, ``cauchy_prime`` and the real branches of
-``cauchy`` and ``_cauchy_pair`` are views of it.
+``_piece_cauchy_pair``, at a real or complex z, one node or an array. More
+than _FAR half-widths from the piece, where that form cancels, the piece is
+its Gauss atoms (``MeasureSpec.piece_atoms``) and takes the atomic law's
+sums: ``_atom_pair`` for G and G', and the atomic formulas of q0 and the
+log energy. On the real line ``_real_pair`` gives (G, p0(a0, 0) = -G') in
+one pass over the law and holds the two contact rules: G is on the support
+where the density exceeds 1e-9 (1 + max|c|), and p0 is infinite unless the
+density and its slope vanish there. ``real_cauchy``, ``p0_zero``,
+``cauchy_prime`` and the real branches of ``cauchy`` and ``_cauchy_pair``
+are views of it.
 
 For a semicircle or piecewise-polynomial law every kernel is a closed form in
 the Cauchy transform G and its derivative G' at ``z = a0 + iv``:
 ``p0 = -Im G/v``, ``c1 = Re G``, ``q1 = Im G'/(2v)``,
 ``q2 = (p0 - Re G')/2`` and ``q0 = (p0 + Re G')/(2v^2)``. The last one cancels
 like ``v^2`` where ``p0(a0, 0)`` is finite; there ``q0`` alone comes from a
-rearranged closed form (semicircle) and, piece by piece, from a series in the
-piece's moments (far from z), a term-by-term sum (a0 on the piece or within
-4v of it) or a series in ``v^2`` (otherwise). The term-by-term sum and the
-contact rule's re-test near its bound shift the polynomial exactly, in
-integers over one power of two rounded once (``_shift_exact``). Atomic laws
-sum over their atoms. No kernel uses quadrature.
+rearranged closed form (semicircle) and, piece by piece, from its Gauss atoms
+(far from z), a term-by-term sum (a0 on the piece or within 4v of it) or a
+series in ``v^2`` (otherwise). The term-by-term sum and the contact rule's
+re-test near its bound shift the polynomial exactly, in integers over one
+power of two rounded once (``_shift_exact``). Atomic laws sum over their
+atoms. No kernel uses adaptive quadrature: the fixed Gauss rule of a far
+piece is the only rule.
 """
 
 from __future__ import annotations
@@ -53,10 +57,11 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .errors import (
     DiracMeasureError,
@@ -78,11 +83,13 @@ _ATOM_MERGE_REL = 1e-12
 #: this share of p0, i.e. once more than four digits would cancel
 _Q0_CANCEL = 1e-4
 #: a polynomial piece whose center is more than _FAR half-widths from z is
-#: summed as its multipole series, where the closed form would cancel like
-#: |z - center|^(degree + 1); with ratio below 1/_FAR, _MULTIPOLE_TERMS terms
-#: reach 1e-17
+#: summed as its _FAR_NODES Gauss atoms, where the closed form would cancel
+#: like |z - center|^(degree + 1). The rule is exact for rho(x) (x - c)^k up
+#: to degree 2 _FAR_NODES - 1, and off the piece its error falls
+#: geometrically in the Bernstein ellipse through z: past 4 half-widths, the
+#: ellipse parameter is above 7.8
 _FAR = 4.0
-_MULTIPOLE_TERMS = 30
+_FAR_NODES = 15
 
 
 @dataclass(frozen=True)
@@ -115,23 +122,22 @@ class MeasureSpec:
         return hashlib.sha1(to_json(self).encode()).hexdigest()[:10]
 
     @cached_property
-    def piece_multipoles(self) -> tuple[tuple[float, float, tuple[float, ...]], ...]:
-        """(center c, half-width h, moments int (x - c)^k rho(x) dx for
-        k < _MULTIPOLE_TERMS) of each polynomial piece, built once per spec."""
+    def piece_atoms(self) -> tuple[tuple[float, float, np.ndarray, np.ndarray], ...]:
+        """(center c, half-width h, nodes, weights) of each polynomial piece,
+        built once per spec: its _FAR_NODES-point Gauss-Legendre rule as an
+        atomic law, read-only nodes c + h s_i and weights h w_i rho(node_i).
+        rho is taken about c, its coefficients shifted there exactly and
+        rounded once (_shift_exact), then summed by Horner in h s_i."""
+        s, w = _gauss_rule(_FAR_NODES)
         out = []
         for lo, hi, coeffs in self.pieces:
             c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            b = poly_shift(coeffs, c)  # rho(c + u) = sum b_j u^j
-            # int_{-h}^{h} u^n du is 2 h^(n+1)/(n+1) for even n and 0 for odd n
-            moments = tuple(
-                sum(
-                    2.0 * bj * h ** (j + k + 1) / (j + k + 1)
-                    for j, bj in enumerate(b)
-                    if (j + k) % 2 == 0
-                )
-                for k in range(_MULTIPOLE_TERMS)
-            )
-            out.append((c, h, moments))
+            sums, _, den = _shift_exact(coeffs, c)
+            u = h * s
+            xs, ws = c + u, h * w * poly_eval([sj / den for sj in sums], u)
+            xs.flags.writeable = False
+            ws.flags.writeable = False
+            out.append((c, h, xs, ws))
         return tuple(out)
 
     @cached_property
@@ -367,72 +373,59 @@ def _ops(x):
     return cmath if isinstance(x, complex) else math
 
 
+@lru_cache(maxsize=None)
+def _gauss_rule(n: int):
+    """Read-only nodes and weights of the n-point Gauss-Legendre rule on
+    [-1, 1]. Built on first use: leggauss takes a fraction of a millisecond,
+    which every import would pay."""
+    nodes, weights = leggauss(n)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
+def _atom_pair(xs, ws, z):
+    """G and G' of atoms at xs with weights ws, at one z or elementwise at an
+    array of z: the sums of w/(z - x) and -w/(z - x)^2."""
+    d = np.subtract.outer(z, xs)
+    return (ws / d).sum(-1), -(ws / d**2).sum(-1)
+
+
 def _cauchy_pair(mu: MeasureSpec, z):
     """G(z) and G'(z) at one z or, for a semicircle or piecewise law,
-    elementwise at an array of z off the real line. Atoms are summed; each
-    piece is summed as its multipole series where z is far from it and in
-    closed form elsewhere. At one real z the pair is _real_pair's (G, -p0),
-    and raises OnSupportError where either is on the support."""
+    elementwise at an array of z off the real line. Atoms are summed, and so
+    are a piece's Gauss atoms where z is far from it; nearer, a piece takes
+    its closed form. At one real z the pair is _real_pair's (G, -p0), and
+    raises OnSupportError where either is on the support."""
     if not isinstance(z, np.ndarray) and z.imag == 0.0:
         g, p = _real_pair(mu, z.real)
         if math.isnan(g) or p == math.inf:
             raise OnSupportError(f"{z.real} lies on the support")
         return complex(g), complex(-p)
     if mu.kind == "atomic":
-        xs, ws = mu.atom_arrays
-        d = z - xs
-        return complex((ws / d).sum()), complex(-(ws / d**2).sum())
+        g, gp = _atom_pair(*mu.atom_arrays, z)
+        return complex(g), complex(gp)
     if mu.kind == "semicircle":
         root = _semicircle_root(mu.variance, z)
         g = 2.0 / (z + root)
         return g, -g / root
     one = isinstance(z, complex)
     g, gp = (0j, 0j) if one else (np.zeros_like(z), np.zeros_like(z))
-    for (lo, hi, coeffs), pole in zip(mu.pieces, mu.piece_multipoles):
-        n = _multipole_terms(pole, z)
+    for (lo, hi, coeffs), (center, h, xs, ws) in zip(mu.pieces, mu.piece_atoms):
+        far = abs(z - center) > _FAR * h
         if one:
-            gk, gpk = _multipole_pair(pole, z, n) if n else _piece_cauchy_pair(coeffs, lo, hi, z)
-            g += gk
-            gp += gpk
+            gk, gpk = _atom_pair(xs, ws, z) if far else _piece_cauchy_pair(coeffs, lo, hi, z)
+            g += complex(gk)
+            gp += complex(gpk)
             continue
-        far = n > 0
         if far.any():
-            gk, gpk = _multipole_pair(pole, z[far], int(n.max()))
+            gk, gpk = _atom_pair(xs, ws, z[far])
             g[far] += gk
             gp[far] += gpk
         if not far.all():
             gk, gpk = _piece_cauchy_pair(coeffs, lo, hi, z[~far])
             g[~far] += gk
             gp[~far] += gpk
-    return g, gp
-
-
-def _multipole_terms(pole, z):
-    """Terms of a piece's multipole series that reach 1e-17 at z; 0 when z
-    is too near the piece for the series. Elementwise for an array of z."""
-    center, half, _ = pole
-    if isinstance(z, complex):
-        dist = abs(z - center)
-        if dist <= _FAR * half:
-            return 0
-        return min(_MULTIPOLE_TERMS, int(17.0 * math.log(10.0) / math.log(dist / half)) + 1)
-    dist = np.abs(z - center)
-    far = dist > _FAR * half
-    n = (17.0 * math.log(10.0) / np.log(np.where(far, dist, _FAR * half) / half)).astype(int) + 1
-    return np.where(far, np.minimum(n, _MULTIPOLE_TERMS), 0)
-
-
-def _multipole_pair(pole, z, n: int):
-    # G = sum M_k / zeta^(k+1), G' = -sum (k+1) M_k / zeta^(k+2), zeta = z - center;
-    # an array of z takes the largest of its nodes' n, the extra terms below 1e-17
-    center, _, moments = pole
-    inv = 1.0 / (z - center)
-    g = gp = 0j
-    power = inv
-    for k in range(n):
-        g += moments[k] * power
-        power = power * inv  # not in place: power starts as inv itself
-        gp -= (k + 1) * moments[k] * power
     return g, gp
 
 
@@ -518,23 +511,6 @@ def _piece_q0_series(coeffs, lo: float, hi: float, a0, v2):
     return total / d**3
 
 
-def _piece_q0_multipole(pole, a0, v2, n: int):
-    """q0 of a piece far from z = a0 + iv (n = _multipole_terms > 0): sum_k
-    F_k m_k over its moments about the center c, where F_k are the Taylor
-    coefficients of P(y)^-2, P(y) = (y + c - a0)^2 + v^2. From P F' = -2 P' F,
-    (k+1) P(0) F_(k+1) = -(k+2) P'(0) F_k - (k+3) F_(k-1). Term 0 is the
-    leading one, so nothing cancels. Elementwise for arrays of (a0, v2)."""
-    center, _, moments = pole
-    delta = center - a0
-    p_0, p_1 = delta * delta + v2, 2.0 * delta
-    f_prev, f = 0.0, 1.0 / (p_0 * p_0)
-    total = f * moments[0]
-    for k in range(n - 1):
-        f_prev, f = f, (-(k + 2) * p_1 * f - (k + 3) * f_prev) / ((k + 1) * p_0)
-        total += f * moments[k + 1]
-    return total
-
-
 def _q0_cancelled(mu: MeasureSpec, a0, v2):
     """q0 of a semicircle or piecewise law where p0 + Re G' cancels,
     elementwise over arrays of (a0, v2); one node is a one-element array.
@@ -543,12 +519,12 @@ def _q0_cancelled(mu: MeasureSpec, a0, v2):
     difference of G twice gives
     q0 = (a0 (4s + 2v^2 - Im(R)^2) - v Re(R) Im(R)) / (4s Re(R)^3 |R|^2),
     exact off the imaginary axis and free of cancellation where p0(a0, 0) is
-    finite. A polynomial piece is summed as a series in its moments where
-    z = a0 + iv is far from it (_piece_q0_multipole), term by term in powers
-    of x - a0 where a0 lies on it or within 4v of it (_piece_q0_near), and
-    as a series in v^2 otherwise (_piece_q0_series): per piece, three masks
-    over the nodes. The term-by-term sum, whose shift is exact, in integers
-    rounded once (_shift_exact), is taken node by node.
+    finite. A polynomial piece is summed over its Gauss atoms as sum w/D^2
+    where z = a0 + iv is far from it, term by term in powers of x - a0 where
+    a0 lies on it or within 4v of it (_piece_q0_near), and as a series in
+    v^2 otherwise (_piece_q0_series): per piece, three masks over the nodes.
+    The term-by-term sum, whose shift is exact, in integers rounded once
+    (_shift_exact), is taken node by node.
     """
     v = np.sqrt(v2)
     z = a0 + 1j * v
@@ -558,13 +534,13 @@ def _q0_cancelled(mu: MeasureSpec, a0, v2):
         num = a0 * (4.0 * s + 2.0 * v2 - root.imag**2) - v * root.real * root.imag
         return num / (4.0 * s * root.real**3 * abs(root) ** 2)
     total = np.zeros_like(a0)
-    for (lo, hi, coeffs), pole in zip(mu.pieces, mu.piece_multipoles):
-        n = _multipole_terms(pole, z)
-        far = n > 0
+    for (lo, hi, coeffs), (center, h, xs, ws) in zip(mu.pieces, mu.piece_atoms):
+        far = np.abs(z - center) > _FAR * h
         near = (lo - 4.0 * v < a0) & (a0 < hi + 4.0 * v) & ~far
         rest = ~(far | near)
         if far.any():
-            total[far] += _piece_q0_multipole(pole, a0[far], v2[far], int(n.max()))
+            u = np.subtract.outer(a0[far], xs)
+            total[far] += (ws / (u * u + v2[far, None]) ** 2).sum(-1)
         for i in np.flatnonzero(near):
             total[i] += _piece_q0_near(coeffs, lo, hi, a0[i], v[i])
         if rest.any():
@@ -696,18 +672,18 @@ def _real_pair(mu: MeasureSpec, a0: float) -> tuple[float, float]:
     a piece's density exceeds 1e-9 (1 + max|c|), so that G stays real down to
     that level where v_t reads 0 next to a zero of the density. p0 is inf at
     an atom, on the closed semicircle support, and on a piece unless the
-    density and its slope vanish (_vanishes). A piece takes its multipole
-    series more than _FAR half-widths from a0, the closed form
+    density and its slope vanish (_vanishes). A piece takes its Gauss atoms'
+    sums more than _FAR half-widths from a0, the closed form
     _piece_cauchy_pair off it, and on it the contact step: the principal
     value of G with |u| clamped away from 0 at the piece's ends, where
     b_0 log|u| is below rounding anyway, and p0 from the powers u^k, k >= 2.
     """
     if mu.kind == "atomic":
         xs, ws = mu.atom_arrays
-        d = a0 - xs
-        if np.abs(d).min() <= 1e-13 * (1.0 + abs(a0)):
+        if np.abs(a0 - xs).min() <= 1e-13 * (1.0 + abs(a0)):
             return math.nan, math.inf
-        return float((ws / d).sum()), float((ws / (d * d)).sum())
+        g, gp = _atom_pair(xs, ws, a0)
+        return float(g), float(-gp)
     z = complex(a0)
     if mu.kind == "semicircle":
         root = _semicircle_root(mu.variance, z)
@@ -716,11 +692,11 @@ def _real_pair(mu: MeasureSpec, a0: float) -> tuple[float, float]:
             return g, math.inf
         return g, float((2.0 / ((z + root) * root)).real)
     g = p = 0.0
-    for (lo, hi, coeffs), pole in zip(mu.pieces, mu.piece_multipoles):
-        if n := _multipole_terms(pole, z):
-            gk, gpk = _multipole_pair(pole, z, n)
-            g += gk.real
-            p -= gpk.real
+    for (lo, hi, coeffs), (center, h, xs, ws) in zip(mu.pieces, mu.piece_atoms):
+        if abs(a0 - center) > _FAR * h:
+            gk, gpk = _atom_pair(xs, ws, a0)
+            g += float(gk)
+            p -= float(gpk)
         elif lo <= a0 <= hi:
             b, u0, u1 = poly_shift(coeffs, a0), lo - a0, hi - a0
             if abs(b[0]) > 1e-9 * (1.0 + max(abs(c) for c in coeffs)):
@@ -775,7 +751,8 @@ def cauchy_prime(mu: MeasureSpec, z: complex) -> complex:
 def log_potential(mu: MeasureSpec, a0: float, c: float) -> float:
     """int log((x-a0)^2 + c) dmu(x) for c >= 0: a sum over atoms, else
     2 Re int log(x - z) dmu(x) at z = a0 + i sqrt(c), on the real line as
-    off it, by the closed form or the multipole far field."""
+    off it, by the closed form or, far from a piece, the sum over its Gauss
+    atoms."""
     if c < 0.0:
         raise ValueError("c must be nonnegative")
     if mu.kind == "atomic":
@@ -790,19 +767,10 @@ def log_potential(mu: MeasureSpec, a0: float, c: float) -> float:
         root = _semicircle_root(mu.variance, z)
         f = z / (z + root) + cmath.log(0.5 * (z + root)) - 0.5
         return 2.0 * f.real
-    total = 0j
-    for (lo, hi, coeffs), pole in zip(mu.pieces, mu.piece_multipoles):
-        n = _multipole_terms(pole, z)
-        if n:
-            # log(z - x) = log zeta - sum_k (u/zeta)^k / k, u = x - center:
-            # the same real part as log(x - z)
-            center, _, moments = pole
-            inv = 1.0 / (z - center)
-            total += moments[0] * cmath.log(z - center)
-            power = 1.0
-            for k in range(1, n):
-                power *= inv
-                total -= moments[k] * power / k
+    total, atoms = 0j, 0.0
+    for (lo, hi, coeffs), (center, h, xs, ws) in zip(mu.pieces, mu.piece_atoms):
+        if abs(z - center) > _FAR * h:
+            atoms += float(np.sum(ws * np.log((xs - a0) ** 2 + c)))
             continue
         # int u^k log u du = u^(k+1) (log u/(k+1) - 1/(k+1)^2), u = x - z;
         # at c = 0 the real part is that of log|u|, and u^(k+1) log u is
@@ -814,7 +782,7 @@ def log_potential(mu: MeasureSpec, a0: float, c: float) -> float:
             m = k + 1.0
             total += bk * (w1 * (l1 / m - 1.0 / (m * m)) - w0 * (l0 / m - 1.0 / (m * m)))
             w0, w1 = w0 * u0, w1 * u1
-    return 2.0 * total.real
+    return 2.0 * total.real + atoms
 
 
 # ----------------------------------------------------------------------------

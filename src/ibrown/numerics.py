@@ -1,8 +1,8 @@
 """Shared numerical kernels: bracketed root solves, damped Newton and
 polynomial helpers.
 
-The module holds no quadrature: no kernel integral of a law needs one, and
-the pushforward check's rectangle masses take fixed rules of their own.
+The module holds no quadrature: the kernels' far field and the pushforward
+check's rectangle masses take fixed Gauss rules of their own.
 """
 
 from __future__ import annotations

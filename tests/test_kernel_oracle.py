@@ -374,8 +374,8 @@ def test_closed_forms_raise_on_support_at_edges():
 
 @pytest.mark.parametrize("name", ["quartic", "two_piece"])
 def test_real_axis_far_field_matches_oracle(name):
-    # G and G' at real points far from a piece take its multipole series, as
-    # off the axis; the closed form there cancels like |a0 - center|^(degree + 1)
+    # G and G' at real points far from a piece take its Gauss atoms, as off
+    # the axis; the closed form there cancels like |a0 - center|^(degree + 1)
     mu = QUARTIC if name == "quartic" else LAWS["two_piece"][0]
     for a0 in (10.0, 30.0, 100.0, 1000.0, -50.0):
         g, gp = oracle_g(mu, mp.mpc(a0, 0))
@@ -385,6 +385,76 @@ def test_real_axis_far_field_matches_oracle(name):
         assert rel_err(M.cauchy_prime(mu, a0).real, gp.real) <= 1e-14, a0
     ref = 1000 - mp.mpf("0.3") * oracle_g(QUARTIC, mp.mpc(1000, 0))[0].real
     assert rel_err(j_t(QUARTIC, 0.3, 1000.0).real, ref) <= 1e-15
+
+
+def _high_degree_piece(degree):
+    """One seeded Bernstein-positive piece of the given degree on [0.5, 1.3]."""
+    beta = np.random.default_rng(degree).uniform(0.1, 2.0, degree + 1)
+    return M.piecewise_poly([(0.5, 1.3, bernstein_piece(0.5, 1.3, beta))])
+
+
+@pytest.mark.parametrize("degree", [10, 12, 14])
+def test_far_field_of_high_degree_pieces_matches_oracle(degree):
+    # G and G' from the piece's Gauss atoms, just past the switch at 4h and
+    # further out, on the real axis (through _real_pair) and off it, one z
+    # at a time and as one array; the oracle's monomial partial fractions
+    # cancel like |z - c|^(degree + 1), so it runs at 90 digits
+    mu = _high_degree_piece(degree)
+    c, h = 0.9, 0.4
+    pts = [
+        c + 4 * h * r * cmath.exp(1j * ang)
+        for r in (1.001, 1.5, 10.0)
+        for ang in (0.0, 0.5, math.pi / 2, math.pi)
+    ]
+    off_axis = np.array([z for z in pts if abs(z.imag) > 1e-12])
+    g_arr, gp_arr = M._cauchy_pair(mu, off_axis)
+    with mp.workdps(90):
+        for z in pts:
+            z = complex(z.real, 0.0) if abs(z.imag) <= 1e-12 else z
+            g, gp = oracle_g(mu, mp.mpc(z.real, z.imag))
+            assert rel_err(abs(M.cauchy(mu, z) - g), 0, abs(g)) <= 2e-15, (z, "G")
+            assert rel_err(abs(M.cauchy_prime(mu, z) - gp), 0, abs(gp)) <= 2e-15, (z, "G'")
+            if z.imag:
+                i = int(np.flatnonzero(off_axis == z)[0])
+                assert rel_err(abs(g_arr[i] - g), 0, abs(g)) <= 2e-15, (z, "array G")
+                assert rel_err(abs(gp_arr[i] - gp), 0, abs(gp)) <= 2e-15, (z, "array G'")
+
+
+#: piecewise laws whose pieces' Gauss atoms are checked against their moments:
+#: the quartic, the narrow cubic, 3x^2, uniform and a cubic with monomial
+#: coefficients in the hundreds next to a flat piece
+MOMENT_LAWS = {
+    "quartic": QUARTIC,
+    "narrow_cubic": LAWS["narrow_cubic"][0],
+    "3x^2": LAWS["double_zero"][0],
+    "uniform": LAWS["uniform"][0],
+    "large_coefficients": M.piecewise_poly(
+        [(1.0, 2.0, (0.615,)), (2.0, 2.5, bernstein_piece(2.0, 2.5, [0.9, 0.6, 0.8, 0.7]))]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MOMENT_LAWS))
+def test_piece_atoms_reproduce_the_moments(name):
+    # the Gauss rule is exact for rho(x) (x - c)^k up to degree 2 _FAR_NODES
+    # - 1, so the atoms' moments about the center c match the piece's to
+    # rounding, relative to its mass m times h^k
+    mu = MOMENT_LAWS[name]
+    for (lo, hi, coeffs), (c, h, xs, ws) in zip(mu.pieces, mu.piece_atoms):
+        degree = len(coeffs) - 1
+        mc = mp.mpf(c)
+        # rho(c + u) = sum_j b_j u^j in exact arithmetic on the float coefficients
+        b = [
+            sum(mp.binomial(k, j) * mp.mpf(ck) * mc ** (k - j) for k, ck in enumerate(coeffs) if k >= j)
+            for j in range(len(coeffs))
+        ]
+        u0, u1 = mp.mpf(lo) - mc, mp.mpf(hi) - mc
+        mass = sum(bj * (u1 ** (j + 1) - u0 ** (j + 1)) / (j + 1) for j, bj in enumerate(b))
+        for k in range(2 * M._FAR_NODES - degree):
+            n = [j + k + 1 for j in range(len(b))]
+            ref = sum(bj * (u1**nj - u0**nj) / nj for bj, nj in zip(b, n))
+            got = mp.fsum(mp.mpf(float(w)) * (mp.mpf(float(x)) - mc) ** k for x, w in zip(xs, ws))
+            assert abs(got - ref) <= 2e-15 * mass * mp.mpf(h) ** k, (name, lo, k, float(got), float(ref))
 
 
 def test_one_contact_rule_on_the_real_axis():
@@ -429,8 +499,8 @@ def test_kernel_bundle_grid_in_one_array_call():
 def _term_scales(mu, a0, v, bundle):
     """Per field, the sum of the magnitudes of the terms that the kernel adds
     up at z = a0 + iv: the scale of its rounding. An atomic law sums w K(x)
-    over its atoms; a closed form sums the terms of G and G' (multipole
-    series, or the shifted polynomial's powers and the log), from which
+    over its atoms; a closed form sums the terms of G and G' (a far piece's
+    Gauss atoms, or the shifted polynomial's powers and the log), from which
     p0 = -Im G/v, q1 = Im G'/(2v) and so on follow. The cancelled q0's
     series lead with their largest term, so q0 is its own scale there."""
     if mu.kind == "atomic":
@@ -445,12 +515,10 @@ def _term_scales(mu, a0, v, bundle):
         sg, sgp = abs(g), abs(gp)
     else:
         sg = sgp = 0.0
-        for (lo, hi, coeffs), pole in zip(mu.pieces, mu.piece_multipoles):
-            n = M._multipole_terms(pole, z)
-            if n:
-                inv = 1.0 / abs(z - pole[0])
-                sg += sum(abs(m) * inv ** (k + 1) for k, m in enumerate(pole[2][:n]))
-                sgp += sum((k + 1) * abs(m) * inv ** (k + 2) for k, m in enumerate(pole[2][:n]))
+        for (lo, hi, coeffs), (c, h, xs, ws) in zip(mu.pieces, mu.piece_atoms):
+            if abs(z - c) > M._FAR * h:
+                sg += float(np.sum(np.abs(ws) / np.abs(z - xs)))
+                sgp += float(np.sum(np.abs(ws) / np.abs(z - xs) ** 2))
                 continue
             b = [abs(bk) for bk in M.poly_shift(coeffs, z)] + [0.0]
             u0, u1 = abs(lo - z), abs(hi - z)
@@ -470,9 +538,10 @@ def _term_scales(mu, a0, v, bundle):
 
 
 def _switch_nodes(mu):
-    """(a0, v) on both sides of each piece's multipole switch, |z - c| = 4h."""
+    """(a0, v) on both sides of each piece's switch to its Gauss atoms,
+    |z - c| = 4h."""
     out = []
-    for c, h, _ in mu.piece_multipoles:
+    for c, h, _, _ in mu.piece_atoms:
         for side in (1 - 1e-3, 1 + 1e-3):
             for ang in (0.05, 0.7, 1.5, 2.4):
                 out.append((c + 4 * h * side * math.cos(ang), 4 * h * side * math.sin(ang)))
@@ -535,7 +604,7 @@ def test_array_bundle_matches_scalar_bundles(name, monkeypatch):
 
 
 #: piecewise laws whose log energy on the real line (c = 0) takes the same
-#: closed form and multipole far field as off it
+#: closed form and Gauss-atom far field as off it
 REAL_LOG_LAWS = {
     "uniform": M.uniform(-1.0, 1.0),
     "3x^2": M.piecewise_poly([(0.0, 1.0, (0.0, 0.0, 3.0))]),
@@ -546,7 +615,7 @@ REAL_LOG_LAWS = {
 
 @pytest.mark.parametrize("name", sorted(REAL_LOG_LAWS))
 def test_real_axis_log_energy_matches_quadrature(name):
-    # far on both sides, where the pieces are summed as multipoles, on a
+    # far on both sides, where the pieces are summed as Gauss atoms, on a
     # piece, where log|x - a0| is singular, and at each piece end
     mu = REAL_LOG_LAWS[name]
     lo, hi, _ = mu.pieces[0]
