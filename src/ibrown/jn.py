@@ -14,6 +14,7 @@ the support region is located by the sign of (b/(2t))^2 - (Im g)^2.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 from .brown import _invert
@@ -46,6 +47,8 @@ def _fixed_point_newton(mu, t, a, g0, tol):
         nonlocal gp
         z = a + t * g.conjugate()
         gz, gp = _cauchy_pair(mu, z)
+        if not (cmath.isfinite(gz) and cmath.isfinite(gp)):
+            return None  # z is on the support
         r = g - gz
         return r, _fixed_point_jacobian_solve(t, gp, r)
 

@@ -15,11 +15,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .brown import _a0_solve_nodes, _circular_density, _locate, _planar_density, lambda_sweep, profile
 from .errors import OutsideLambdaError, OutsideOmegaError
-from .measure import MeasureSpec, transforms
+from .measure import MeasureSpec, _gauss_rule, transforms
 from .numerics import bracket_newton
 from .subordination import _vt_solve, _vt_solve_nodes, lambda_region
 
@@ -107,10 +106,8 @@ CHECK_NODES = 24
 @lru_cache(maxsize=None)
 def _embedded_rule(n_hi, n_lo):
     """Nodes on [-1, 1] of two Gauss-Legendre rules side by side, and their
-    weights as rows (2, nodes), each row zero on the other rule's nodes.
-    Built on first use: leggauss(48) takes milliseconds, which every import
-    would pay."""
-    (x_hi, w_hi), (x_lo, w_lo) = leggauss(n_hi), leggauss(n_lo)
+    weights as rows (2, nodes), each row zero on the other rule's nodes."""
+    (x_hi, w_hi), (x_lo, w_lo) = _gauss_rule(n_hi), _gauss_rule(n_lo)
     weights = np.zeros((2, n_hi + n_lo))
     weights[0, :n_hi], weights[1, n_hi:] = w_hi, w_lo
     nodes = np.concatenate((x_hi, x_lo))

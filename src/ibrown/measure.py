@@ -24,17 +24,17 @@ costs one call.
 ``p0`` with ``v = 0`` returns ``math.inf`` when the integral diverges; callers
 use the sentinel for bracketing.
 
-G and G' of a polynomial piece come from one closed form,
-``_piece_cauchy_pair``, at a real or complex z, one node or an array. More
-than _FAR half-widths from the piece, where that form cancels, the piece is
-its Gauss atoms (``MeasureSpec.piece_atoms``) and takes the atomic law's
-sums: ``_atom_pair`` for G and G', and the atomic formulas of q0 and the
-log energy. On the real line ``_real_pair`` gives (G, p0(a0, 0) = -G') in
-one pass over the law and holds the two contact rules: G is on the support
-where the density exceeds 1e-9 (1 + max|c|), and p0 is infinite unless the
-density and its slope vanish there. ``real_cauchy``, ``p0_zero``,
-``cauchy_prime`` and the real branches of ``cauchy`` and ``_cauchy_pair``
-are views of it.
+G and G' of every law come from one pair, ``_cauchy_pair``, at one z on or
+off the real line or at an array of z off it. A polynomial piece takes one
+closed form, ``_piece_cauchy_pair``; more than _FAR half-widths from it,
+where that form cancels, the piece is its Gauss atoms
+(``MeasureSpec.piece_atoms``) and takes the atomic law's sums: ``_atom_pair``
+for G and G', and the atomic formulas of q0 and the log energy. At a real z
+the pair is two floats that hold the two contact rules: G is nan on the
+support, and G' is -inf where p0(z, 0) = -G'(z) diverges. ``real_cauchy``,
+``p0_zero``, ``cauchy`` and ``cauchy_prime`` are views of it, and the
+damped-Newton solvers read a pair that is not finite as a point on the
+support.
 
 For a semicircle or piecewise-polynomial law every kernel is a closed form in
 the Cauchy transform G and its derivative G' at ``z = a0 + iv``:
@@ -168,6 +168,14 @@ def _merge_atoms(raw: Iterable[tuple[float, float]]) -> list[tuple[float, float]
     return [(x, w) for x, w in merged]
 
 
+def _finite(mass: float) -> float:
+    """mass, else MeasureFormatError where it is past the float range: a law
+    would normalize to zero, or drop a piece of nan mass."""
+    if not math.isfinite(mass):
+        raise MeasureFormatError(f"mass {mass} overflows the float range")
+    return mass
+
+
 def _validate_atomic(atoms, label) -> MeasureSpec:
     for x, w in atoms:
         if not (math.isfinite(x) and math.isfinite(w)):
@@ -179,7 +187,7 @@ def _validate_atomic(atoms, label) -> MeasureSpec:
         raise EmptyMeasureError("no mass")
     if len(merged) == 1:
         raise DiracMeasureError("law is a single point mass")
-    total = sum(w for _, w in merged)
+    total = _finite(sum(w for _, w in merged))
     norm = tuple((x, w / total) for x, w in merged)
     return MeasureSpec(
         kind="atomic",
@@ -199,6 +207,8 @@ def _validate_pieces(pieces, label) -> MeasureSpec:
             raise MeasureFormatError(f"bad piece bounds [{lo}, {hi}]")
         if not coeffs:
             raise MeasureFormatError("piece without coefficients")
+        if not all(map(math.isfinite, coeffs)):
+            raise MeasureFormatError(f"non-finite coefficient on [{lo}, {hi}]")
         # the minimum is at an end or at a critical point inside; real parts,
         # as rounding can split a multiple root of the derivative off the axis
         poly = np.polynomial.polynomial
@@ -207,7 +217,7 @@ def _validate_pieces(pieces, label) -> MeasureSpec:
         scale = max(1.0, float(np.max(np.abs(vals))))
         if float(np.min(vals)) < -1e-12 * scale:
             raise NegativeMassError(f"density negative on [{lo}, {hi}]")
-        mass = poly_definite(coeffs, lo, hi)
+        mass = _finite(poly_definite(coeffs, lo, hi))
         if mass > 0.0:
             clean.append((lo, hi, coeffs, mass))
     if not clean:
@@ -216,7 +226,7 @@ def _validate_pieces(pieces, label) -> MeasureSpec:
     for (l1, h1, _, _), (l2, _, _, _) in zip(clean[:-1], clean[1:]):
         if l2 < h1 - 1e-14 * max(1.0, abs(h1)):
             raise MeasureFormatError("overlapping pieces")
-    total = sum(m for *_, m in clean)
+    total = _finite(sum(m for *_, m in clean))
     norm = tuple(
         (lo, hi, tuple(c / total for c in coeffs)) for lo, hi, coeffs, _ in clean
     )
@@ -376,7 +386,8 @@ def _ops(x):
 @lru_cache(maxsize=None)
 def _gauss_rule(n: int):
     """Read-only nodes and weights of the n-point Gauss-Legendre rule on
-    [-1, 1]. Built on first use: leggauss takes a fraction of a millisecond,
+    [-1, 1], the one owner of the far pieces' rule and of the pushforward
+    check's rules. Built on first use: leggauss takes up to milliseconds,
     which every import would pay."""
     nodes, weights = leggauss(n)
     nodes.flags.writeable = False
@@ -392,41 +403,70 @@ def _atom_pair(xs, ws, z):
 
 
 def _cauchy_pair(mu: MeasureSpec, z):
-    """G(z) and G'(z) at one z or, for a semicircle or piecewise law,
-    elementwise at an array of z off the real line. Atoms are summed, and so
-    are a piece's Gauss atoms where z is far from it; nearer, a piece takes
-    its closed form. At one real z the pair is _real_pair's (G, -p0), and
-    raises OnSupportError where either is on the support."""
-    if not isinstance(z, np.ndarray) and z.imag == 0.0:
-        g, p = _real_pair(mu, z.real)
-        if math.isnan(g) or p == math.inf:
-            raise OnSupportError(f"{z.real} lies on the support")
-        return complex(g), complex(-p)
+    """G(z) and G'(z) at one z, real or complex, or, for a semicircle or
+    piecewise law, elementwise at an array of z off the real line. Atoms are
+    summed, and so are a piece's Gauss atoms where z is far from it; nearer,
+    a piece takes its closed form.
+
+    At a real z (a float, or a complex with Im z = 0) the pair is two floats
+    and holds the two contact rules. G is nan on the support: at an atom,
+    inside the semicircle's, and where a piece's density exceeds
+    1e-9 (1 + max|c|), so that G stays real down to that level where v_t
+    reads 0 next to a zero of the density. G' is -inf where p0(z, 0) = -G'(z)
+    diverges: at an atom, on the closed semicircle support, and on a piece
+    unless the density and its slope vanish (_vanishes). On a piece the
+    contact step takes the principal value of G, with |u| clamped away from
+    0 at the piece's ends, where b_0 log|u| is below rounding anyway, and G'
+    from the powers u^k, k >= 2.
+    """
+    one = not isinstance(z, np.ndarray)
+    real = one and z.imag == 0.0
+    cast = float if real else complex
+    if real:
+        z = float(z.real)
     if mu.kind == "atomic":
-        g, gp = _atom_pair(*mu.atom_arrays, z)
-        return complex(g), complex(gp)
+        xs, ws = mu.atom_arrays
+        if real and np.abs(z - xs).min() <= 1e-13 * (1.0 + abs(z)):
+            return math.nan, -math.inf
+        g, gp = _atom_pair(xs, ws, z)
+        return cast(g), cast(gp)
     if mu.kind == "semicircle":
-        root = _semicircle_root(mu.variance, z)
+        root = _semicircle_root(mu.variance, complex(z) if real else z)
         g = 2.0 / (z + root)
-        return g, -g / root
-    one = isinstance(z, complex)
-    g, gp = (0j, 0j) if one else (np.zeros_like(z), np.zeros_like(z))
+        if not real:
+            return g, -g / root
+        r = mu.support.hi
+        if abs(z) <= r + 1e-13 * (1.0 + abs(z)):
+            return (g.real if abs(z) >= r - 1e-13 else math.nan), -math.inf
+        return g.real, -(2.0 / ((z + root) * root)).real
+    g, gp = (0.0, 0.0) if one else (np.zeros_like(z), np.zeros_like(z))
     for (lo, hi, coeffs), (center, h, xs, ws) in zip(mu.pieces, mu.piece_atoms):
         far = abs(z - center) > _FAR * h
-        if one:
-            gk, gpk = _atom_pair(xs, ws, z) if far else _piece_cauchy_pair(coeffs, lo, hi, z)
-            g += complex(gk)
-            gp += complex(gpk)
+        if not one:
+            if far.any():
+                gk, gpk = _atom_pair(xs, ws, z[far])
+                g[far] += gk
+                gp[far] += gpk
+            if not far.all():
+                gk, gpk = _piece_cauchy_pair(coeffs, lo, hi, z[~far])
+                g[~far] += gk
+                gp[~far] += gpk
             continue
-        if far.any():
-            gk, gpk = _atom_pair(xs, ws, z[far])
-            g[far] += gk
-            gp[far] += gpk
-        if not far.all():
-            gk, gpk = _piece_cauchy_pair(coeffs, lo, hi, z[~far])
-            g[~far] += gk
-            gp[~far] += gpk
-    return g, gp
+        if far:
+            gk, gpk = _atom_pair(xs, ws, z)
+        elif real and lo <= z <= hi:
+            b, u0, u1 = poly_shift(coeffs, z), lo - z, hi - z
+            if abs(b[0]) > 1e-9 * (1.0 + max(abs(c) for c in coeffs)):
+                gk = math.nan
+            else:
+                floor = 1e-18 * (1.0 + abs(z) + abs(lo) + abs(hi))
+                gk = -b[0] * math.log(max(u1, floor) / max(-u0, floor)) - poly_definite(b[1:], u0, u1)
+            gpk = -poly_definite(b[2:], u0, u1) if _vanishes(coeffs, z, b) else -math.inf
+        else:
+            gk, gpk = _piece_cauchy_pair(coeffs, lo, hi, z)
+        g += gk
+        gp += gpk
+    return (cast(g), cast(gp)) if one else (g, gp)
 
 
 def _piece_cauchy_pair(coeffs, lo: float, hi: float, z):
@@ -641,8 +681,8 @@ def _vanishes(coeffs, a0: float, b) -> bool:
 
 def p0_zero(mu: MeasureSpec, a0: float) -> float:
     """The v = 0 Poisson integral int dmu/(a0-x)^2 = -G'(a0), from
-    _real_pair; +inf where it diverges."""
-    return _real_pair(mu, a0)[1]
+    _cauchy_pair; +inf where it diverges."""
+    return -_cauchy_pair(mu, a0)[1]
 
 
 def p1(mu: MeasureSpec, a0: float, v: float) -> float:
@@ -665,58 +705,11 @@ def _semicircle_root(s: float, z):
     return sqrt(z - r) * sqrt(z + r)
 
 
-def _real_pair(mu: MeasureSpec, a0: float) -> tuple[float, float]:
-    """G(a0) and p0(a0, 0) = -G'(a0) at a real a0, in one pass over the law.
-
-    G is nan on the support: at an atom, inside the semicircle's, and where
-    a piece's density exceeds 1e-9 (1 + max|c|), so that G stays real down to
-    that level where v_t reads 0 next to a zero of the density. p0 is inf at
-    an atom, on the closed semicircle support, and on a piece unless the
-    density and its slope vanish (_vanishes). A piece takes its Gauss atoms'
-    sums more than _FAR half-widths from a0, the closed form
-    _piece_cauchy_pair off it, and on it the contact step: the principal
-    value of G with |u| clamped away from 0 at the piece's ends, where
-    b_0 log|u| is below rounding anyway, and p0 from the powers u^k, k >= 2.
-    """
-    if mu.kind == "atomic":
-        xs, ws = mu.atom_arrays
-        if np.abs(a0 - xs).min() <= 1e-13 * (1.0 + abs(a0)):
-            return math.nan, math.inf
-        g, gp = _atom_pair(xs, ws, a0)
-        return float(g), float(-gp)
-    z = complex(a0)
-    if mu.kind == "semicircle":
-        root = _semicircle_root(mu.variance, z)
-        g = float((2.0 / (z + root)).real) if abs(a0) >= mu.support.hi - 1e-13 else math.nan
-        if abs(a0) <= mu.support.hi + 1e-13 * (1.0 + abs(a0)):
-            return g, math.inf
-        return g, float((2.0 / ((z + root) * root)).real)
-    g = p = 0.0
-    for (lo, hi, coeffs), (center, h, xs, ws) in zip(mu.pieces, mu.piece_atoms):
-        if abs(a0 - center) > _FAR * h:
-            gk, gpk = _atom_pair(xs, ws, a0)
-            g += float(gk)
-            p -= float(gpk)
-        elif lo <= a0 <= hi:
-            b, u0, u1 = poly_shift(coeffs, a0), lo - a0, hi - a0
-            if abs(b[0]) > 1e-9 * (1.0 + max(abs(c) for c in coeffs)):
-                g = math.nan
-            else:
-                floor = 1e-18 * (1.0 + abs(a0) + abs(lo) + abs(hi))
-                g -= b[0] * math.log(max(u1, floor) / max(-u0, floor)) + poly_definite(b[1:], u0, u1)
-            p += poly_definite(b[2:], u0, u1) if _vanishes(coeffs, a0, b) else math.inf
-        else:
-            gk, gpk = _piece_cauchy_pair(coeffs, lo, hi, a0)
-            g += gk
-            p -= gpk
-    return g, p
-
-
 def real_cauchy(mu: MeasureSpec, a0: float) -> float:
-    """G at a real point, from _real_pair: finite where the point touches the
-    support closure but the density there vanishes, as J_t(a0 + 0i) needs
+    """G at a real point, from _cauchy_pair: finite where the point touches
+    the support closure but the density there vanishes, as J_t(a0 + 0i) needs
     where v_t reads 0; raises OnSupportError where the integral diverges."""
-    g = _real_pair(mu, a0)[0]
+    g = _cauchy_pair(mu, a0)[0]
     if math.isnan(g):
         raise OnSupportError(f"{a0} lies on the support")
     return g
@@ -736,12 +729,10 @@ def cauchy_prime(mu: MeasureSpec, z: complex) -> complex:
     raises OnSupportError exactly where p0_zero is infinite: the same rule
     that decides the source region."""
     z = complex(z)
-    if z.imag == 0.0:
-        p0z = p0_zero(mu, z.real)
-        if p0z == math.inf:
-            raise OnSupportError(f"{z.real} lies on the support")
-        return complex(-p0z)
-    return _cauchy_pair(mu, z)[1]
+    gp = _cauchy_pair(mu, z)[1]
+    if gp == -math.inf:
+        raise OnSupportError(f"{z.real} lies on the support")
+    return complex(gp)
 
 
 # ----------------------------------------------------------------------------

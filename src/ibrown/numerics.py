@@ -2,7 +2,8 @@
 polynomial helpers.
 
 The module holds no quadrature: the kernels' far field and the pushforward
-check's rectangle masses take fixed Gauss rules of their own.
+check's rectangle masses take fixed Gauss-Legendre rules from one cached
+owner, measure._gauss_rule.
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ with equality only for a point mass.
 from __future__ import annotations
 
 import bisect
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -400,8 +401,9 @@ def _newton_jt(mu, t, target, z0, tol):
 
     def fdf(z):
         nonlocal pair
-        pair = _cauchy_pair(mu, z)
-        g, gp = pair
+        pair = g, gp = _cauchy_pair(mu, z)
+        if not (cmath.isfinite(g) and cmath.isfinite(gp)):
+            return None  # z is on the support
         r = z - t * g - target
         d = 1.0 - t * gp
         return r, r / (d if d != 0.0 else 1e-30)

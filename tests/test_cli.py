@@ -103,7 +103,8 @@ def test_preset_parameters_match_names_by_position(text, label):
     assert cli._parse_preset(text).label == label
 
 
-#: measure files whose values have the wrong JSON type, or an integer past the float range
+#: measure files whose values have the wrong JSON type, an integer past the
+#: float range, a non-finite coefficient or masses whose total overflows
 MALFORMED_FILES = [
     '{"type":"atomic","atoms":5}',
     '{"type":"atomic","atoms":[5,6]}',
@@ -114,6 +115,8 @@ MALFORMED_FILES = [
     '{"type":"piecewise_poly","pieces":[{"lo":0,"hi":1,"coeffs":5}]}',
     '{"type":"piecewise_poly","pieces":[{"lo":0,"hi":"1","coeffs":[1]}]}',
     '{"type":"semicircle","variance":1' + "0" * 400 + "}",
+    '{"type":"piecewise_poly","pieces":[{"lo":0,"hi":1,"coeffs":[1]},{"lo":1,"hi":2,"coeffs":[NaN]}]}',
+    '{"type":"atomic","atoms":[{"x":0,"w":1e308},{"x":1,"w":1e308}]}',
 ]
 
 

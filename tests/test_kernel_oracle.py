@@ -396,9 +396,9 @@ def _high_degree_piece(degree):
 @pytest.mark.parametrize("degree", [10, 12, 14])
 def test_far_field_of_high_degree_pieces_matches_oracle(degree):
     # G and G' from the piece's Gauss atoms, just past the switch at 4h and
-    # further out, on the real axis (through _real_pair) and off it, one z
-    # at a time and as one array; the oracle's monomial partial fractions
-    # cancel like |z - c|^(degree + 1), so it runs at 90 digits
+    # further out, on the real axis (two floats from _cauchy_pair) and off
+    # it, one z at a time and as one array; the oracle's monomial partial
+    # fractions cancel like |z - c|^(degree + 1), so it runs at 90 digits
     mu = _high_degree_piece(degree)
     c, h = 0.9, 0.4
     pts = [

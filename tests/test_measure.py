@@ -77,6 +77,13 @@ def test_negative_and_empty_rejected():
         (lambda: M.piecewise_poly([(0.0, 1.0, ())]), MeasureFormatError),
         (lambda: M.piecewise_poly([(0.0, 1.0, (0.0,))]), EmptyMeasureError),
         (lambda: M.piecewise_poly([(0.0, 1.0, (1.0,)), (0.5, 2.0, (1.0,))]), MeasureFormatError),
+        # a non-finite coefficient, and masses past the float range: each was
+        # dropped silently or normalized to zero
+        (lambda: M.piecewise_poly([(0.0, 1.0, (1.0,)), (1.0, 2.0, (math.nan,))]), MeasureFormatError),
+        (lambda: M.piecewise_poly([(0.0, 1.0, (1.0,)), (1.0, 2.0, (math.inf,))]), MeasureFormatError),
+        (lambda: M.atomic([(0.0, 1e308), (1.0, 1e308)]), MeasureFormatError),
+        (lambda: M.piecewise_poly([(0.0, 1.0, (1e308,)), (1.0, 2.0, (1e308,))]), MeasureFormatError),
+        (lambda: M.piecewise_poly([(0.0, 1.0, (1.0,)), (1e200, 2e200, (0.0, 1.0))]), MeasureFormatError),
         (lambda: M.semicircle(0.0), MeasureFormatError),
         (lambda: M.semicircle(math.inf), MeasureFormatError),
         (lambda: M.uniform(1.0, 1.0), MeasureFormatError),

@@ -1,6 +1,6 @@
 """Each trial point of a damped Newton solve costs one evaluation of the law:
 its fdf reads the residual and the step from one _cauchy_pair or one
-transforms call."""
+transforms call, and a point where that pair is not finite ends the solve."""
 
 import pytest
 
@@ -132,3 +132,26 @@ def test_s_of_evaluates_its_solved_initial_data_once(name, monkeypatch):
         points.clear()
         C.s_of(mu, t, lam, eps)
         assert points.count((a0, b0 * b0 + eps0)) == 1
+
+
+def test_solver_started_on_the_support_returns_none_after_one_evaluation(monkeypatch):
+    # at a real point of the support the pair is not finite (G nan, G' -inf):
+    # the fdf returns None there and the solve ends at its start
+    uni, points = M.uniform(-1.0, 1.0), []
+
+    def counted(mu, z):
+        points.append(z)
+        return M._cauchy_pair(mu, z)
+
+    for mod in (S, J):
+        monkeypatch.setattr(mod, "_cauchy_pair", counted)
+    assert S._newton_jt(uni, 0.1, 0.5, 0.5, 1e-12) is None
+    assert points == [0.5]
+    points.clear()
+    assert J._fixed_point_newton(uni, 0.1, 0.3, 0.2, 1e-12) is None  # z = 0.32
+    assert points == [pytest.approx(0.32)]
+    # a real start off the support still solves, on the real line
+    z, g, _ = S._newton_jt(uni, 0.1, S.j_t(uni, 0.1, 3.0), 3.0, 1e-12)
+    assert z == pytest.approx(3.0, abs=1e-12) and g == M.real_cauchy(uni, z.real)
+    g, _ = J._fixed_point_newton(uni, 0.1, 3.0, 0.3, 1e-12)
+    assert abs(g - M.real_cauchy(uni, 3.0 + 0.1 * g.real)) <= 1e-12
